@@ -29,6 +29,10 @@ class InsufficientPrecision(FGLForgeError):
     """The truncation order is too small for the requested coefficient."""
 
 
+class AxiomsFailed(FGLForgeError):
+    """A formal group law fails one of its axioms at the working precision."""
+
+
 class IncompatibleRing(FGLForgeError):
     """A named formal group law was requested over an unsuitable ring."""
 

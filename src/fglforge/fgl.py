@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    AxiomsFailed,
     BadCoordinate,
     BadLogShape,
     IncompatibleRing,
@@ -153,6 +154,14 @@ def check_axioms(fgl: FormalGroupLaw) -> AxiomReport:
     return report
 
 
+def _require_axioms(fgl: FormalGroupLaw, what: str) -> None:
+    """Raise AxiomsFailed, naming the failed axioms, unless the law validates."""
+    report = check_axioms(fgl)
+    if not report.passed:
+        failed = ", ".join(c.axiom for c in report.failures())
+        raise AxiomsFailed(f"{what} fails its axioms: {failed}")
+
+
 def named_fgl(name: str, ring, precision: int) -> FormalGroupLaw:
     """One of the built-in laws: additive, multiplicative, universal_rational,
     honda_h1.  The universal law builds its own coefficient ring; for it the
@@ -195,8 +204,7 @@ def named_fgl(name: str, ring, precision: int) -> FormalGroupLaw:
         return universal_fgl_rational(precision)
     else:
         raise IncompatibleRing(f"unknown formal group law {name!r}")
-    report = check_axioms(fgl)
-    assert report.passed, f"builtin law {name} failed its axioms"
+    _require_axioms(fgl, f"builtin law {name}")
     return fgl
 
 
@@ -215,24 +223,43 @@ def formal_inverse(fgl: FormalGroupLaw) -> TruncatedSeries1:
     return TruncatedSeries1(ring, inv, n)
 
 
-def n_series(fgl: FormalGroupLaw, k: int) -> NSeries:
-    """[k](x); iteration for k >= 0, the formal inverse for k < 0."""
+def n_series(fgl: FormalGroupLaw, k: int, precision: int | None = None) -> NSeries:
+    """[k](x) modulo x^(precision+1), by default at the law's precision.
+
+    For k > 0 by double-and-add, [2m] = F([m],[m]) and [m+1] = F(x,[m]): about
+    2 log2(k) substitutions.  That is exact only for an associative law, so the
+    law is validated first and AxiomsFailed raised if it fails.  For k < 0,
+    [k] = [-k] composed with the formal inverse.
+    """
     ring = fgl.ring
-    n = fgl.precision
+    n = fgl.precision if precision is None else precision
+    if n > fgl.precision:
+        raise InsufficientPrecision(
+            f"need precision >= {n} for [{k}](x), have {fgl.precision}"
+        )
     if k == 0:
         return NSeries(0, TruncatedSeries1.zero(ring, n))
     if k < 0:
-        positive = n_series(fgl, -k).series
+        positive = n_series(fgl, -k, n).series
         return NSeries(k, compose_series(positive, formal_inverse(fgl)))
+    _require_axioms(fgl, repr(fgl))
+    # substitute_pair truncates to its arguments' precision, so every step
+    # works modulo x^(n+1): the x^m coefficient of [k](x) depends only on F
+    # modulo degree m+1
     x1 = TruncatedSeries1.x(ring, n)
     acc = x1
-    for _ in range(k - 1):
-        acc = substitute_pair(fgl.body, x1, acc)
+    for bit in bin(k)[3:]:
+        acc = substitute_pair(fgl.body, acc, acc)
+        if bit == "1":
+            acc = substitute_pair(fgl.body, x1, acc)
     return NSeries(k, acc)
 
 
 def v_coefficient(fgl: FormalGroupLaw, p: int, n: int) -> RingElement:
-    """The coefficient of x^(p^n) in the p-series; v_0 = p by construction."""
+    """The coefficient of x^(p^n) in the p-series; v_0 = p by construction.
+
+    Only [p](x) modulo x^(p^n + 1) is computed.
+    """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     target = p**n
@@ -240,7 +267,7 @@ def v_coefficient(fgl: FormalGroupLaw, p: int, n: int) -> RingElement:
         raise InsufficientPrecision(
             f"need precision >= {target} for v_{n} at p = {p}, have {fgl.precision}"
         )
-    return n_series(fgl, p).series.coefficient(target)
+    return n_series(fgl, p, target).series.coefficient(target)
 
 
 def logarithm(fgl: FormalGroupLaw) -> TruncatedSeries1:
@@ -276,8 +303,7 @@ def from_logarithm(
     sum_logs = TruncatedSeries2.from_entries(ring, entries, precision)
     body = compose_series(exp, sum_logs)
     fgl = FormalGroupLaw(ring, precision, body, grading=grading, name=name)
-    report = check_axioms(fgl)
-    assert report.passed, "a logarithm always produces a valid law"
+    _require_axioms(fgl, "the law of a logarithm")
     return fgl
 
 
@@ -307,7 +333,7 @@ def change_coordinates(fgl: FormalGroupLaw, b: TruncatedSeries1) -> FormalGroupL
     # when it remains true of the conjugate
     if fgl.grading is not None and grade_check(out, fgl.grading):
         out = FormalGroupLaw(ring, n, body, grading=fgl.grading)
-    check_axioms(out)
+    _require_axioms(out, "the coordinate-changed law")
     return out
 
 

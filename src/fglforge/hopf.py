@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AlgebroidMismatch, NotACoaction, NotQAlgebra, Unsupported
-from .fgl import FormalGroupLaw, check_axioms, from_logarithm, logarithm
+from .fgl import FormalGroupLaw, _require_axioms, from_logarithm, logarithm
 from .gradedpoly import (
     GradedPolynomialRing,
     coordinate_change_ring,
@@ -70,7 +70,7 @@ def specialize(fgl: FormalGroupLaw, assignment: dict, target: CoefficientRing) -
             body_entries.append((i, j, value))
     body = TruncatedSeries2.from_entries(target, body_entries, fgl.precision)
     out = FormalGroupLaw(target, fgl.precision, body)
-    check_axioms(out)
+    _require_axioms(out, "the specialized law")
     return out
 
 

@@ -170,15 +170,14 @@ class VRow:
     homogeneous: bool | None
 
 
-def v_sequence_report(fgl: FormalGroupLaw, p: int, max_height: int, precision=None):
+def v_sequence_report(fgl: FormalGroupLaw, p: int, max_height: int):
     """The raw v_n values with their graded degrees p^n - 1.
 
     When the law carries a grading, each v_n is checked to be homogeneous of
-    that degree; ungraded laws report None.
+    that degree; ungraded laws report None.  The law's precision must reach
+    x^(p^max_height).
     """
-    if precision is None:
-        precision = fgl.precision
-    if precision < p**max_height:
+    if fgl.precision < p**max_height:
         raise InsufficientPrecision(
             f"need precision >= {p**max_height} for v_{max_height} at p = {p}"
         )

@@ -624,7 +624,7 @@ def _poly_monic(a: dict) -> dict:
 def _poly_gcd(a: dict, b: dict) -> dict:
     """Monic gcd over a field; gcd(a, 0) = monic(a)."""
     while b:
-        a, b = b, _poly_mod(a, b)
+        a, b = b, _poly_divmod(a, b)[1]
     return _poly_monic(a) if a else {}
 
 

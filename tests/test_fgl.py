@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from fglforge import fgl as fgl_module
 from fglforge.errors import (
+    AxiomsFailed,
     BadCoordinate,
     BadLogShape,
     IncompatibleRing,
@@ -14,6 +16,8 @@ from fglforge.errors import (
     NotQAlgebra,
 )
 from fglforge.fgl import (
+    AxiomCheck,
+    AxiomReport,
     FormalGroupLaw,
     change_coordinates,
     check_axioms,
@@ -26,7 +30,12 @@ from fglforge.fgl import (
     v_coefficient,
 )
 from fglforge.rings import Integers, IntegersMod, LaurentExtension, Rationals
-from fglforge.series import TruncatedSeries1, TruncatedSeries2, compose_series
+from fglforge.series import (
+    TruncatedSeries1,
+    TruncatedSeries2,
+    compose_series,
+    substitute_pair,
+)
 
 Z = Integers()
 Q = Rationals()
@@ -94,8 +103,6 @@ def test_formal_inverse():
     beta = ZB.var()
     assert list(iota.coeffs) == [ZB.zero()] + [-(beta ** (k - 1)) for k in range(1, 7)]
     # substituting back gives zero
-    from fglforge.series import substitute_pair
-
     back = substitute_pair(mult.body, TruncatedSeries1.x(ZB, 6), iota)
     assert back.is_zero()
     # universal law at N=2: the triangular solve gives -x - 2 m1 x^2
@@ -125,8 +132,6 @@ def test_n_series_homomorphism_exact_at_precision_10():
         named_fgl("honda_h1", IntegersMod(3), 10),
     ):
         series = {k: n_series(law, k).series for k in range(-4, 5)}
-        from fglforge.series import substitute_pair
-
         for k in range(-4, 5):
             for l in range(-4, 5):
                 if abs(k + l) <= 4:
@@ -276,3 +281,98 @@ def test_check_axioms_is_memoized_transparently():
     first = check_axioms(mult)
     second = check_axioms(mult)
     assert first is second and mult.validated
+
+
+def _iterated_n_series(law):
+    """[k](x) for k in [-5, 70] by the defining recursion [k] = F(x, [k-1]),
+    run down from [0] with the formal inverse for negative k."""
+    x1 = TruncatedSeries1.x(law.ring, law.precision)
+    iota = formal_inverse(law)
+    out = {0: TruncatedSeries1.zero(law.ring, law.precision)}
+    for k in range(1, 71):
+        out[k] = substitute_pair(law.body, x1, out[k - 1])
+    for k in range(-1, -6, -1):
+        out[k] = substitute_pair(law.body, iota, out[k + 1])
+    return out
+
+
+def _non_associative_law():
+    # x + y + x^2 y^2 is unital and symmetric but not associative
+    body = TruncatedSeries2.from_entries(
+        Z, [(1, 0, Z.one()), (0, 1, Z.one()), (2, 2, Z.one())], 6
+    )
+    return FormalGroupLaw(Z, 6, body)
+
+
+DIFFERENTIAL_LAWS = [
+    ("multiplicative", ZB, 12),
+    ("additive", Z, 12),
+    ("honda_h1", IntegersMod(5), 12),
+    ("universal_rational", None, 6),
+]
+DIFFERENTIAL_IDS = [name for name, _, _ in DIFFERENTIAL_LAWS]
+
+
+@pytest.mark.parametrize("name,ring,precision", DIFFERENTIAL_LAWS, ids=DIFFERENTIAL_IDS)
+def test_doubled_n_series_matches_the_defining_iteration(name, ring, precision):
+    law = named_fgl(name, ring, precision)
+    expected = _iterated_n_series(law)
+    for k in range(-5, 71):
+        assert n_series(law, k).series == expected[k], k
+
+
+@pytest.mark.parametrize("name,ring,precision", DIFFERENTIAL_LAWS, ids=DIFFERENTIAL_IDS)
+def test_truncated_v_coefficient_matches_the_full_p_series(name, ring, precision):
+    law = named_fgl(name, ring, precision)
+    for p in (2, 3, 5, 7, 11):
+        full = n_series(law, p).series
+        n = 0
+        while p**n <= law.precision:
+            assert v_coefficient(law, p, n) == full.coefficient(p**n), (p, n)
+            n += 1
+
+
+def test_n_series_precision_keyword():
+    mult = named_fgl("multiplicative", ZB, 10)
+    for k in (-3, 0, 1, 2, 7):
+        for m in (1, 4, 10):
+            assert n_series(mult, k, m).series == n_series(mult, k).series.truncate(m)
+    with pytest.raises(InsufficientPrecision):
+        n_series(mult, 2, 11)
+
+
+def test_n_series_rejects_a_non_associative_law():
+    bad = _non_associative_law()
+    report = check_axioms(bad)
+    assert [c.axiom for c in report.failures()] == ["associativity"]
+    for k in (2, 3, -2):
+        with pytest.raises(AxiomsFailed, match="associativity"):
+            n_series(bad, k)
+    with pytest.raises(AxiomsFailed):
+        v_coefficient(bad, 2, 1)
+    # v_coefficient validates the precision before touching the law
+    with pytest.raises(InsufficientPrecision):
+        v_coefficient(bad, 3, 2)
+
+
+def test_change_coordinates_rejects_a_non_associative_law():
+    bad = _non_associative_law()
+    b = TruncatedSeries1.from_ints(Z, [0, 1, 1], 6)
+    with pytest.raises(AxiomsFailed, match="associativity"):
+        change_coordinates(bad, b)
+
+
+def test_built_laws_raise_typed_errors_when_their_axioms_fail(monkeypatch):
+    # the axiom checks of named_fgl, from_logarithm and specialize are errors,
+    # not asserts, so they hold under python -O
+    from fglforge.hopf import specialize
+
+    uni = named_fgl("universal_rational", None, 3)
+    failing = AxiomReport([AxiomCheck("associativity", False, (1, 1, 2))])
+    monkeypatch.setattr(fgl_module, "check_axioms", lambda law: failing)
+    with pytest.raises(AxiomsFailed, match="associativity"):
+        named_fgl("additive", Z, 4)
+    with pytest.raises(AxiomsFailed, match="associativity"):
+        from_logarithm(TruncatedSeries1.x(Q, 4), Q, 4)
+    with pytest.raises(AxiomsFailed, match="associativity"):
+        specialize(uni, {"m1": Q.zero(), "m2": Q.zero()}, Q)

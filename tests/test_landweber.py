@@ -190,3 +190,32 @@ def test_summary_lines():
     add = named_fgl("additive", Z, 10)
     report = landweber_check(LandweberInput(add, None, [2], 2))
     assert "fails at (p=2, n=1)" in report.summary()
+
+
+def test_module_over_f3_with_a_foreign_prime():
+    # F_3[beta^±1]/(beta - 1) is F_3, where 2 is a unit: the quotient dies
+    # after v_0, height 0.  This check used to loop in the quotient's gcd.
+    f3b = LaurentExtension(IntegersMod(3), "beta", 1)
+    mult = named_fgl("multiplicative", f3b, 10)
+    module = f3b.var() - f3b.one()
+    report = landweber_check(LandweberInput(mult, module, [2], 2))
+    assert report.exact
+    (verdict,) = report.per_prime
+    assert verdict.height == 0
+    assert [s.status for s in verdict.stages] == ["injective", "quotient_zero"]
+    assert verdict.stages[0].v_value == "2"
+    # at p = 3 = 0 in F_3, v_0 is zero and multiplication by it is not injective
+    report = landweber_check(LandweberInput(mult, module, [3], 2))
+    assert not report.exact and report.first_failure()[:2] == (3, 0)
+
+
+def test_v_sequence_report_needs_only_the_law_precision():
+    # v_n at p is read from [p](x) modulo x^(p^n + 1), so the law's own
+    # precision is the only bound: exactly p^max_height is enough
+    mult = named_fgl("multiplicative", ZB, 9)
+    rows = v_sequence_report(mult, 3, 2)
+    assert [r.value for r in rows] == [ZB.from_int(3), ZB.var() ** 2, ZB.zero()]
+    with pytest.raises(InsufficientPrecision):
+        v_sequence_report(named_fgl("multiplicative", ZB, 8), 3, 2)
+    with pytest.raises(TypeError):
+        v_sequence_report(mult, 3, 1, precision=3)

@@ -270,3 +270,25 @@ def test_element_pow_and_hash():
     assert hash(ZB.one() + beta) == hash(ZB.one() + ZB.var())
     with pytest.raises(Unsupported):
         ZB.from_int(2).inverse()
+
+
+def test_quotient_units_brute_force_over_f3():
+    # gcds in F_3[beta] pass through non-monic remainders; is_unit and the
+    # zero-divisor decision must agree with an exhaustive search
+    import itertools
+
+    f3b = LaurentExtension(IntegersMod(3), "beta", 1)
+    beta = f3b.var()
+    for gen in (beta - f3b.one(), beta * beta + f3b.from_int(2), beta**3 + beta + f3b.one()):
+        ring = quotient_by_element(f3b, gen)
+        deg = ring._deg
+        elements = [
+            project(sum((f3b.from_int(c) * beta**i for i, c in enumerate(cs)), f3b.zero()), ring)
+            for cs in itertools.product(range(3), repeat=deg)
+        ]
+        for x in elements:
+            brute_unit = any(x * y == ring.one() for y in elements)
+            assert x.is_unit() == brute_unit, (gen, x)
+            if not x.is_zero():
+                brute_zd = any(not y.is_zero() and (x * y).is_zero() for y in elements)
+                assert is_zero_divisor(x) == brute_zd, (gen, x)
