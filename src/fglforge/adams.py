@@ -68,7 +68,8 @@ def geometric_power(k: int, precision: int, ring=None) -> TruncatedSeries1:
     for n in range(precision + 1):
         coeffs.append(c)
         c = c * Fraction(k + n, n + 1)
-    assert all(v.denominator == 1 for v in coeffs)
+    if any(v.denominator != 1 for v in coeffs):
+        raise IntegralityViolation(f"(1-x)^-{k} produced a non-integral coefficient")
     if ring == _Z:
         return TruncatedSeries1.from_ints(ring, [v.numerator for v in coeffs], precision)
     return TruncatedSeries1.from_fractions(ring, coeffs, precision)
@@ -130,6 +131,11 @@ _FWD_CACHE: dict = {}
 _INV_CACHE: dict = {}
 
 
+def _require_integral(matrix, which: str):
+    if any(v.denominator != 1 for col in matrix for v in col):
+        raise IntegralityViolation(f"the {which} transform matrix has a non-integral entry")
+
+
 def _forward_matrix(precision: int):
     """fwd[n][k] = n! [y^n] (1 - exp(-y))^k."""
     cached = _FWD_CACHE.get(precision)
@@ -142,7 +148,7 @@ def _forward_matrix(precision: int):
     for _ in range(precision + 1):
         matrix.append([fact[n] * power.coeffs[n].payload for n in range(precision + 1)])
         power = power * u
-    assert all(v.denominator == 1 for col in matrix for v in col)
+    _require_integral(matrix, "forward")
     fwd = [[matrix[k][n].numerator for k in range(precision + 1)] for n in range(precision + 1)]
     _FWD_CACHE[precision] = fwd
     return fwd
@@ -161,7 +167,7 @@ def _inverse_matrix(precision: int):
         col = [fact[m] * power.coeffs[m].payload / fact[n] for m in range(precision + 1)]
         matrix.append(col)
         power = power * log
-    assert all(v.denominator == 1 for col in matrix for v in col)
+    _require_integral(matrix, "inverse")
     inv = [[matrix[n][m].numerator for n in range(precision + 1)] for m in range(precision + 1)]
     _INV_CACHE[precision] = inv
     return inv

@@ -24,9 +24,28 @@ _MASK = (1 << _BITS) - 1
 
 def _norm_coeff(c):
     """Keep integer-valued coefficients as ints for speed."""
-    if isinstance(c, Fraction) and c.denominator == 1:
+    if type(c) is Fraction and c.denominator == 1:
         return c.numerator
     return c
+
+
+class _DegreeMemo(dict):
+    """Packed monomial -> weighted degree, filled on first lookup."""
+
+    __slots__ = ("degrees",)
+
+    def __init__(self, degrees):
+        super().__init__({0: 0})
+        self.degrees = degrees
+
+    def __missing__(self, key):
+        d = 0
+        rest = key
+        for w in self.degrees:
+            d += (rest & _MASK) * w
+            rest >>= _BITS
+        self[key] = d
+        return d
 
 
 class GradedPolynomialRing(CoefficientRing):
@@ -48,13 +67,16 @@ class GradedPolynomialRing(CoefficientRing):
         self.degrees = tuple(d for _, d in gens)
         self.max_degree = max_degree
         self._index = {name: i for i, (name, _) in enumerate(gens)}
-        self._deg_memo = {0: 0}
+        self._deg_memo = _DegreeMemo(self.degrees)
 
     # -- monomial keys ----------------------------------------------------
     def pack(self, exponents) -> int:
         key = 0
         for i, e in enumerate(exponents):
-            key |= int(e) << (i * _BITS)
+            e = int(e)
+            if not 0 <= e <= _MASK:
+                raise ValueError(f"exponent {e} outside [0, {_MASK}]")
+            key |= e << (i * _BITS)
         return key
 
     def unpack(self, key: int):
@@ -65,13 +87,7 @@ class GradedPolynomialRing(CoefficientRing):
         return tuple(out)
 
     def key_degree(self, key: int) -> int:
-        memo = self._deg_memo
-        d = memo.get(key)
-        if d is None:
-            exps = self.unpack(key)
-            d = sum(e * w for e, w in zip(exps, self.degrees))
-            memo[key] = d
-        return d
+        return self._deg_memo[key]
 
     def monomial_keys_of_degree(self, d: int):
         """All packed monomials of exact weighted degree d, sorted."""
@@ -107,9 +123,14 @@ class GradedPolynomialRing(CoefficientRing):
         return RingElement(self, {1 << (i * _BITS): 1})
 
     def monomial(self, exponents, coeff=1) -> RingElement:
-        key = self.pack(exponents)
-        if self.key_degree(key) > self.max_degree:
+        exponents = [int(e) for e in exponents]
+        if len(exponents) > len(self.gens) or any(e < 0 for e in exponents):
+            raise ValueError(f"bad exponent vector {exponents} for {self}")
+        # the weighted degree comes from the exponents, before packing, so an
+        # exponent too wide for its field is truncated away, not packed
+        if sum(e * w for e, w in zip(exponents, self.degrees)) > self.max_degree:
             return RingElement(self, {})
+        key = self.pack(exponents)
         c = _norm_coeff(Fraction(coeff))
         return RingElement(self, {key: c} if c else {})
 
@@ -136,13 +157,16 @@ class GradedPolynomialRing(CoefficientRing):
         return {k: -c for k, c in a.items()}
 
     def _mul(self, a, b):
-        out = {}
+        # each term's degree is read once; b keeps its insertion order, so
+        # the product's key order does not depend on the degrees
+        deg = self._deg_memo
         max_degree = self.max_degree
-        deg = self.key_degree
+        b_terms = [(k2, c2, deg[k2]) for k2, c2 in b.items()]
+        out = {}
         for k1, c1 in a.items():
-            d1 = deg(k1)
-            for k2, c2 in b.items():
-                if d1 + deg(k2) > max_degree:
+            room = max_degree - deg[k1]
+            for k2, c2, d2 in b_terms:
+                if d2 > room:
                     continue
                 k = k1 + k2
                 s = out.get(k, 0) + c1 * c2
@@ -150,8 +174,9 @@ class GradedPolynomialRing(CoefficientRing):
                     out[k] = s
                 else:
                     del out[k]
-        for k in [k for k, c in out.items() if isinstance(c, Fraction)]:
-            out[k] = _norm_coeff(out[k])
+        for k, c in out.items():
+            if type(c) is Fraction and c.denominator == 1:
+                out[k] = c.numerator
         return out
 
     def _is_zero(self, a):
@@ -197,14 +222,6 @@ class GradedPolynomialRing(CoefficientRing):
         return {name: d for name, d in self.gens}
 
     # -- graded structure -----------------------------------------------------
-    def homogeneous_component(self, elt: RingElement, d: int) -> RingElement:
-        return RingElement(
-            self, {k: c for k, c in elt.payload.items() if self.key_degree(k) == d}
-        )
-
-    def degrees_present(self, elt: RingElement):
-        return sorted({self.key_degree(k) for k in elt.payload})
-
     def evaluate(self, elt: RingElement, assignment: dict, target: CoefficientRing):
         """Substitute ring elements for the generators.
 
@@ -273,7 +290,3 @@ def split_payload(ring: GradedPolynomialRing, payload: dict, first_count: int):
         a_key = key & mask
         out.setdefault(b_key, {})[a_key] = c
     return out
-
-
-def join_keys(a_key: int, b_key: int, first_count: int) -> int:
-    return a_key | (b_key << (first_count * _BITS))

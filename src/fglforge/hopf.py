@@ -166,7 +166,9 @@ class HopfAlgebroidTrunc:
     def basis_degree(self, key) -> int:
         raise NotImplementedError
 
-    def basis_mul(self, k1, k2) -> dict:
+    def basis_mul(self, k1, k2):
+        """The basis key of the product of two basis elements, or None once
+        the product passes the truncation (the coefficient is always 1)."""
         raise NotImplementedError
 
     def eps_basis(self, key) -> RingElement:
@@ -211,18 +213,20 @@ class HopfAlgebroidTrunc:
 
     def g_mul(self, u: dict, v: dict) -> dict:
         out = {}
+        basis_mul = self.basis_mul
         for k1, c1 in u.items():
             for k2, c2 in v.items():
-                c = c1 * c2
-                if c.is_zero():
+                k = basis_mul(k1, k2)
+                if k is None:
                     continue
-                for k, unit in self.basis_mul(k1, k2).items():
-                    p = c * unit
-                    s = out[k] + p if k in out else p
-                    if s.is_zero():
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
+                p = c1 * c2
+                if p.is_zero():
+                    continue
+                s = out[k] + p if k in out else p
+                if s.is_zero():
+                    out.pop(k, None)
+                else:
+                    out[k] = s
         return out
 
     def eta_l(self, a: RingElement) -> dict:
@@ -330,9 +334,10 @@ class LazardAlgebroid(HopfAlgebroidTrunc):
         return self.bring.key_degree(key)
 
     def basis_mul(self, k1, k2):
-        if self.bring.key_degree(k1) + self.bring.key_degree(k2) > self.truncation:
-            return {}
-        return {k1 + k2: self.base.one()}
+        deg = self.bring.key_degree
+        if deg(k1) + deg(k2) > self.truncation:
+            return None
+        return k1 + k2
 
     def eps_basis(self, key):
         return self.base.one() if key == 0 else self.base.zero()
@@ -421,7 +426,7 @@ class GroupoidAlgebroid(HopfAlgebroidTrunc):
         return 0
 
     def basis_mul(self, k1, k2):
-        return {k1: self.base.one()} if k1 == k2 else {}
+        return k1 if k1 == k2 else None
 
     def eps_basis(self, key):
         return self.base.chi(key)
@@ -445,10 +450,6 @@ class GroupoidAlgebroid(HopfAlgebroidTrunc):
             if value:
                 out[j] = self.base.constant(value)
         return out
-
-    def delta_function(self, i: int, j: int) -> dict:
-        """The function supported on the single arrow (i, j), as a Gamma element."""
-        return {j: self.base.chi(i)}
 
 
 def lb_structure_maps(truncation: int) -> LazardAlgebroid:
@@ -736,8 +737,9 @@ def twisted_ring_multiply(
     for key in algebroid.gamma_basis():
         total = coaction.ring.zero()
         for c_key, r_coeff in rho_v.items():
-            val = phi(algebroid.basis_mul(key, c_key))
-            if not val.is_zero():
+            product = algebroid.basis_mul(key, c_key)
+            val = None if product is None else phi.values.get(product)
+            if val is not None:
                 total = total + r_coeff * coaction.embed(val)
         if not total.is_zero():
             middle[key] = total

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import RingMismatch, Undecidable, Unsupported
+from .errors import Inconsistent, RingMismatch, Undecidable, Unsupported
 
 
 def _is_prime(n: int) -> bool:
@@ -836,7 +836,8 @@ def zero_divisor_witness(r: RingElement):
         if _poly_degree(g) == 0:
             return None
         cofactor, rem = _poly_divmod(ring.modulus, g)
-        assert not rem
+        if rem:
+            raise Inconsistent("the gcd with the modulus does not divide the modulus")
         return RingElement(ring, ring._reduce(cofactor))
     raise Undecidable(f"no zero-divisor routine for {ring}")
 

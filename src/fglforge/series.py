@@ -12,6 +12,7 @@ interface (the closed coefficient-ring family or a graded polynomial ring).
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .errors import (
@@ -21,6 +22,7 @@ from .errors import (
     NonzeroConstantTerm,
     RingMismatch,
 )
+from .rings import RingElement
 
 
 def _div_coeff(c, n: int):
@@ -303,23 +305,31 @@ class TruncatedSeriesN:
     def __mul__(self, other):
         if isinstance(other, TruncatedSeriesN):
             n = self._check(other)
+            ring = self.ring
+            mul, add, is_zero = ring._mul, ring._add, ring._is_zero
+            # raw payloads and total degrees, read once; the right operand is
+            # walked in its insertion order, which fixes the output's key order
+            right = [(k2, sum(k2), c2.payload) for k2, c2 in other.coeffs.items()]
             out = {}
             for k1, c1 in self.coeffs.items():
-                d1 = sum(k1)
-                if d1 > n:
+                room = n - sum(k1)
+                if room < 0:
                     continue
-                for k2, c2 in other.coeffs.items():
-                    if d1 + sum(k2) > n:
+                a = c1.payload
+                for k2, d2, b in right:
+                    if d2 > room:
                         continue
-                    k = tuple(a + b for a, b in zip(k1, k2))
-                    p = c1 * c2
+                    k = tuple(map(operator.add, k1, k2))
+                    p = mul(a, b)
                     if k in out:
-                        p = out[k] + p
-                    if p.is_zero():
+                        p = add(out[k], p)
+                    if is_zero(p):
                         out.pop(k, None)
                     else:
                         out[k] = p
-            return type(self)(self.ring, self.nvars, out, n)
+            return type(self)(
+                ring, self.nvars, {k: RingElement(ring, p) for k, p in out.items()}, n
+            )
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -358,10 +368,6 @@ class TruncatedSeries2(TruncatedSeriesN):
         if nvars != 2:
             raise ValueError("TruncatedSeries2 has exactly two variables")
         super().__init__(ring, 2, coeffs, precision)
-
-    @classmethod
-    def make(cls, ring, coeffs, precision):
-        return cls(ring, 2, coeffs, precision)
 
     @classmethod
     def from_entries(cls, ring, entries, precision):

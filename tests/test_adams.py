@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from fglforge import adams
 from fglforge.adams import (
     AdamsSequence,
     CompositionSeries,
@@ -31,6 +32,7 @@ from fglforge.adams import (
 )
 from fglforge.errors import (
     InsufficientDepth,
+    IntegralityViolation,
     ModelMismatch,
     NonInvertibleK,
     WindowMiss,
@@ -425,3 +427,26 @@ def test_eigenspace_action():
         eigenspace_action(adams_operation_sequence(2, (-2, 2)), 5)
     with pytest.raises(ModelMismatch):
         eigenspace_action(adams_operation_tower(2, 2, 6), 0)
+
+
+# -- integrality is checked, not asserted ------------------------------------------
+
+
+def test_non_integral_geometric_power_raises(monkeypatch):
+    # a bad coefficient patched in: (1-x)^-k must then refuse, even under -O
+    monkeypatch.setattr(adams, "Fraction", lambda num, den=1: Fraction(num, 2 * den))
+    with pytest.raises(IntegralityViolation):
+        geometric_power(3, 6)
+
+
+def test_non_integral_transform_matrices_raise(monkeypatch):
+    monkeypatch.setattr(adams, "_FWD_CACHE", {})
+    monkeypatch.setattr(adams, "_INV_CACHE", {})
+    monkeypatch.setattr(adams, "_factorials", lambda n: [Fraction(1, 2)] * (n + 1))
+    with pytest.raises(IntegralityViolation):
+        adams._forward_matrix(6)
+    # without the factorials, (-log(1-x))^n has non-integral coefficients
+    monkeypatch.setattr(adams, "_factorials", lambda n: [1] * (n + 1))
+    with pytest.raises(IntegralityViolation):
+        adams._inverse_matrix(6)
+    assert adams._FWD_CACHE == {} and adams._INV_CACHE == {}

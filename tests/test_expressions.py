@@ -1,6 +1,7 @@
 """The coefficient expression grammar: parsing, evaluation, canonical printing."""
 
 import random
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -95,7 +96,7 @@ def random_laurent(ring, rng, depth=0):
     ids=repr,
 )
 def test_print_parse_round_trip(ring):
-    rng = random.Random(repr(ring).__hash__() & 0xFF)
+    rng = random.Random(zlib.crc32(repr(ring).encode()))
     for _ in range(150):
         if isinstance(ring, LaurentExtension):
             elt = random_laurent(ring, rng)

@@ -1,0 +1,319 @@
+"""The product kernels against naive references: graded polynomials over Q,
+multivariate truncated series, and the Gamma product of the Hopf algebroids."""
+
+import random
+import zlib
+from fractions import Fraction
+
+import pytest
+
+from fglforge.gradedpoly import GradedPolynomialRing, lazard_base_ring
+from fglforge.hopf import groupoid_fixture, lb_structure_maps
+from fglforge.rings import IntegersMod
+from fglforge.series import TruncatedSeriesN
+
+# -- graded polynomials ----------------------------------------------------------
+
+
+def _weighted(exps, degrees):
+    return sum(e * w for e, w in zip(exps, degrees))
+
+
+def _random_terms(degrees, max_degree, rng, count, coeffs):
+    """Exponent tuples (some above the truncation) with nonzero Fractions."""
+    terms = {}
+    for _ in range(count):
+        exps = tuple(rng.randint(0, 3) for _ in degrees)
+        c = Fraction(rng.choice(coeffs), rng.choice((1, 1, 2, 3)))
+        if c:
+            terms[exps] = c
+    return terms
+
+
+def _element(ring, terms):
+    return ring.element({ring.pack(e): c for e, c in terms.items()})
+
+
+def _view(elt):
+    """The payload as (exponents, coefficient) pairs, in payload order."""
+    return [(elt.ring.unpack(k), c) for k, c in elt.payload.items()]
+
+
+def _ref_truncate(terms, degrees, max_degree):
+    return {e: c for e, c in terms.items() if _weighted(e, degrees) <= max_degree}
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _ref_mul(a, b, degrees, max_degree):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if _weighted(e, degrees) > max_degree:
+                continue
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
+
+
+def _assert_matches(elt, ref):
+    assert _view(elt) == list(ref.items())  # values and payload order
+    for c in elt.payload.values():
+        assert c != 0
+        if Fraction(c).denominator == 1:
+            assert type(c) is int, c
+        else:
+            assert type(c) is Fraction, c
+
+
+@pytest.mark.parametrize("degrees", [(1, 2), (1, 2, 3), (2, 3, 5), (1, 1, 2, 4)], ids=str)
+def test_graded_products_and_sums_against_reference(degrees):
+    rng = random.Random(zlib.crc32(repr(degrees).encode()))
+    gens = [(f"g{i}", d) for i, d in enumerate(degrees)]
+    for max_degree in (0, 2, 5, 9):
+        ring = GradedPolynomialRing(gens, max_degree)
+        for _ in range(40):
+            # small coefficient ranges make cancellations to zero common
+            coeffs = (-1, 1) if rng.random() < 0.5 else range(-6, 7)
+            ta = _random_terms(degrees, max_degree, rng, rng.randint(0, 7), coeffs)
+            tb = _random_terms(degrees, max_degree, rng, rng.randint(0, 7), coeffs)
+            a, b = _element(ring, ta), _element(ring, tb)
+            ra = _ref_truncate(ta, degrees, max_degree)
+            rb = _ref_truncate(tb, degrees, max_degree)
+            _assert_matches(a, ra)
+            _assert_matches(a * b, _ref_mul(ra, rb, degrees, max_degree))
+            _assert_matches(a + b, _ref_add(ra, rb))
+            assert (a - a).payload == {}
+
+
+def test_graded_cancellation_and_truncation():
+    ring = GradedPolynomialRing([("a", 1), ("b", 2)], 4)
+    a, b = ring.generator("a"), ring.generator("b")
+    # (a + b)(a - b) - (a^2 - b^2) cancels term by term
+    assert ((a + b) * (a - b) - (a * a - b * b)).payload == {}
+    # every pair passes the truncation
+    assert (b * b * a).payload == {}
+    half = ring.from_fraction(Fraction(1, 2))
+    # halves add up to an integer, stored as an int
+    total = a * half + a * half
+    assert total.payload == {ring.pack([1, 0]): 1}
+    assert type(total.payload[ring.pack([1, 0])]) is int
+    assert type((half * ring.from_int(2)).payload[0]) is int
+
+
+def test_monomial_exponents_do_not_overflow():
+    ring = GradedPolynomialRing([("a", 1), ("b", 1)], 10)
+    # exponents of 64 and more used to spill into the next 6-bit field
+    assert ring.monomial([64, 0]).payload == {}
+    assert ring.monomial([65, 0]).payload == {}
+    assert ring.monomial([0, 100], 3).payload == {}
+    assert ring.monomial([10, 0]) == ring.generator("a") ** 10
+    assert ring.monomial([11, 0]).payload == {}
+    for bad in ([64, 0], [0, 64], [-1, 0]):
+        with pytest.raises(ValueError):
+            ring.pack(bad)
+    with pytest.raises(ValueError):
+        ring.monomial([-1, 2])
+    with pytest.raises(ValueError):
+        ring.monomial([0, 0, 1])
+    top = GradedPolynomialRing([("a", 1)], 63)
+    assert top.unpack(top.monomial([63]).payload.popitem()[0]) == (63,)
+
+
+# -- multivariate series -----------------------------------------------------------
+
+
+def _boxed_product(f, g):
+    """The product accumulated on ring elements, in the operands' order."""
+    n = min(f.precision, g.precision)
+    out = {}
+    for k1, c1 in f.coeffs.items():
+        for k2, c2 in g.coeffs.items():
+            k = tuple(a + b for a, b in zip(k1, k2))
+            if sum(k) > n:
+                continue
+            p = c1 * c2
+            if k in out:
+                p = out[k] + p
+            if p.is_zero():
+                out.pop(k, None)
+            else:
+                out[k] = p
+    return out
+
+
+def _formula(f, g):
+    """[x^k](fg) = sum over k1 + k2 = k, zero coefficients dropped."""
+    n = min(f.precision, g.precision)
+    ring = f.ring
+    out = {}
+    for k1, c1 in f.coeffs.items():
+        for k2, c2 in g.coeffs.items():
+            k = tuple(a + b for a, b in zip(k1, k2))
+            if sum(k) <= n:
+                out[k] = out.get(k, ring.zero()) + c1 * c2
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+def _random_series(ring, nvars, precision, rng, coefficient):
+    coeffs = {}
+    for _ in range(rng.randint(0, 12)):
+        key = tuple(rng.randint(0, precision) for _ in range(nvars))
+        coeffs[key] = coefficient(rng)
+    return TruncatedSeriesN(ring, nvars, coeffs, precision)
+
+
+Z6 = IntegersMod(6)
+L4 = lazard_base_ring(4)
+
+
+def _z6_coefficient(rng):
+    # 2 and 3 multiply to zero in Z/6
+    return Z6.from_int(rng.choice((1, 2, 3, 4, 5, 2, 3)))
+
+
+def _lazard_coefficient(rng):
+    out = L4.zero()
+    for _ in range(rng.randint(1, 3)):
+        exps = [rng.randint(0, 2) for _ in range(4)]
+        out = out + L4.monomial(exps, Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "ring,coefficient", [(Z6, _z6_coefficient), (L4, _lazard_coefficient)], ids=["Z/6", "Q[m1..m4]"]
+)
+def test_series_products_against_formula(ring, coefficient):
+    rng = random.Random(zlib.crc32(repr(ring).encode()))
+    for _ in range(60):
+        nvars = rng.choice((1, 2, 3))
+        f = _random_series(ring, nvars, rng.randint(0, 6), rng, coefficient)
+        g = _random_series(ring, nvars, rng.randint(0, 6), rng, coefficient)
+        product = f * g
+        assert product.precision == min(f.precision, g.precision)
+        assert product.coeffs == _formula(f, g)
+        assert list(product.coeffs.items()) == list(_boxed_product(f, g).items())
+        for c in product.coeffs.values():
+            assert c.ring == ring and not c.is_zero()
+
+
+def test_series_product_drops_zero_divisor_terms():
+    x = TruncatedSeriesN.variable(Z6, 2, 0, 4)
+    y = TruncatedSeriesN.variable(Z6, 2, 1, 4)
+    f = x.scale(Z6.from_int(2)) + y.scale(Z6.from_int(3))
+    g = x.scale(Z6.from_int(3)) + y.scale(Z6.from_int(2))
+    # 6x^2 + 13xy + 6y^2 = xy over Z/6
+    assert (f * g).coeffs == {(1, 1): Z6.one()}
+    assert (x.scale(Z6.from_int(2)) * x.scale(Z6.from_int(3))).coeffs == {}
+
+
+# -- the Gamma product of the algebroids ---------------------------------------------
+
+
+def _lazard_terms(H, u):
+    """A Gamma element as {(m exponents, b exponents): Fraction}."""
+    return {
+        (H.base.unpack(m_key), H.bring.unpack(b_key)): Fraction(c)
+        for b_key, a in u.items()
+        for m_key, c in a.payload.items()
+    }
+
+
+def _lazard_ref_mul(H, u, v):
+    n = H.truncation
+    m_deg, b_deg = H.base.degrees, H.bring.degrees
+    out = {}
+    for (m1, b1), c1 in _lazard_terms(H, u).items():
+        for (m2, b2), c2 in _lazard_terms(H, v).items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            b = tuple(x + y for x, y in zip(b1, b2))
+            if _weighted(m, m_deg) > n or _weighted(b, b_deg) > n:
+                continue
+            out[(m, b)] = out.get((m, b), 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def _random_gamma(H, rng):
+    u = {}
+    for key in rng.sample(H.gamma_basis(), rng.randint(0, 4)):
+        coeff = _random_base(H, rng)
+        if not coeff.is_zero():
+            u[key] = coeff
+    return u
+
+
+def _random_base(H, rng):
+    out = H.base.zero()
+    for _ in range(rng.randint(1, 3)):
+        key = rng.choice([k for d in range(H.truncation + 1) for k in H.base.monomial_keys_of_degree(d)])
+        out = out + H.base.element({key: Fraction(rng.randint(-3, 3), rng.randint(1, 2))})
+    return out
+
+
+def test_lazard_basis_mul_contract():
+    H = lb_structure_maps(4)
+    basis = set(H.gamma_basis())
+    for k1 in basis:
+        for k2 in basis:
+            product = H.basis_mul(k1, k2)
+            if H.basis_degree(k1) + H.basis_degree(k2) > H.truncation:
+                assert product is None
+            else:
+                assert product in basis
+                e1, e2 = H.bring.unpack(k1), H.bring.unpack(k2)
+                assert H.bring.unpack(product) == tuple(x + y for x, y in zip(e1, e2))
+    b4 = H.bring.pack([0, 0, 0, 1])
+    b1 = H.bring.pack([1, 0, 0, 0])
+    assert H.basis_mul(b4, b1) is None
+    assert H.g_mul({b4: H.base.one()}, {b1: H.base.generator("m1")}) == {}
+
+
+def test_lazard_g_mul_against_reference():
+    H = lb_structure_maps(4)
+    rng = random.Random(4)
+    for _ in range(60):
+        u, v = _random_gamma(H, rng), _random_gamma(H, rng)
+        got = H.g_mul(u, v)
+        assert all(not c.is_zero() for c in got.values())
+        assert _lazard_terms(H, got) == _lazard_ref_mul(H, u, v)
+
+
+def test_groupoid_basis_mul_and_g_mul():
+    H, _ = groupoid_fixture(3)
+    for i in range(3):
+        for j in range(3):
+            assert H.basis_mul(i, j) == (i if i == j else None)
+    rng = random.Random(3)
+
+    def random_gamma():
+        u = {}
+        for j in range(3):
+            if rng.random() < 0.7:
+                f = H.base.from_values([rng.choice((0, 0, 1, -2, Fraction(1, 3))) for _ in range(3)])
+                if not f.is_zero():
+                    u[j] = f
+        return u
+
+    for _ in range(40):
+        u, v = random_gamma(), random_gamma()
+        expected = {}
+        for j in set(u) & set(v):
+            values = tuple(x * y for x, y in zip(u[j].payload, v[j].payload))
+            if any(values):
+                expected[j] = values
+        assert {j: c.payload for j, c in H.g_mul(u, v).items()} == expected
+    # disjointly supported coefficients multiply to zero and drop out
+    assert H.g_mul({0: H.base.chi(0)}, {0: H.base.chi(1)}) == {}
