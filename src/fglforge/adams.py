@@ -559,11 +559,6 @@ class TwistedLaurent:
         return f"<{self.model}: {' + '.join(parts) or '0'}>"
 
 
-def twisted_laurent_multiply(u: TwistedLaurent, v: TwistedLaurent) -> TwistedLaurent:
-    """Normal-form product; exposed as a named operation besides ``*``."""
-    return u * v
-
-
 # -- named elements --------------------------------------------------------------
 
 

@@ -11,7 +11,6 @@ x + y - beta*x*y graded with |beta| = 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     AxiomsFailed,
@@ -337,39 +336,13 @@ def change_coordinates(fgl: FormalGroupLaw, b: TruncatedSeries1) -> FormalGroupL
     return out
 
 
-def _degree_lookup(ring, degrees: dict):
-    table = dict(ring.generator_degrees())
-    table.update(degrees)
-    return table
-
-
 def element_degrees(elt: RingElement, degrees: dict) -> set:
     """The set of weighted degrees of the monomials of an element.
 
     Empty for zero; {0} for nonzero constants.  Supports the closed ring
     family and graded polynomial rings.
     """
-    ring = elt.ring
-    payload = elt.payload
-    if isinstance(payload, (int, Fraction)):
-        return set() if elt.is_zero() else {0}
-    if hasattr(ring, "unpack"):  # graded polynomial ring
-        table = _degree_lookup(ring, degrees)
-        out = set()
-        for key in payload:
-            exps = ring.unpack(key)
-            out.add(sum(e * table[ring.names[i]] for i, e in enumerate(exps)))
-        return out
-    if isinstance(payload, dict):  # Laurent-type payloads
-        var = ring.variable if isinstance(ring, LaurentExtension) else ring.base.variable
-        table = _degree_lookup(ring, degrees)
-        d_var = table[var]
-        out = set()
-        for e, c in payload.items():
-            for dc in element_degrees(c, degrees):
-                out.add(dc + e * d_var)
-        return out
-    return set() if elt.is_zero() else {0}
+    return elt.ring.element_degrees(elt, degrees)
 
 
 def grade_check(fgl: FormalGroupLaw, degrees: dict) -> bool:

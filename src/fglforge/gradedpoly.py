@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import RingMismatch, Unsupported
-from .rings import CoefficientRing, RingElement
+from .rings import CoefficientRing, RingElement, _geometric_inverse
 
 _BITS = 6
 _MASK = (1 << _BITS) - 1
@@ -196,18 +196,7 @@ class GradedPolynomialRing(CoefficientRing):
             raise Unsupported("element has zero constant term; not a unit")
         c0_inv = Fraction(1, 1) / c0
         scaled = RingElement(self, self._canonical({k: c * c0_inv for k, c in elt.payload.items()}))
-        one = self.one()
-        n = scaled - one
-        inv = one
-        power = one
-        sign = -1
-        while True:
-            power = power * n
-            if power.is_zero():
-                break
-            inv = inv + (power if sign > 0 else -power)
-            sign = -sign
-        return inv * self.from_fraction(c0_inv)
+        return _geometric_inverse(scaled) * self.from_fraction(c0_inv)
 
     def is_nilpotent(self, elt):
         return 0 not in elt.payload
@@ -220,6 +209,17 @@ class GradedPolynomialRing(CoefficientRing):
 
     def generator_degrees(self):
         return {name: d for name, d in self.gens}
+
+    def element_degrees(self, elt, degrees):
+        weights = [degrees.get(name, d) for name, d in self.gens]
+        return {sum(e * w for e, w in zip(self.unpack(key), weights)) for key in elt.payload}
+
+    def to_json(self):
+        return {
+            "kind": self.kind,
+            "generators": [{"name": n, "degree": d} for n, d in self.gens],
+            "max_degree": self.max_degree,
+        }
 
     # -- graded structure -----------------------------------------------------
     def evaluate(self, elt: RingElement, assignment: dict, target: CoefficientRing):

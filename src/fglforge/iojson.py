@@ -10,6 +10,7 @@ import json
 
 from .errors import Unsupported
 from .expressions import element_to_expr, parse_expression
+from .gradedpoly import GradedPolynomialRing
 from .rings import (
     CoefficientRing,
     Integers,
@@ -18,41 +19,12 @@ from .rings import (
     PLocalIntegers,
     QuotientByPrincipal,
     Rationals,
-    RingElement,
 )
 from .series import TruncatedSeries1
 
 
 def ring_to_json(ring: CoefficientRing) -> dict:
-    if isinstance(ring, Integers):
-        return {"kind": "integers"}
-    if isinstance(ring, Rationals):
-        return {"kind": "rationals"}
-    if isinstance(ring, IntegersMod):
-        return {"kind": "integers_mod", "modulus": ring.modulus}
-    if isinstance(ring, PLocalIntegers):
-        return {"kind": "p_local", "prime": ring.p}
-    if isinstance(ring, LaurentExtension):
-        return {
-            "kind": "laurent",
-            "base": ring_to_json(ring.base),
-            "variable": ring.variable,
-            "degree": ring.degree,
-        }
-    if isinstance(ring, QuotientByPrincipal):
-        gen = RingElement(ring.base, dict(ring.modulus))
-        return {
-            "kind": "quotient",
-            "base": ring_to_json(ring.base),
-            "generator": element_to_expr(gen),
-        }
-    if hasattr(ring, "gens") and hasattr(ring, "max_degree"):
-        return {
-            "kind": "graded_polynomial",
-            "generators": [{"name": n, "degree": d} for n, d in ring.gens],
-            "max_degree": ring.max_degree,
-        }
-    raise Unsupported(f"{ring} has no JSON descriptor")
+    return ring.to_json()
 
 
 def ring_from_json(data: dict) -> CoefficientRing:
@@ -76,22 +48,11 @@ def ring_from_json(data: dict) -> CoefficientRing:
         gen = parse_expression(data["generator"], base)
         return QuotientByPrincipal(base, gen)
     if kind == "graded_polynomial":
-        from .gradedpoly import GradedPolynomialRing
-
         return GradedPolynomialRing(
             [(g["name"], int(g["degree"])) for g in data["generators"]],
             int(data["max_degree"]),
         )
     raise Unsupported(f"unknown ring kind {kind!r}")
-
-
-def element_to_json(elt: RingElement) -> dict:
-    return {"ring": ring_to_json(elt.ring), "value": element_to_expr(elt)}
-
-
-def element_from_json(data: dict) -> RingElement:
-    ring = ring_from_json(data["ring"])
-    return parse_expression(data["value"], ring)
 
 
 def series1_to_json(f: TruncatedSeries1) -> dict:
@@ -258,7 +219,7 @@ def algebroid_to_json(algebroid) -> dict:
         data["gamma_basis_by_degree"].setdefault(str(degree), []).append(
             algebroid.basis_label(key)
         )
-    if hasattr(algebroid.base, "gens"):
+    if isinstance(algebroid.base, GradedPolynomialRing):
         data["base_generators"] = [
             {"name": name, "degree": degree} for name, degree in algebroid.base.gens
         ]
@@ -268,21 +229,6 @@ def algebroid_to_json(algebroid) -> dict:
     else:
         data["objects"] = algebroid.n
     return data
-
-
-def dual_functional_to_json(functional) -> dict:
-    """Per-degree rows of an A-linear functional on the Gamma basis."""
-    algebroid = functional.algebroid
-    rows = {}
-    for key in algebroid.gamma_basis():
-        value = functional.values.get(key)
-        if value is None:
-            continue
-        degree = str(algebroid.basis_degree(key))
-        rows.setdefault(degree, []).append(
-            {"basis": algebroid.basis_label(key), "value": element_to_expr(value)}
-        )
-    return {"algebroid": algebroid_to_json(functional.algebroid), "rows": rows}
 
 
 def canonical_json(data) -> str:

@@ -198,6 +198,32 @@ class CoefficientRing:
         """Default grading of the named generators (may be overridden per use)."""
         return {}
 
+    def element_degrees(self, elt: RingElement, degrees: dict) -> set:
+        """Weighted degrees of the monomials of elt; see fgl.element_degrees."""
+        return set() if elt.is_zero() else {0}
+
+    # -- family decisions ----------------------------------------------
+    # The module functions of the same names run the checks every family
+    # shares (zero ring, zero element, unit, domain, same ring) and then ask
+    # the ring; these defaults refuse what a family does not decide.
+    def is_zero_ring(self) -> bool:
+        return False
+
+    def zero_divisor_witness(self, r: RingElement):
+        """r is nonzero and not a unit; the ring is nonzero, not a domain."""
+        raise Undecidable(f"no zero-divisor routine for {self}")
+
+    def quotient_by_element(self, r: RingElement) -> "CoefficientRing":
+        """r is nonzero and not a unit; the ring is nonzero."""
+        raise Unsupported(f"no quotient normal form for {self}")
+
+    def project(self, elt: RingElement, target: "CoefficientRing") -> RingElement:
+        """elt lives in this ring; target is another, nonzero ring."""
+        raise Unsupported(f"no canonical map {self} -> {target}")
+
+    def to_json(self) -> dict:
+        raise Unsupported(f"{self} has no JSON descriptor")
+
     def __ne__(self, other):
         return not self.__eq__(other)
 
@@ -233,6 +259,17 @@ class Integers(CoefficientRing):
 
     def is_domain(self):
         return True
+
+    def quotient_by_element(self, r):
+        return IntegersMod(abs(r.payload))
+
+    def project(self, elt, target):
+        if isinstance(target, IntegersMod):
+            return target.from_int(elt.payload)
+        return super().project(elt, target)
+
+    def to_json(self):
+        return {"kind": self.kind}
 
     def __eq__(self, other):
         return isinstance(other, Integers)
@@ -284,6 +321,9 @@ class Rationals(CoefficientRing):
 
     def is_domain(self):
         return True
+
+    def to_json(self):
+        return {"kind": self.kind}
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -346,6 +386,23 @@ class IntegersMod(CoefficientRing):
 
     def is_domain(self):
         return self.is_field()
+
+    def is_zero_ring(self):
+        return self.modulus == 1
+
+    def zero_divisor_witness(self, r):
+        return self.from_int(self.modulus // math.gcd(r.payload, self.modulus))
+
+    def quotient_by_element(self, r):
+        return IntegersMod(math.gcd(self.modulus, r.payload))
+
+    def project(self, elt, target):
+        if isinstance(target, IntegersMod) and self.modulus % target.modulus == 0:
+            return target.from_int(elt.payload)
+        return super().project(elt, target)
+
+    def to_json(self):
+        return {"kind": self.kind, "modulus": self.modulus}
 
     def __eq__(self, other):
         return isinstance(other, IntegersMod) and other.modulus == self.modulus
@@ -417,6 +474,18 @@ class PLocalIntegers(CoefficientRing):
             v += 1
         return v
 
+    def quotient_by_element(self, r):
+        return IntegersMod(self.p ** self.valuation(r))
+
+    def project(self, elt, target):
+        if isinstance(target, IntegersMod):
+            num, den = elt.payload.numerator, elt.payload.denominator
+            return target.from_int(num * pow(den, -1, target.modulus))
+        return super().project(elt, target)
+
+    def to_json(self):
+        return {"kind": self.kind, "prime": self.p}
+
     def __eq__(self, other):
         return isinstance(other, PLocalIntegers) and other.p == self.p
 
@@ -425,6 +494,29 @@ class PLocalIntegers(CoefficientRing):
 
     def __repr__(self):
         return f"Z_({self.p})"
+
+
+def _geometric_inverse(u: RingElement) -> RingElement:
+    """Inverse of u = 1 + n with n nilpotent: 1 - n + n^2 - ..."""
+    one = u.ring.one()
+    minus_n = -(u - one)
+    inv = power = one
+    while True:
+        power = power * minus_n
+        if power.is_zero():
+            return inv
+        inv = inv + power
+
+
+def _prime_power_factors(m: int) -> list:
+    """The prime powers exactly dividing m, by increasing prime."""
+    out, p = [], 2
+    while p * p <= m:
+        if m % p == 0:  # p ** bit_length(m) > m, so the gcd is the p-part
+            out.append(math.gcd(m, p ** m.bit_length()))
+            m //= out[-1]
+        p += 1
+    return out + [m] if m > 1 else out
 
 
 class LaurentExtension(CoefficientRing):
@@ -461,6 +553,8 @@ class LaurentExtension(CoefficientRing):
     def _canonical(self, payload):
         return {e: c for e, c in payload.items() if not c.is_zero()}
 
+    # the sparse Laurent kernels; they never read self, so the polynomial
+    # helpers below call them on None
     def _add(self, a, b):
         out = dict(a)
         for e, c in b.items():
@@ -494,14 +588,53 @@ class LaurentExtension(CoefficientRing):
     def _freeze(self, a):
         return tuple(sorted((e, c.ring._freeze(c.payload)) for e, c in a.items()))
 
+    def _components(self):
+        """When the innermost coefficient ring is Z/m and m is not a prime
+        power: (e, ring) for each prime power q exactly dividing m, where ring
+        is this tower over Z/q and e = 1 mod q, 0 mod m/q.  Else empty.
+        Not cached: it only runs for elements that fail _unit_term."""
+        inner = self.base
+        while isinstance(inner, LaurentExtension):
+            inner = inner.base
+        if not isinstance(inner, IntegersMod):
+            return []
+        m = inner.modulus
+        qs = _prime_power_factors(m)
+        if len(qs) < 2:
+            return []
+        return [((m // q) * pow(m // q, -1, q), self._over(IntegersMod(q))) for q in qs]
+
+    def _over(self, inner: CoefficientRing) -> "LaurentExtension":
+        """This tower of Laurent variables over another innermost ring."""
+        base = self.base._over(inner) if isinstance(self.base, LaurentExtension) else inner
+        return LaurentExtension(base, self.variable, self.degree)
+
+    def _lift(self, payload: dict) -> dict:
+        """A payload of this tower over Z/q, its residues read in Z/m."""
+        base = self.base
+        if isinstance(base, LaurentExtension):
+            return {e: RingElement(base, base._lift(c.payload)) for e, c in payload.items()}
+        return {e: base.from_int(c.payload) for e, c in payload.items()}
+
+    def _unit_term(self, terms: dict):
+        """The exponent of the one unit coefficient when all the others are
+        nilpotent, which makes the element a unit; else None."""
+        units = [e for e, c in terms.items() if c.is_unit()]
+        if len(units) == 1 and all(self.base.is_nilpotent(c) for e, c in terms.items() if e != units[0]):
+            return units[0]
+        return None
+
     def is_unit(self, elt):
         terms = elt.payload
         if not terms:
             return self.base.is_unit(self.base.zero())  # zero ring case
-        units = [e for e, c in terms.items() if c.is_unit()]
-        if len(units) != 1:
-            return False
-        return all(self.base.is_nilpotent(c) for e, c in terms.items() if e != units[0])
+        if self._unit_term(terms) is not None:
+            return True
+        # That test is also necessary when the base modulo its nilpotents is a
+        # domain (Z, Q, Z_(p), Z/p^k and Laurent towers over them), whose
+        # Laurent units are unit monomials.  Z/m is the product of its Z/q.
+        components = self._components()
+        return bool(components) and all(ring.is_unit(project(elt, ring)) for _, ring in components)
 
     def invert(self, elt):
         terms = elt.payload
@@ -509,24 +642,19 @@ class LaurentExtension(CoefficientRing):
             raise Unsupported("element is not a unit in the Laurent ring")
         if not terms:  # zero ring
             return elt
-        (e0,) = [e for e, c in terms.items() if c.is_unit()]
-        u = terms[e0]
-        lead = RingElement(self, {-e0: u.inverse()})
+        e0 = self._unit_term(terms)
+        if e0 is None:
+            # a unit over every Z/q: add up e * (the inverse over Z/q)
+            total = self.zero()
+            for e, ring in self._components():
+                inv = ring.invert(project(elt, ring))
+                total = total + self.from_int(e) * RingElement(self, self._lift(inv.payload))
+            return total
+        lead = RingElement(self, {-e0: terms[e0].inverse()})
         if len(terms) == 1:
             return lead
-        # elt = u*v^e0 * (1 + n) with n nilpotent: (1+n)^-1 = 1 - n + n^2 - ...
-        one = self.one()
-        n = lead * elt - one
-        inv = one
-        power = one
-        sign = -1
-        while True:
-            power = power * n
-            if power.is_zero():
-                break
-            inv = inv + (power if sign > 0 else -power)
-            sign = -sign
-        return lead * inv
+        # elt = u*v^e0 * (1 + n) with n nilpotent
+        return lead * _geometric_inverse(lead * elt)
 
     def is_nilpotent(self, elt):
         return all(self.base.is_nilpotent(c) for c in elt.payload.values())
@@ -547,6 +675,53 @@ class LaurentExtension(CoefficientRing):
         degs = {self.variable: self.degree}
         degs.update(self.base.generator_degrees())
         return degs
+
+    def element_degrees(self, elt, degrees):
+        d_var = {**self.generator_degrees(), **degrees}[self.variable]
+        return {
+            dc + e * d_var
+            for e, c in elt.payload.items()
+            for dc in c.ring.element_degrees(c, degrees)
+        }
+
+    def is_zero_ring(self):
+        return self.base.is_zero_ring()
+
+    def zero_divisor_witness(self, r):
+        if not isinstance(self.base, IntegersMod):
+            return super().zero_divisor_witness(r)
+        # McCoy: a polynomial over Z/m is a zero divisor iff a single nonzero
+        # constant annihilates it; Laurent shifts do not change coefficients.
+        m = self.base.modulus
+        need = math.lcm(*(m // math.gcd(c.payload, m) for c in r.payload.values()))
+        return None if need >= m else self.from_int(need)
+
+    def quotient_by_element(self, r):
+        if len(r.payload) == 1:
+            # (c * v^k) = (c) since v is invertible
+            (c,) = r.payload.values()
+            return LaurentExtension(quotient_by_element(self.base, c), self.variable, self.degree)
+        if self.base.is_field():
+            return QuotientByPrincipal(self, r)
+        raise Unsupported(
+            "multi-term generators are only supported over a field "
+            f"(got base {self.base})"
+        )
+
+    def project(self, elt, target):
+        if isinstance(target, LaurentExtension) and target.variable == self.variable:
+            return target.element({e: project(c, target.base) for e, c in elt.payload.items()})
+        if isinstance(target, QuotientByPrincipal) and target.base == self:
+            return target.from_base(elt)
+        return super().project(elt, target)
+
+    def to_json(self):
+        return {
+            "kind": self.kind,
+            "base": self.base.to_json(),
+            "variable": self.variable,
+            "degree": self.degree,
+        }
 
     def __eq__(self, other):
         return (
@@ -577,29 +752,7 @@ def _poly_scale(a: dict, c: RingElement) -> dict:
 
 
 def _poly_sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for e, c in b.items():
-        s = out[e] - c if e in out else -c
-        if s.is_zero():
-            out.pop(e, None)
-        else:
-            out[e] = s
-    return out
-
-
-def _poly_mul(a: dict, b: dict) -> dict:
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            p = c1 * c2
-            if e in out:
-                p = out[e] + p
-            if p.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = p
-    return out
+    return LaurentExtension._add(None, a, LaurentExtension._neg(None, b))
 
 
 def _poly_mod(a: dict, f: dict) -> dict:
@@ -660,7 +813,7 @@ class QuotientByPrincipal(CoefficientRing):
         poly = {e + neg: c for e, c in payload.items()}
         poly = _poly_mod(poly, self.modulus)
         for _ in range(neg):
-            poly = _poly_mod(_poly_mul(poly, self._var_inv), self.modulus)
+            poly = _poly_mod(self.base._mul(poly, self._var_inv), self.modulus)
         return poly
 
     def from_int(self, n):
@@ -706,7 +859,7 @@ class QuotientByPrincipal(CoefficientRing):
         while r1:
             q, r = _poly_divmod(r0, r1)
             r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+            s0, s1 = s1, _poly_sub(s0, self.base._mul(q, s1))
         if _poly_degree(r0) != 0:
             raise Unsupported("element is not a unit in the quotient ring")
         lead_inv = r0[0].inverse()
@@ -720,6 +873,31 @@ class QuotientByPrincipal(CoefficientRing):
 
     def generator_degrees(self):
         return self.base.generator_degrees()
+
+    def element_degrees(self, elt, degrees):
+        return self.base.element_degrees(RingElement(self.base, elt.payload), degrees)
+
+    def zero_divisor_witness(self, r):
+        g = _poly_gcd(r.payload, self.modulus)
+        cofactor, rem = _poly_divmod(self.modulus, g)
+        if rem:
+            raise Inconsistent("the gcd with the modulus does not divide the modulus")
+        return RingElement(self, self._reduce(cofactor))
+
+    def quotient_by_element(self, r):
+        g = _poly_gcd(r.payload, self.modulus)
+        return QuotientByPrincipal(self.base, RingElement(self.base, g))
+
+    def project(self, elt, target):
+        if isinstance(target, QuotientByPrincipal) and target.base == self.base:
+            return RingElement(target, target._reduce(elt.payload))
+        return super().project(elt, target)
+
+    def to_json(self):
+        from .expressions import element_to_expr
+
+        generator = element_to_expr(RingElement(self.base, dict(self.modulus)))
+        return {"kind": self.kind, "base": self.base.to_json(), "generator": generator}
 
     def __eq__(self, other):
         return (
@@ -760,38 +938,14 @@ def _strip_unit(payload: dict) -> dict:
 ZERO_RING = IntegersMod(1)
 
 
-# -- module-level operations on the family -----------------------------------
-
-
-def ring_arithmetic(a: RingElement, b: RingElement | None, op: str):
-    """Dispatch table mirror of the element operators.
-
-    op is one of add, mul, neg, eq, is_unit; neg and is_unit ignore b.
-    """
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    if op == "eq":
-        return a == b
-    if op == "is_unit":
-        return a.is_unit()
-    raise ValueError(f"unknown op {op!r}")
+# -- module-level decisions on the family ------------------------------------
+# Each runs the checks shared by every family, then asks the ring's method of
+# the same name.
 
 
 def is_zero_ring(ring: CoefficientRing) -> bool:
     """True iff 1 = 0 in the ring."""
-    if isinstance(ring, IntegersMod):
-        return ring.modulus == 1
-    if isinstance(ring, (Integers, Rationals, PLocalIntegers)):
-        return False
-    if isinstance(ring, LaurentExtension):
-        return is_zero_ring(ring.base)
-    if isinstance(ring, QuotientByPrincipal):
-        return False  # unit generators are normalized away at construction
-    return ring.one() == ring.zero()
+    return ring.is_zero_ring()
 
 
 def is_zero_divisor(r: RingElement) -> bool:
@@ -814,32 +968,7 @@ def zero_divisor_witness(r: RingElement):
         return ring.one()
     if ring.is_domain() or r.is_unit():
         return None
-    if isinstance(ring, IntegersMod):
-        g = math.gcd(r.payload, ring.modulus)
-        if g == 1:
-            return None
-        return ring.from_int(ring.modulus // g)
-    if isinstance(ring, LaurentExtension) and isinstance(ring.base, IntegersMod):
-        # McCoy: a polynomial over Z/m is a zero divisor iff a single nonzero
-        # constant annihilates it; Laurent shifts do not change coefficients.
-        m = ring.base.modulus
-        need = 1
-        for c in r.payload.values():
-            need = need * (m // math.gcd(c.payload, m)) // math.gcd(
-                need, m // math.gcd(c.payload, m)
-            )
-        if need >= m:
-            return None
-        return ring.from_int(need)
-    if isinstance(ring, QuotientByPrincipal):
-        g = _poly_gcd(r.payload, ring.modulus)
-        if _poly_degree(g) == 0:
-            return None
-        cofactor, rem = _poly_divmod(ring.modulus, g)
-        if rem:
-            raise Inconsistent("the gcd with the modulus does not divide the modulus")
-        return RingElement(ring, ring._reduce(cofactor))
-    raise Undecidable(f"no zero-divisor routine for {ring}")
+    return ring.zero_divisor_witness(r)
 
 
 def quotient_by_element(ring: CoefficientRing, r: RingElement) -> CoefficientRing:
@@ -855,35 +984,7 @@ def quotient_by_element(ring: CoefficientRing, r: RingElement) -> CoefficientRin
         raise ValueError("generator must be nonzero")
     if r.is_unit():
         return ZERO_RING
-    if isinstance(ring, Integers):
-        return IntegersMod(abs(r.payload))
-    if isinstance(ring, Rationals):
-        return ZERO_RING
-    if isinstance(ring, PLocalIntegers):
-        k = ring.valuation(r)
-        return IntegersMod(ring.p**k) if k else ZERO_RING
-    if isinstance(ring, IntegersMod):
-        return IntegersMod(math.gcd(ring.modulus, r.payload))
-    if isinstance(ring, LaurentExtension):
-        exps = sorted(r.payload)
-        if len(exps) == 1:
-            # (c * v^k) = (c) since v is invertible
-            base_q = quotient_by_element(ring.base, r.payload[exps[0]])
-            if is_zero_ring(base_q):
-                return ZERO_RING
-            return LaurentExtension(base_q, ring.variable, ring.degree)
-        if ring.base.is_field():
-            return QuotientByPrincipal(ring, r)
-        raise Unsupported(
-            "multi-term generators are only supported over a field "
-            f"(got base {ring.base})"
-        )
-    if isinstance(ring, QuotientByPrincipal):
-        g = _poly_gcd(r.payload, ring.modulus)
-        if _poly_degree(g) == 0:
-            return ZERO_RING
-        return QuotientByPrincipal(ring.base, RingElement(ring.base, g))
-    raise Unsupported(f"no quotient normal form for {ring}")
+    return ring.quotient_by_element(r)
 
 
 def project(elt: RingElement, target: CoefficientRing) -> RingElement:
@@ -891,30 +992,8 @@ def project(elt: RingElement, target: CoefficientRing) -> RingElement:
 
     Supports exactly the reduction maps produced by quotient_by_element.
     """
-    ring = elt.ring
-    if ring == target:
+    if elt.ring == target:
         return elt
     if is_zero_ring(target):
         return target.zero()
-    if isinstance(target, IntegersMod):
-        if isinstance(ring, Integers):
-            return target.from_int(elt.payload)
-        if isinstance(ring, IntegersMod) and ring.modulus % target.modulus == 0:
-            return target.from_int(elt.payload)
-        if isinstance(ring, PLocalIntegers):
-            num, den = elt.payload.numerator, elt.payload.denominator
-            return target.from_int(num * pow(den, -1, target.modulus))
-    if isinstance(target, LaurentExtension) and isinstance(ring, LaurentExtension):
-        if target.variable == ring.variable:
-            out = {}
-            for e, c in elt.payload.items():
-                img = project(c, target.base)
-                if not img.is_zero():
-                    out[e] = img
-            return RingElement(target, out)
-    if isinstance(target, QuotientByPrincipal):
-        if ring == target.base:
-            return target.from_base(elt)
-        if isinstance(ring, QuotientByPrincipal) and ring.base == target.base:
-            return RingElement(target, target._reduce(elt.payload))
-    raise Unsupported(f"no canonical map {ring} -> {target}")
+    return elt.ring.project(elt, target)

@@ -5,15 +5,25 @@ import json
 import pytest
 
 from fglforge.cli import fgl_from_spec, ring_from_spec, run_command, series_from_spec
+from fglforge.gradedpoly import lazard_base_ring
 from fglforge.iojson import (
     fgl_from_json,
     fgl_to_json,
+    ring_from_json,
+    ring_to_json,
     series1_from_json,
     series1_to_json,
     twisted_from_json,
     twisted_to_json,
 )
-from fglforge.rings import Integers, IntegersMod, LaurentExtension, PLocalIntegers, Rationals
+from fglforge.rings import (
+    Integers,
+    IntegersMod,
+    LaurentExtension,
+    PLocalIntegers,
+    Rationals,
+    quotient_by_element,
+)
 
 Z = Integers()
 
@@ -244,11 +254,49 @@ def test_json_round_trips():
     e = adams_operation_sequence(-3, (-4, 4))
     assert twisted_from_json(twisted_to_json(e)) == e
 
-    from fglforge.gradedpoly import lazard_base_ring
-    from fglforge.iojson import ring_from_json, ring_to_json
 
-    ring = lazard_base_ring(4)
-    assert ring_from_json(ring_to_json(ring)) == ring
+def _principal_quotient_of_qb():
+    qb = LaurentExtension(Rationals(), "beta", 1)
+    beta = qb.var()
+    return quotient_by_element(qb, beta * beta - 3 * beta + 1)
+
+
+# each descriptor is fixed: files written with it must keep reading back
+RING_DESCRIPTORS = [
+    (lambda: Z, '{"kind": "integers"}'),
+    (Rationals, '{"kind": "rationals"}'),
+    (lambda: IntegersMod(8), '{"kind": "integers_mod", "modulus": 8}'),
+    (lambda: PLocalIntegers(5), '{"kind": "p_local", "prime": 5}'),
+    (
+        lambda: LaurentExtension(Z, "beta", 1),
+        '{"base": {"kind": "integers"}, "degree": 1, "kind": "laurent", "variable": "beta"}',
+    ),
+    (
+        lambda: LaurentExtension(IntegersMod(6), "beta", 2),
+        '{"base": {"kind": "integers_mod", "modulus": 6}, "degree": 2, "kind": "laurent",'
+        ' "variable": "beta"}',
+    ),
+    (
+        _principal_quotient_of_qb,
+        '{"base": {"base": {"kind": "rationals"}, "degree": 1, "kind": "laurent",'
+        ' "variable": "beta"}, "generator": "1 - 3*beta + beta^2", "kind": "quotient"}',
+    ),
+    (
+        lambda: lazard_base_ring(4),
+        '{"generators": [{"degree": 1, "name": "m1"}, {"degree": 2, "name": "m2"},'
+        ' {"degree": 3, "name": "m3"}, {"degree": 4, "name": "m4"}],'
+        ' "kind": "graded_polynomial", "max_degree": 4}',
+    ),
+]
+
+
+@pytest.mark.parametrize("make_ring, expected", RING_DESCRIPTORS)
+def test_ring_json_round_trip(make_ring, expected):
+    ring = make_ring()
+    data = ring_to_json(ring)
+    assert json.dumps(data, sort_keys=True) == expected
+    assert data["kind"] == json.loads(expected)["kind"] == ring.kind
+    assert ring_from_json(data) == ring
 
 
 def test_fgl_json_rejects_implicit_unit_entries(tmp_path, capsys):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from fglforge import rings
-from fglforge.errors import Inconsistent, RingMismatch, Unsupported
+from fglforge.errors import Inconsistent, RingMismatch, Undecidable, Unsupported
 from fglforge.rings import (
     Integers,
     IntegersMod,
@@ -20,7 +20,6 @@ from fglforge.rings import (
     is_zero_ring,
     project,
     quotient_by_element,
-    ring_arithmetic,
     zero_divisor_witness,
 )
 
@@ -97,11 +96,11 @@ def test_non_zero_divisors_cancel(ring):
 
 def test_ring_arithmetic_dispatch():
     a, b = Z.from_int(2), Z.from_int(3)
-    assert ring_arithmetic(a, b, "add") == Z.from_int(5)
-    assert ring_arithmetic(a, b, "mul") == Z.from_int(6)
-    assert ring_arithmetic(a, None, "neg") == Z.from_int(-2)
-    assert ring_arithmetic(a, b, "eq") is False
-    assert ring_arithmetic(Z.from_int(-1), None, "is_unit") is True
+    assert a + b == Z.from_int(5)
+    assert a * b == Z.from_int(6)
+    assert -a == Z.from_int(-2)
+    assert (a == b) is False
+    assert Z.from_int(-1).is_unit() is True
 
 
 def test_laurent_units():
@@ -304,3 +303,82 @@ def test_zero_divisor_witness_checks_its_cofactor(monkeypatch):
     monkeypatch.setattr(rings, "_poly_gcd", lambda a, b: {0: Q.from_int(2), 1: Q.one()})
     with pytest.raises(Inconsistent):
         zero_divisor_witness(x)
+
+
+def test_laurent_units_over_z6():
+    # Z/6 = Z/2 x Z/3, so a unit need not have a single unit coefficient:
+    # (3 + 4*beta) * (3 + 4*beta^-1) = 25 + 12*beta + 12*beta^-1 = 1
+    z6b = LaurentExtension(IntegersMod(6), "beta", 1)
+    beta = z6b.var()
+    u = 3 + 4 * beta
+    assert u.is_unit()
+    assert u.inverse() == 3 + 4 * z6b.var(-1)
+    assert u * u.inverse() == z6b.one()
+    assert is_zero_ring(quotient_by_element(z6b, u))
+    assert zero_divisor_witness(u) is None
+
+
+def test_nested_laurent_units_over_z6():
+    z6ab = LaurentExtension(LaurentExtension(IntegersMod(6), "a", 1), "beta", 1)
+    a, beta = z6ab.generators()["a"], z6ab.var()
+    u = 3 + 4 * a * beta
+    assert u.is_unit()
+    assert u.inverse() == 3 + 4 * a ** -1 * beta ** -1
+    assert u * u.inverse() == z6ab.one()
+    assert is_zero_ring(quotient_by_element(z6ab, u))
+    assert not (3 + a * beta).is_unit()  # its image over F_3 is a * beta
+    with pytest.raises(Unsupported):
+        (3 + a * beta).inverse()
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_laurent_units_brute_force(m):
+    # every inverse of a unit with support in {beta^0, beta^1} has support
+    # in beta^-2 .. beta^1, so the candidates below are exhaustive
+    import itertools
+
+    ring = LaurentExtension(IntegersMod(m), "beta", 1)
+    beta = ring.var()
+    window = [beta ** e for e in range(-2, 2)]
+    candidates = [
+        sum((c * w for c, w in zip(cs, window)), ring.zero())
+        for cs in itertools.product(range(m), repeat=len(window))
+    ]
+    for c0, c1 in itertools.product(range(m), repeat=2):
+        x = c0 + c1 * beta
+        inverses = [y for y in candidates if x * y == ring.one()]
+        assert x.is_unit() == bool(inverses), x
+        if inverses:
+            assert x.inverse() in inverses, x
+        else:
+            with pytest.raises(Unsupported):
+                x.inverse()
+
+
+def test_family_decisions_refuse_outside_their_scope():
+    from fglforge.gradedpoly import lazard_base_ring
+    from fglforge.hopf import FunctionRing
+    from fglforge.iojson import ring_to_json
+
+    lazard = lazard_base_ring(3)
+    with pytest.raises(Undecidable):
+        zero_divisor_witness(lazard.generator("m1"))
+    with pytest.raises(Unsupported):
+        quotient_by_element(lazard, lazard.generator("m1"))
+
+    z4bg = LaurentExtension(LaurentExtension(IntegersMod(4), "beta", 1), "gamma", 1)
+    x = 2 + 2 * z4bg.var()
+    assert not x.is_unit()
+    with pytest.raises(Undecidable):
+        zero_divisor_witness(x)
+
+    functions = FunctionRing(2)
+    with pytest.raises(Undecidable):
+        zero_divisor_witness(functions.from_values([1, 0]))
+    with pytest.raises(Unsupported):
+        ring_to_json(functions)
+
+    with pytest.raises(Unsupported):
+        project(Q.from_int(3), IntegersMod(5))
+    with pytest.raises(Unsupported):
+        project(IntegersMod(4).from_int(3), IntegersMod(8))
