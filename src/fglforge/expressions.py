@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ExpressionSyntaxError, NonIntegerExponent, UnknownVariable
+from .gradedpoly import GradedPolynomialRing
 from .rings import LaurentExtension, QuotientByPrincipal, RingElement
 
 _SYMBOLS = "+-*^()/"
@@ -259,7 +260,7 @@ def element_to_expr(elt: RingElement) -> str:
             else:
                 terms.append(_coeff_times(c, _power_str(base_var, e)))
         return _join_terms(terms)
-    if hasattr(ring, "unpack"):  # graded polynomial ring
+    if isinstance(ring, GradedPolynomialRing):
         if not payload:
             return "0"
         keys = sorted(payload, key=lambda k: (ring.key_degree(k), ring.unpack(k)))

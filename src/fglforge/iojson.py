@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 
 from .errors import Unsupported
-from .expressions import element_to_expr, parse_expression
+from .expressions import _join_terms, element_to_expr, parse_expression
 from .gradedpoly import GradedPolynomialRing
 from .rings import (
     CoefficientRing,
@@ -88,15 +88,7 @@ def series1_to_text(f: TruncatedSeries1, var: str = "x") -> str:
             if any(op in c_str[1:] for op in (" + ", " - ")):
                 c_str = f"({c_str})"
             terms.append(f"{c_str}*{var_str}")
-    if not terms:
-        return "0"
-    out = terms[0]
-    for t in terms[1:]:
-        if t.startswith("-"):
-            out += " - " + t[1:]
-        else:
-            out += " + " + t
-    return out
+    return _join_terms(terms)
 
 
 def fgl_to_json(fgl) -> dict:

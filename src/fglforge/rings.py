@@ -478,7 +478,11 @@ class PLocalIntegers(CoefficientRing):
         return IntegersMod(self.p ** self.valuation(r))
 
     def project(self, elt, target):
-        if isinstance(target, IntegersMod):
+        # a ring map Z_(p) -> Z/m exists only when m is a power of p, that is
+        # when p^bit_length(m) = 0 mod m; then every denominator is a unit
+        if isinstance(target, IntegersMod) and not pow(
+            self.p, target.modulus.bit_length(), target.modulus
+        ):
             num, den = elt.payload.numerator, elt.payload.denominator
             return target.from_int(num * pow(den, -1, target.modulus))
         return super().project(elt, target)
@@ -528,7 +532,7 @@ class LaurentExtension(CoefficientRing):
     kind = "laurent"
 
     def __init__(self, base: CoefficientRing, variable: str = "beta", degree: int = 1):
-        if isinstance(base, LaurentExtension) and base.variable == variable:
+        if variable in base.generators():
             raise ValueError(f"base already contains the variable {variable!r}")
         self.base = base
         self.variable = variable

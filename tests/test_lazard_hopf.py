@@ -165,14 +165,60 @@ def test_hopf_axioms_groupoid():
         assert report.passed
 
 
-def test_corrupted_delta_fails_counit():
+def _delta_b1_left_only():
     H = lb_structure_maps(2)
-    b1_key = H.bring.pack([1, 0])
-    # overwrite Delta(b1) with b1 (x) 1 only: the counit law must notice
-    H._delta_cache[b1_key] = {(b1_key, 0): H.base.one()}
-    report = hopf_axiom_check(H)
-    failed = {c.law for c in report.checks if not c.passed}
-    assert "counit_left" in failed or "counit_right" in failed
+    b1 = H.bring.pack([1, 0])
+    # Delta(b1) := b1 (x) 1, dropping 1 (x) b1
+    H._delta_cache[b1] = {(b1, 0): H.base.one()}
+    return H
+
+
+def _delta_b2_cross_term_off_by_one():
+    H = lb_structure_maps(3)
+    b1 = H.bring.pack([1, 0, 0])
+    b2 = H.bring.pack([0, 1, 0])
+    table = dict(H.delta_basis(b2))
+    table[(b1, b1)] = table[(b1, b1)] + H.base.one()
+    H._delta_cache[b2] = table
+    return H
+
+
+def _eta_r_m1_doubled():
+    H = lb_structure_maps(3)
+    H._etar_gen[1] = {k: v + v for k, v in H._etar_gen[1].items()}
+    return H
+
+
+def _groupoid_eps_swapped():
+    G, _ = groupoid_fixture(2)
+    G.eps_basis = lambda key: G.base.chi(1 - key)
+    return G
+
+
+HOPF_LAWS = ("eps_eta_L", "eps_eta_R", "counit_left", "counit_right", "coassociativity")
+
+
+@pytest.mark.parametrize(
+    "corrupt, failures",
+    [
+        (
+            _delta_b1_left_only,
+            {"counit_left": "basis 1 (degree 1)", "coassociativity": "basis 2 (degree 2)"},
+        ),
+        (_delta_b2_cross_term_off_by_one, {"coassociativity": "basis 4096 (degree 3)"}),
+        (_eta_r_m1_doubled, {"eps_eta_R": "on m1"}),
+        (
+            _groupoid_eps_swapped,
+            {"eps_eta_R": "on [1, 0]", "counit_right": "basis 0 (degree 0)"},
+        ),
+    ],
+    ids=["delta_b1_left_only", "delta_b2_cross_term", "eta_r_m1_doubled", "groupoid_eps_swapped"],
+)
+def test_corrupted_structure_report(corrupt, failures):
+    # the whole report: every law in order, and the first failing witness of each
+    report = hopf_axiom_check(corrupt())
+    expected = [(law, law not in failures, failures.get(law)) for law in HOPF_LAWS]
+    assert [(c.law, c.passed, c.witness) for c in report.checks] == expected
 
 
 # -- dual functionals --------------------------------------------------------------

@@ -245,6 +245,15 @@ def test_laurent_nested_variable_clash():
     nested = LaurentExtension(ZB, "gamma", 2)
     g = nested.generators()
     assert set(g) == {"beta", "gamma"}
+    # a clash deeper in the tower, which would leave the outer variable unnamed
+    with pytest.raises(ValueError):
+        LaurentExtension(nested, "beta", 1)
+    # a clash through a quotient of a Laurent ring
+    f5a = LaurentExtension(IntegersMod(5), "a", 1)
+    a = f5a.var()
+    split = quotient_by_element(f5a, (a - f5a.one()) * (a - f5a.from_int(2)))
+    with pytest.raises(ValueError):
+        LaurentExtension(split, "a", 1)
 
 
 def test_unsupported_quotient_shapes():
@@ -262,6 +271,15 @@ def test_project_chain():
     zp = PLocalIntegers(3)
     img2 = project(zp.from_fraction(Fraction(5, 2)), IntegersMod(9))
     assert img2 == IntegersMod(9).from_int(5 * pow(2, -1, 9))
+
+
+def test_plocal_projects_only_to_powers_of_p():
+    z5 = PLocalIntegers(5)
+    assert project(z5.from_fraction(Fraction(1, 2)), IntegersMod(25)) == IntegersMod(25).from_int(13)
+    # no ring map Z_(5) -> Z/7: neither a wrong residue nor a bare ValueError
+    for q in (Fraction(3), Fraction(1, 7)):
+        with pytest.raises(Unsupported):
+            project(z5.from_fraction(q), IntegersMod(7))
 
 
 def test_element_pow_and_hash():
