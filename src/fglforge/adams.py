@@ -21,6 +21,8 @@ under o is a theorem being monitored, not assumed).
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 
 from .errors import (
@@ -102,75 +104,46 @@ def omega_solve(f: TruncatedSeries1, constant_term=None) -> TruncatedSeries1:
 # -- the Adams transform -------------------------------------------------------
 
 
-def _factorials(n: int):
-    out = [1]
-    for k in range(1, n + 1):
-        out.append(out[-1] * k)
-    return out
+# Lower-triangular integer tables of the transform and its inverse, grown on
+# demand: fwd[n][k] = n! [y^n] (1 - exp(-y))^k = (-1)^(n-k) k! S(n, k) and
+# inv[m][n] = m! [x^m] (-log(1-x))^n / n! = c(m, n), from the Stirling
+# recurrences (Comtet, Advanced Combinatorics, ch. V).  Row n does not depend
+# on the precision.  A table grows on a copy that is then rebound, never in
+# place, so a concurrent reader always holds a complete table.
+_TABLES = {"forward": [[1]], "inverse": [[1]]}
 
 
-def _exp_complement(precision: int) -> TruncatedSeries1:
-    """1 - exp(-y) over Q."""
-    fact = _factorials(precision)
-    coeffs = [Fraction(0)]
-    for n in range(1, precision + 1):
-        coeffs.append(Fraction((-1) ** (n + 1), fact[n]))
-    return TruncatedSeries1.from_fractions(_Q, coeffs, precision)
+def _next_forward_row(row):
+    """fwd[n+1][k] = k (fwd[n][k-1] - fwd[n][k])."""
+    padded = [0, *row, 0]
+    return [k * (padded[k] - padded[k + 1]) for k in range(len(row) + 1)]
 
 
-def _neg_log_complement(precision: int) -> TruncatedSeries1:
-    """-log(1-x) over Q."""
-    coeffs = [Fraction(0)] + [Fraction(1, n) for n in range(1, precision + 1)]
-    return TruncatedSeries1.from_fractions(_Q, coeffs, precision)
+def _next_inverse_row(row):
+    """inv[m+1][n] = inv[m][n-1] + m inv[m][n]."""
+    m = len(row) - 1
+    padded = [0, *row, 0]
+    return [padded[n] + m * padded[n + 1] for n in range(m + 2)]
 
 
-# Matrices of the transform and its inverse, built once per precision from
-# the defining series (powers of 1 - exp(-y), resp. of -log(1-x)).  Both
-# have integer entries, so each transform is an integer matrix product.
-_FWD_CACHE: dict = {}
-_INV_CACHE: dict = {}
-
-
-def _require_integral(matrix, which: str):
-    if any(v.denominator != 1 for col in matrix for v in col):
-        raise IntegralityViolation(f"the {which} transform matrix has a non-integral entry")
+def _table(name: str, next_row, precision: int):
+    rows = _TABLES[name]
+    if len(rows) <= precision:
+        rows = list(rows)
+        while len(rows) <= precision:
+            rows.append(next_row(rows[-1]))
+        _TABLES[name] = rows
+    return rows[: precision + 1]
 
 
 def _forward_matrix(precision: int):
-    """fwd[n][k] = n! [y^n] (1 - exp(-y))^k."""
-    cached = _FWD_CACHE.get(precision)
-    if cached is not None:
-        return cached
-    u = _exp_complement(precision)
-    fact = _factorials(precision)
-    power = TruncatedSeries1.constant(_Q, _Q.one(), precision)
-    matrix = []
-    for _ in range(precision + 1):
-        matrix.append([fact[n] * power.coeffs[n].payload for n in range(precision + 1)])
-        power = power * u
-    _require_integral(matrix, "forward")
-    fwd = [[matrix[k][n].numerator for k in range(precision + 1)] for n in range(precision + 1)]
-    _FWD_CACHE[precision] = fwd
-    return fwd
+    """Rows 0..precision of fwd[n][k] = n! [y^n] (1 - exp(-y))^k, k <= n."""
+    return _table("forward", _next_forward_row, precision)
 
 
 def _inverse_matrix(precision: int):
-    """inv[m][n] = m! [x^m] (-log(1-x))^n / n!."""
-    cached = _INV_CACHE.get(precision)
-    if cached is not None:
-        return cached
-    log = _neg_log_complement(precision)
-    fact = _factorials(precision)
-    power = TruncatedSeries1.constant(_Q, _Q.one(), precision)
-    matrix = []
-    for n in range(precision + 1):
-        col = [fact[m] * power.coeffs[m].payload / fact[n] for m in range(precision + 1)]
-        matrix.append(col)
-        power = power * log
-    _require_integral(matrix, "inverse")
-    inv = [[matrix[n][m].numerator for n in range(precision + 1)] for m in range(precision + 1)]
-    _INV_CACHE[precision] = inv
-    return inv
+    """Rows 0..precision of inv[m][n] = m! [x^m] (-log(1-x))^n / n!, n <= m."""
+    return _table("inverse", _next_inverse_row, precision)
 
 
 class AdamsSequence:
@@ -204,6 +177,8 @@ class AdamsSequence:
         """sigma^j: n -> value(n + j); the window moves to [lo-j, hi-j]."""
         return AdamsSequence(self.lo - j, self.values)
 
+    twist = shift  # beta^-j a beta^j
+
     def _meet(self, other):
         lo = max(self.lo, other.lo)
         hi = min(self.hi, other.hi)
@@ -211,24 +186,19 @@ class AdamsSequence:
             raise WindowMiss("windows do not overlap")
         return lo, hi
 
-    def __add__(self, other):
+    def _pointwise(self, other: "AdamsSequence", op) -> "AdamsSequence":
         lo, hi = self._meet(other)
-        return AdamsSequence(
-            lo, [self.value(n) + other.value(n) for n in range(lo, hi + 1)]
-        )
+        return AdamsSequence(lo, [op(self.value(n), other.value(n)) for n in range(lo, hi + 1)])
+
+    def __add__(self, other):
+        return self._pointwise(other, operator.add)
 
     def __sub__(self, other):
-        lo, hi = self._meet(other)
-        return AdamsSequence(
-            lo, [self.value(n) - other.value(n) for n in range(lo, hi + 1)]
-        )
+        return self._pointwise(other, operator.sub)
 
     def __mul__(self, other):
         if isinstance(other, AdamsSequence):
-            lo, hi = self._meet(other)
-            return AdamsSequence(
-                lo, [self.value(n) * other.value(n) for n in range(lo, hi + 1)]
-            )
+            return self._pointwise(other, operator.mul)
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -271,11 +241,7 @@ def adams_transform(f: TruncatedSeries1) -> AdamsSequence:
         raise RingMismatch("composition series live over Z or Q")
     coeffs = [c.payload for c in f.coeffs]
     fwd = _forward_matrix(f.precision)
-    values = []
-    for n in range(f.precision + 1):
-        row = fwd[n]
-        values.append(sum(row[k] * coeffs[k] for k in range(n + 1)))
-    return AdamsSequence(0, values)
+    return AdamsSequence(0, [sum(map(operator.mul, row, coeffs)) for row in fwd])
 
 
 def adams_transform_inv(seq: AdamsSequence) -> TruncatedSeries1:
@@ -283,13 +249,10 @@ def adams_transform_inv(seq: AdamsSequence) -> TruncatedSeries1:
     if seq.lo != 0:
         raise WindowMiss("inverse transform needs a window starting at 0")
     precision = seq.hi
-    inv = _inverse_matrix(precision)
-    fact = _factorials(precision)
-    coeffs = []
-    for m in range(precision + 1):
-        row = inv[m]
-        total = sum(row[n] * seq.values[n] for n in range(m + 1))
-        coeffs.append(total / fact[m])
+    coeffs = [
+        sum(map(operator.mul, row, seq.values)) / math.factorial(m)
+        for m, row in enumerate(_inverse_matrix(precision))
+    ]
     return TruncatedSeries1.from_fractions(_Q, coeffs, precision)
 
 
@@ -402,34 +365,33 @@ class OmegaTower:
             )
         return OmegaTower(tower.levels[-j:])
 
-    def circ(self, other: "OmegaTower") -> "OmegaTower":
-        depth = min(self.depth, other.depth)
+    twist = omega_shift  # beta^-j a beta^j
+
+    def _levelwise(self, other: "OmegaTower", op) -> list:
+        """op on each pair of levels both towers have, at the common precision."""
         precision = min(self.precision, other.precision)
-        return OmegaTower(
-            [
-                circ_compose(
-                    self.levels[j].truncate(precision),
-                    other.levels[j].truncate(precision),
-                )
-                for j in range(depth + 1)
-            ]
-        )
+        return [
+            op(f.truncate(precision), g.truncate(precision))
+            for f, g in zip(self.levels, other.levels)
+        ]
+
+    def circ(self, other: "OmegaTower") -> "OmegaTower":
+        return OmegaTower(self._levelwise(other, circ_compose))
+
+    __mul__ = circ
 
     def __add__(self, other):
-        depth = min(self.depth, other.depth)
-        precision = min(self.precision, other.precision)
-        return OmegaTower(
-            [
-                self.levels[j].truncate(precision) + other.levels[j].truncate(precision)
-                for j in range(depth + 1)
-            ]
-        )
+        return OmegaTower(self._levelwise(other, operator.add))
 
     def scale(self, c) -> "OmegaTower":
-        return OmegaTower([f.scale(_coerce(f.ring, c)) for f in self.levels])
+        return OmegaTower([f.scale(c) for f in self.levels])
 
     def is_zero(self) -> bool:
         return all(f.is_zero() for f in self.levels)
+
+    def agrees_on_overlap(self, other: "OmegaTower") -> bool:
+        """Equality of the common levels at the common precision."""
+        return all(self._levelwise(other, operator.eq))
 
     def __eq__(self, other):
         if not isinstance(other, OmegaTower):
@@ -443,12 +405,6 @@ class OmegaTower:
         return f"<tower depth {self.depth} precision {self.precision}>"
 
 
-def _coerce(ring, c):
-    if isinstance(c, int):
-        return ring.from_int(c)
-    return ring.from_fraction(Fraction(c))
-
-
 # -- the twisted Laurent algebra ----------------------------------------------------
 
 
@@ -457,6 +413,9 @@ class TwistedLaurent:
 
     model = "sequence": a_j are AdamsSequences, twist a.beta = beta.sigma(a).
     model = "tower":    a_j are OmegaTowers,   twist a.beta = beta.omega(a).
+
+    Each component class supplies the twist, the product and the agreement
+    on the overlap of its model.
     """
 
     __slots__ = ("model", "terms")
@@ -486,14 +445,6 @@ class TwistedLaurent:
         if other.model != self.model:
             raise ModelMismatch(f"{self.model} vs {other.model}")
 
-    def _twist(self, a, j: int):
-        """beta^-j a beta^j: sigma^j in the sequence model, omega^j in the tower."""
-        if j == 0:
-            return a
-        if self.model == "sequence":
-            return a.shift(j)
-        return a.omega_shift(j)
-
     def __add__(self, other):
         self._check(other)
         out = dict(self.terms)
@@ -513,8 +464,7 @@ class TwistedLaurent:
             out = {}
             for i, a in self.terms.items():
                 for j, b in other.terms.items():
-                    twisted = self._twist(a, j)
-                    prod = twisted * b if self.model == "sequence" else twisted.circ(b)
+                    prod = (a.twist(j) if j else a) * b
                     key = i + j
                     out[key] = out[key] + prod if key in out else prod
             return TwistedLaurent(self.model, out)
@@ -530,20 +480,9 @@ class TwistedLaurent:
         precision); the honest equality notion when operands went through
         twists that shrink their domains differently."""
         self._check(other)
-        if set(self.terms) != set(other.terms):
-            return False
-        for j, a in self.terms.items():
-            b = other.terms[j]
-            if self.model == "sequence":
-                if not a.agrees_on_overlap(b):
-                    return False
-            else:
-                depth = min(a.depth, b.depth)
-                precision = min(a.precision, b.precision)
-                for k in range(depth + 1):
-                    if a.level(k).truncate(precision) != b.level(k).truncate(precision):
-                        return False
-        return True
+        return set(self.terms) == set(other.terms) and all(
+            a.agrees_on_overlap(other.terms[j]) for j, a in self.terms.items()
+        )
 
     def __eq__(self, other):
         if not isinstance(other, TwistedLaurent):
@@ -580,7 +519,7 @@ def adams_operation_tower(k: int, depth: int, precision: int, ring=None) -> Twis
     levels = []
     for n in range(depth + 1):
         factor = Fraction(1, 1) / Fraction(k) ** n
-        levels.append(base.scale(_coerce(ring, factor)))
+        levels.append(base.scale(factor))
     return TwistedLaurent.from_component("tower", 0, OmegaTower(levels))
 
 
@@ -644,9 +583,8 @@ def tower_to_sequence(element: TwistedLaurent) -> TwistedLaurent:
     terms = {}
     for j, tower in element.terms.items():
         head = adams_transform(tower.level(0))
-        negative = [
-            adams_transform(tower.level(k)).value(0) for k in range(tower.depth, 0, -1)
-        ]
+        # a_0 = f(0): index -k is the constant term of level k
+        negative = [tower.level(k).coeffs[0].payload for k in range(tower.depth, 0, -1)]
         terms[j] = AdamsSequence(-tower.depth, negative + list(head.values))
     return TwistedLaurent("sequence", terms)
 

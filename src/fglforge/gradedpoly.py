@@ -204,6 +204,9 @@ class GradedPolynomialRing(CoefficientRing):
     def is_q_algebra(self):
         return True
 
+    def is_domain_mod_nilpotents(self):
+        return True  # modulo the nilpotent positive-degree part it is Q
+
     def generators(self):
         return {name: self.generator(name) for name in self.names}
 

@@ -527,8 +527,9 @@ def _pair(zero, gamma, values, embed=None):
 
 def _convolve(algebroid, f, g_values) -> dict:
     """{key: f((id (x) g) Delta(key))} over the Gamma basis, g given by its
-    basis values; the coefficient of g enters through eta_R."""
-    out = {}
+    basis values; the coefficient of g enters through eta_R, which each value
+    of g passes through once, on first use."""
+    out, pushed = {}, {}
     for key in algebroid.gamma_basis():
         # regroup Delta(key) as {right-basis-key: left Gamma element}
         grouped = {}
@@ -538,7 +539,9 @@ def _convolve(algebroid, f, g_values) -> dict:
         for k2, left in grouped.items():
             gv = g_values.get(k2)
             if gv is not None:
-                total = total + f(algebroid.g_mul(left, algebroid.eta_r(gv)))
+                if k2 not in pushed:
+                    pushed[k2] = algebroid.eta_r(gv)
+                total = total + f(algebroid.g_mul(left, pushed[k2]))
         out[key] = total
     return out
 

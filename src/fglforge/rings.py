@@ -190,6 +190,10 @@ class CoefficientRing:
     def is_domain(self) -> bool:
         return False
 
+    def is_domain_mod_nilpotents(self) -> bool:
+        """True when the ring modulo its nilpotents is known to be a domain."""
+        return self.is_domain()
+
     def generators(self) -> dict:
         """Named distinguished elements resolvable in expressions."""
         return {}
@@ -386,6 +390,9 @@ class IntegersMod(CoefficientRing):
 
     def is_domain(self):
         return self.is_field()
+
+    def is_domain_mod_nilpotents(self):
+        return len(_prime_power_factors(self.modulus)) == 1
 
     def is_zero_ring(self):
         return self.modulus == 1
@@ -635,10 +642,15 @@ class LaurentExtension(CoefficientRing):
         if self._unit_term(terms) is not None:
             return True
         # That test is also necessary when the base modulo its nilpotents is a
-        # domain (Z, Q, Z_(p), Z/p^k and Laurent towers over them), whose
-        # Laurent units are unit monomials.  Z/m is the product of its Z/q.
+        # domain, whose Laurent units are unit monomials.  Z/m is the product
+        # of its Z/q.  Over any other base a unit need have no unit term, such
+        # as e1 + e2 v for orthogonal idempotents with e1 + e2 = 1.
+        if self.base.is_domain_mod_nilpotents():
+            return False
         components = self._components()
-        return bool(components) and all(ring.is_unit(project(elt, ring)) for _, ring in components)
+        if not components:
+            raise Undecidable(f"no unit test for {self} beyond unit monomials")
+        return all(ring.is_unit(project(elt, ring)) for _, ring in components)
 
     def invert(self, elt):
         terms = elt.payload
@@ -668,6 +680,9 @@ class LaurentExtension(CoefficientRing):
 
     def is_domain(self):
         return self.base.is_domain()
+
+    def is_domain_mod_nilpotents(self):
+        return self.base.is_domain_mod_nilpotents()
 
     def generators(self):
         gens = {self.variable: self.var()}

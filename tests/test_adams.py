@@ -1,5 +1,6 @@
 """The operation algebra: omega, the transform, towers, sequences, twists."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -45,6 +46,20 @@ Q = Rationals()
 
 def zser(ints, precision=None):
     return TruncatedSeries1.from_ints(Z, ints, precision)
+
+
+def neg_log(precision):
+    """-log(1-x) over Q."""
+    coeffs = [Fraction(0)] + [Fraction(1, n) for n in range(1, precision + 1)]
+    return TruncatedSeries1.from_fractions(Q, coeffs, precision)
+
+
+def exp_complement(precision):
+    """1 - exp(-y) over Q."""
+    coeffs = [Fraction(0)] + [
+        Fraction((-1) ** (n + 1), math.factorial(n)) for n in range(1, precision + 1)
+    ]
+    return TruncatedSeries1.from_fractions(Q, coeffs, precision)
 
 
 # -- omega -----------------------------------------------------------------------
@@ -134,7 +149,6 @@ def test_intertwining():
 def test_transform_substitution_is_the_multiplicative_exponential():
     # the series 1 - exp(-y) substituted by the transform is the exponential
     # of x + y - xy, whose logarithm is -log(1-t) = sum t^n/n
-    from fglforge.adams import _exp_complement, _neg_log_complement
     from fglforge.fgl import FormalGroupLaw, logarithm
     from fglforge.series import TruncatedSeries2
 
@@ -143,8 +157,8 @@ def test_transform_substitution_is_the_multiplicative_exponential():
     )
     law = FormalGroupLaw(Q, 10, body)
     log = logarithm(law)
-    assert log == _neg_log_complement(10)
-    assert log.revert() == _exp_complement(10)
+    assert log == neg_log(10)
+    assert log.revert() == exp_complement(10)
 
 
 # -- the composition product ---------------------------------------------------------
@@ -396,9 +410,7 @@ def test_e0_tower_levels_are_log_powers():
     # level k of e_0 under the iso is (-log(1-x))^k / k!
     e0 = idempotent_element(0, (-3, 6))
     tower = sequence_to_tower(e0).component(0)
-    from fglforge.adams import _neg_log_complement
-
-    log = _neg_log_complement(6)
+    log = neg_log(6)
     power = TruncatedSeries1.constant(Q, Q.one(), 6)
     fact = 1
     for k in range(4):
@@ -438,14 +450,52 @@ def test_non_integral_geometric_power_raises(monkeypatch):
         geometric_power(3, 6)
 
 
-def test_non_integral_transform_matrices_raise(monkeypatch):
-    monkeypatch.setattr(adams, "_FWD_CACHE", {})
-    monkeypatch.setattr(adams, "_INV_CACHE", {})
-    monkeypatch.setattr(adams, "_factorials", lambda n: [Fraction(1, 2)] * (n + 1))
-    with pytest.raises(IntegralityViolation):
-        adams._forward_matrix(6)
-    # without the factorials, (-log(1-x))^n has non-integral coefficients
-    monkeypatch.setattr(adams, "_factorials", lambda n: [1] * (n + 1))
-    with pytest.raises(IntegralityViolation):
-        adams._inverse_matrix(6)
-    assert adams._FWD_CACHE == {} and adams._INV_CACHE == {}
+def _series_power_tables(precision):
+    """The transform tables as powers of 1 - exp(-y) and of -log(1-x) over Q."""
+    one = TruncatedSeries1.constant(Q, Q.one(), precision)
+    fwd = [[None] * (precision + 1) for _ in range(precision + 1)]
+    inv = [[None] * (precision + 1) for _ in range(precision + 1)]
+    u_power = log_power = one
+    for k in range(precision + 1):
+        for n in range(precision + 1):
+            fwd[n][k] = math.factorial(n) * u_power.coeffs[n].payload
+            inv[n][k] = math.factorial(n) * log_power.coeffs[n].payload / math.factorial(k)
+        u_power = u_power * exp_complement(precision)
+        log_power = log_power * neg_log(precision)
+    return fwd, inv
+
+
+def test_transform_tables_match_series_powers(monkeypatch):
+    # built from empty, one row at a time: each table is lower triangular,
+    # integral, and equal to the series-power construction
+    monkeypatch.setattr(adams, "_TABLES", {"forward": [[1]], "inverse": [[1]]})
+    for precision in range(25):
+        expected_fwd, expected_inv = _series_power_tables(precision)
+        for got, expected in (
+            (adams._forward_matrix(precision), expected_fwd),
+            (adams._inverse_matrix(precision), expected_inv),
+        ):
+            assert len(got) == precision + 1
+            for n, row in enumerate(got):
+                assert all(type(v) is int for v in row)
+                assert row == expected[n][: n + 1]
+                assert not any(expected[n][n + 1 :])
+
+
+def test_transform_tables_grow_on_a_copy(monkeypatch):
+    monkeypatch.setattr(adams, "_TABLES", {"forward": [[1]], "inverse": [[1]]})
+    held = adams._TABLES["forward"]
+    adams._forward_matrix(8)
+    assert held == [[1]]
+    assert len(adams._TABLES["forward"]) == 9
+    assert adams._forward_matrix(3) == adams._TABLES["forward"][:4]
+
+
+def test_transform_tables_are_stirling_numbers():
+    stirling = pytest.importorskip("sympy.functions.combinatorial.numbers").stirling
+    fwd, inv = adams._forward_matrix(40), adams._inverse_matrix(40)
+    for n in range(41):
+        for k in range(n + 1):
+            signed = (-1) ** (n - k) * math.factorial(k) * stirling(n, k)
+            assert fwd[n][k] == signed
+            assert inv[n][k] == stirling(n, k, kind=1)

@@ -253,6 +253,17 @@ def test_dual_compose_unital_and_associative(flavor):
         assert lhs == rhs
 
 
+def test_dual_compose_pushes_each_value_through_eta_r_once(monkeypatch):
+    algebroid = lb_structure_maps(5)
+    rng = random.Random(7)
+    f, g = _random_functional(algebroid, rng), _random_functional(algebroid, rng)
+    pushed = []
+    eta_r = type(algebroid).eta_r
+    monkeypatch.setattr(type(algebroid), "eta_r", lambda self, a: pushed.append(a) or eta_r(self, a))
+    dual_compose(f, g)
+    assert 0 < len(pushed) <= len(g.values)
+
+
 def test_groupoid_dual_is_matrix_units():
     algebroid, _ = groupoid_fixture(2)
 

@@ -400,3 +400,41 @@ def test_family_decisions_refuse_outside_their_scope():
         project(Q.from_int(3), IntegersMod(5))
     with pytest.raises(Unsupported):
         project(IntegersMod(4).from_int(3), IntegersMod(8))
+
+
+@pytest.mark.parametrize("flavor", ["split_quotient", "functions"])
+def test_laurent_unit_over_split_base_is_undecidable(flavor):
+    # with orthogonal idempotents e1 + e2 = 1 in the base,
+    # (e1 + e2*gamma)(e1 + e2*gamma^-1) = 1 although no coefficient is a unit,
+    # so the unit-monomial test alone must not answer False
+    from fglforge.hopf import FunctionRing
+
+    if flavor == "split_quotient":
+        f5a = LaurentExtension(IntegersMod(5), "a", 1)
+        base = QuotientByPrincipal(f5a, (f5a.var() - 1) * (f5a.var() - 2))
+        a = base.from_base(f5a.var())
+        e1, e2 = 2 - a, a - 1
+    else:
+        base = FunctionRing(2)
+        e1, e2 = base.chi(0), base.chi(1)
+    assert e1 * e1 == e1 and (e1 * e2).is_zero() and e1 + e2 == base.one()
+    ring = LaurentExtension(base, "gamma", 1)
+    c1, c2 = ring.monomial(e1, 0), ring.monomial(e2, 0)
+    u = c1 + c2 * ring.var()
+    assert u * (c1 + c2 * ring.var(-1)) == ring.one()
+    with pytest.raises(Undecidable):
+        u.is_unit()
+    with pytest.raises(Undecidable):
+        u.inverse()
+    assert ring.var(3).is_unit()  # a unit monomial is still decided
+
+
+def test_domain_mod_nilpotents():
+    from fglforge.gradedpoly import lazard_base_ring
+    from fglforge.hopf import FunctionRing
+
+    decided = [Z, Q, PLocalIntegers(3), IntegersMod(5), IntegersMod(8), ZB, F5B, lazard_base_ring(3)]
+    assert all(ring.is_domain_mod_nilpotents() for ring in decided)
+    assert LaurentExtension(LaurentExtension(IntegersMod(9), "a", 1), "b", 1).is_domain_mod_nilpotents()
+    undecided = [IntegersMod(1), IntegersMod(6), LaurentExtension(IntegersMod(6)), FunctionRing(2)]
+    assert not any(ring.is_domain_mod_nilpotents() for ring in undecided)
