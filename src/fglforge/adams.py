@@ -90,14 +90,12 @@ def omega_solve(f: TruncatedSeries1, constant_term=None) -> TruncatedSeries1:
     The kernel of omega is the constants; the solution is normalized by the
     given constant term (default 0).  The triangular recurrence
     (n+1) g_{n+1} = f_n + n g_n needs exact division by n+1, so a non-Q
-    coefficient ring raises Inconsistent when a division fails.
+    coefficient ring raises when a division has no unique quotient.
     """
-    from .series import _div_coeff
-
     ring = f.ring
     g = [constant_term if constant_term is not None else ring.zero()]
     for n in range(f.precision + 1):
-        g.append(_div_coeff(f.coeffs[n] + g[n] * n, n + 1))
+        g.append(ring.divide(f.coeffs[n] + g[n] * n, n + 1))
     return TruncatedSeries1(ring, g, f.precision + 1)
 
 

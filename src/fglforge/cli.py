@@ -19,7 +19,7 @@ import sys
 from . import __version__
 from .errors import FGLForgeError
 from .expressions import parse_expression
-from .fgl import check_axioms, logarithm, n_series, named_fgl
+from .fgl import _require_axioms, check_axioms, logarithm, n_series, named_fgl
 from .hopf import (
     classify_rational,
     groupoid_fixture,
@@ -103,12 +103,7 @@ def fgl_from_spec(spec: str, precision: int):
     if os.path.exists(spec):
         with open(spec) as handle:
             fgl = fgl_from_json(json.load(handle))
-        report = check_axioms(fgl)
-        if not report.passed:
-            raise ValueError(
-                f"law in {spec} fails axioms: "
-                + ", ".join(c.axiom for c in report.failures())
-            )
+        _require_axioms(fgl, f"law in {spec}")
         return fgl
     name, sep, ring_spec = spec.partition("-over-")
     if name not in _DEFAULT_RINGS:
@@ -144,6 +139,8 @@ def _emit(command: str, result, stream=None) -> None:
 
 def _parse_window(text: str):
     lo, _, hi = text.partition(":")
+    if int(lo) > int(hi):
+        raise ValueError(f"window {text!r} needs lo <= hi")
     return int(lo), int(hi)
 
 

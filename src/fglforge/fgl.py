@@ -96,13 +96,11 @@ class NSeries:
 
 
 def _first_mismatch(a: TruncatedSeriesN, b: TruncatedSeriesN):
+    # the coefficient maps hold no zeros, so an absent key is a zero
     keys = set(a.coeffs) | set(b.coeffs)
     for key in sorted(keys, key=lambda k: (sum(k), k)):
-        if a.coeffs.get(key, None) != b.coeffs.get(key, None):
-            ca = a.coefficient(key)
-            cb = b.coefficient(key)
-            if ca != cb:
-                return key
+        if a.coeffs.get(key) != b.coeffs.get(key):
+            return key
     return None
 
 

@@ -240,11 +240,7 @@ class GradedPolynomialRing(CoefficientRing):
                 raise RingMismatch("assignment values must live in the target ring")
         total = target.zero()
         for key, c in elt.payload.items():
-            term = (
-                target.from_int(c)
-                if isinstance(c, int)
-                else target.from_fraction(c)
-            )
+            term = target.from_fraction(c)
             for i, e in enumerate(self.unpack(key)):
                 if e:
                     term = term * values[i] ** e
@@ -265,18 +261,15 @@ class GradedPolynomialRing(CoefficientRing):
         return f"Q[{', '.join(self.names)}]<=deg {self.max_degree}"
 
 
-def lazard_base_ring(n: int, max_degree: int | None = None) -> GradedPolynomialRing:
-    """Q[m_1..m_n] with |m_i| = i (the rational Lazard ring, truncated)."""
-    if max_degree is None:
-        max_degree = n
-    return GradedPolynomialRing([(f"m{i}", i) for i in range(1, n + 1)], max_degree)
+def lazard_base_ring(n: int) -> GradedPolynomialRing:
+    """Q[m_1..m_n] with |m_i| = i (the rational Lazard ring), truncated above
+    degree n."""
+    return GradedPolynomialRing([(f"m{i}", i) for i in range(1, n + 1)], n)
 
 
-def coordinate_change_ring(n: int, max_degree: int | None = None) -> GradedPolynomialRing:
-    """Q[b_1..b_n] with |b_i| = i."""
-    if max_degree is None:
-        max_degree = n
-    return GradedPolynomialRing([(f"b{i}", i) for i in range(1, n + 1)], max_degree)
+def coordinate_change_ring(n: int) -> GradedPolynomialRing:
+    """Q[b_1..b_n] with |b_i| = i, truncated above degree n."""
+    return GradedPolynomialRing([(f"b{i}", i) for i in range(1, n + 1)], n)
 
 
 def split_payload(ring: GradedPolynomialRing, payload: dict, first_count: int):

@@ -30,7 +30,7 @@ from .gradedpoly import (
     lazard_base_ring,
     split_payload,
 )
-from .rings import CoefficientRing, RingElement
+from .rings import CoefficientRing, RingElement, sparse_add
 from .series import TruncatedSeries1, TruncatedSeries2
 
 
@@ -49,7 +49,7 @@ def universal_fgl_rational(precision: int) -> FormalGroupLaw:
     over Q[m_1..m_{N-1}], graded with |m_i| = i and validated."""
     if precision < 2:
         raise ValueError("the universal law needs precision >= 2")
-    ring = lazard_base_ring(precision - 1, max_degree=precision - 1)
+    ring = lazard_base_ring(precision - 1)
     log = _generic_series(ring, "m", precision - 1)
     grading = {f"m{i}": i for i in range(1, precision)}
     return from_logarithm(log, ring, precision, grading=grading, name="universal_rational")
@@ -102,9 +102,6 @@ class FunctionRing(CoefficientRing):
         return RingElement(
             self, tuple(Fraction(1) if i == j else Fraction(0) for i in range(self.n))
         )
-
-    def constant(self, q) -> RingElement:
-        return self.from_fraction(Fraction(q))
 
     def from_values(self, values) -> RingElement:
         values = tuple(Fraction(v) for v in values)
@@ -196,15 +193,7 @@ class HopfAlgebroidTrunc:
         raise NotImplementedError
 
     # generic Gamma-element algebra ------------------------------------------
-    def g_add(self, u: dict, v: dict) -> dict:
-        out = dict(u)
-        for k, c in v.items():
-            s = out[k] + c if k in out else c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return out
+    g_add = staticmethod(sparse_add)
 
     def g_scale(self, u: dict, a: RingElement) -> dict:
         if a.is_zero():
@@ -242,10 +231,9 @@ class LazardAlgebroid(HopfAlgebroidTrunc):
     """(Q[m_*], Q[m_*, b_*]) truncated at a top degree."""
 
     def __init__(self, truncation: int):
-        base = lazard_base_ring(truncation, max_degree=truncation)
-        super().__init__("lazard_lb_rational", base, truncation)
+        super().__init__("lazard_lb_rational", lazard_base_ring(truncation), truncation)
         n = truncation
-        self.bring = coordinate_change_ring(n, max_degree=n)
+        self.bring = coordinate_change_ring(n)
         self._basis = [
             key for d in range(n + 1) for key in self.bring.monomial_keys_of_degree(d)
         ]
@@ -397,7 +385,7 @@ class GroupoidAlgebroid(HopfAlgebroidTrunc):
         out = {}
         for j, value in enumerate(a.payload):
             if value:
-                out[j] = self.base.constant(value)
+                out[j] = self.base.from_fraction(value)
         return out
 
 
@@ -514,14 +502,14 @@ def hopf_axiom_check(algebroid: HopfAlgebroidTrunc) -> HopfReport:
 # -- dual functionals -------------------------------------------------------------
 
 
-def _pair(zero, gamma, values, embed=None):
-    """sum_k embed(gamma_k) * values_k over the keys of gamma that values
-    holds, starting from zero; embed defaults to the identity."""
+def _pair(zero, gamma, values):
+    """sum_k gamma_k * values_k over the keys of gamma that values holds,
+    starting from zero."""
     total = zero
     for key, c in gamma.items():
         v = values.get(key)
         if v is not None:
-            total = total + (c if embed is None else embed(c)) * v
+            total = total + c * v
     return total
 
 
@@ -589,17 +577,16 @@ def dual_compose(f: DualFunctional, g: DualFunctional) -> DualFunctional:
 
 
 class Coaction:
-    """A right coaction rho: R -> R (x)_A Gamma presented on demand.
+    """A right coaction rho: R -> R (x)_A Gamma presented on demand, with
+    R = A, the base ring of the algebroid.
 
-    rho(r) is returned as {basis-key: R-element}; embed carries A into R.
-    The counit law (id (x) eps) rho = id is checked on the provided samples.
+    rho(r) is returned as {basis-key: A-element}.  The counit law
+    (id (x) eps) rho = id is checked on the provided samples.
     """
 
-    def __init__(self, algebroid, ring, rho, embed, samples=()):
+    def __init__(self, algebroid, rho, samples=()):
         self.algebroid = algebroid
-        self.ring = ring
         self.rho = rho
-        self.embed = embed
         eps = epsilon_functional(algebroid)
         for r in samples:
             if coaction_to_action(self, eps, r) != r:
@@ -610,9 +597,7 @@ def base_coaction(algebroid: HopfAlgebroidTrunc) -> Coaction:
     """The coaction of Gamma on A itself, dual to the right unit."""
     return Coaction(
         algebroid,
-        algebroid.base,
         rho=algebroid.eta_r,
-        embed=lambda a: a,
         samples=algebroid.base_sample() + [algebroid.base.one()],
     )
 
@@ -621,12 +606,12 @@ def coaction_to_action(coaction: Coaction, f: DualFunctional, r: RingElement) ->
     """The action lambda(f, r) = (id_R (x) f)(rho(r)); it extends eta_L^vee."""
     if f.algebroid is not coaction.algebroid:
         raise AlgebroidMismatch("functional and coaction disagree")
-    embedded = {k: coaction.embed(v) for k, v in f.values.items()}
-    return _pair(coaction.ring.zero(), coaction.rho(r), embedded)
+    return _pair(coaction.algebroid.base.zero(), coaction.rho(r), f.values)
 
 
 class TwistedRingElement:
-    """An element of R (x)^hat_A Gamma^vee, i.e. an R-valued functional on Gamma.
+    """An element of R (x)^hat_A Gamma^vee, i.e. an R-valued functional on
+    Gamma, for the ring R = A of its coaction.
 
     This is the twisted product ring: left R-linear, right Gamma^vee-linear,
     with (u.phi)(v.psi) = u . Delta(phi)(v) o psi in the middle.
@@ -637,7 +622,7 @@ class TwistedRingElement:
         self.values = {k: v for k, v in values.items() if not v.is_zero()}
 
     def __call__(self, gamma: dict) -> RingElement:
-        return _pair(self.coaction.ring.zero(), gamma, self.values, self.coaction.embed)
+        return _pair(self.coaction.algebroid.base.zero(), gamma, self.values)
 
     def __eq__(self, other):
         if not isinstance(other, TwistedRingElement):
@@ -650,9 +635,7 @@ class TwistedRingElement:
 
 def simple_tensor(coaction: Coaction, u: RingElement, phi: DualFunctional) -> TwistedRingElement:
     """u . phi as an R-valued functional."""
-    return TwistedRingElement(
-        coaction, {k: u * coaction.embed(v) for k, v in phi.values.items()}
-    )
+    return TwistedRingElement(coaction, {k: u * v for k, v in phi.values.items()})
 
 
 def twisted_ring_multiply(
@@ -672,13 +655,13 @@ def twisted_ring_multiply(
     if psi.algebroid is not algebroid or coaction.algebroid is not algebroid:
         raise AlgebroidMismatch("operands over different algebroids")
     rho_v = coaction.rho(v)
-    zero = coaction.ring.zero()
+    zero = algebroid.base.zero()
 
     middle = {}
     for key in algebroid.gamma_basis():
-        # C -> phi(B*C) for the C in rho(v), carried into R
+        # C -> phi(B*C) for the C in rho(v)
         shifted = {
-            c_key: coaction.embed(phi.values[product])
+            c_key: phi.values[product]
             for c_key in rho_v
             if (product := algebroid.basis_mul(key, c_key)) in phi.values
         }
@@ -788,13 +771,12 @@ def rank_table(algebroid: LazardAlgebroid, images: dict, max_degree: int) -> Ide
     return IdempotenceReport(max_degree, degrees)
 
 
-def hq_idempotence_check(max_degree: int, algebroid: LazardAlgebroid | None = None) -> IdempotenceReport:
+def hq_idempotence_check(max_degree: int) -> IdempotenceReport:
     """Verify that the right unit, base-changed along the additive point,
     is invertible degree by degree (dimensions are the partition numbers)."""
-    if max_degree > 8 and algebroid is None:
-        raise ValueError("default ceiling is degree 8; pass an algebroid to go higher")
-    if algebroid is None:
-        algebroid = lb_structure_maps(max_degree)
+    if max_degree > 8:
+        raise ValueError("the idempotence check stops at degree 8")
+    algebroid = lb_structure_maps(max_degree)
     return rank_table(algebroid, specialized_classifying_map(algebroid), max_degree)
 
 

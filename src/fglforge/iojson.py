@@ -20,7 +20,7 @@ from .rings import (
     QuotientByPrincipal,
     Rationals,
 )
-from .series import TruncatedSeries1
+from .series import TruncatedSeries1, TruncatedSeries2
 
 
 def ring_to_json(ring: CoefficientRing) -> dict:
@@ -110,7 +110,6 @@ def fgl_to_json(fgl) -> dict:
 
 def fgl_from_json(data: dict):
     from .fgl import FormalGroupLaw
-    from .series import TruncatedSeries2
 
     ring = ring_from_json(data["ring"])
     precision = int(data["precision"])

@@ -43,6 +43,8 @@ class LandweberInput:
     max_height: int
 
     def __post_init__(self):
+        if not self.primes:
+            raise ValueError("no primes to check")
         for p in self.primes:
             if not _is_prime(p):
                 raise ValueError(f"{p} is not prime")

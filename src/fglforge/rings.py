@@ -31,6 +31,19 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def sparse_add(a: dict, b: dict) -> dict:
+    """The sum of two sparse maps key -> nonzero RingElement, zeros dropped;
+    the keys of a keep their order and new keys of b follow."""
+    out = dict(a)
+    for k, c in b.items():
+        s = out[k] + c if k in out else c
+        if s.is_zero():
+            out.pop(k, None)
+        else:
+            out[k] = s
+    return out
+
+
 class RingElement:
     """An exact element of a coefficient ring, in canonical form."""
 
@@ -177,6 +190,18 @@ class CoefficientRing:
     def invert(self, elt: RingElement) -> RingElement:
         raise NotImplementedError
 
+    def divide(self, elt: RingElement, n: int) -> RingElement:
+        """The x with n*x = elt for a positive integer n; raises Inconsistent
+        when there is none and Unsupported when there may be several."""
+        if self.is_q_algebra():
+            return elt * self.from_fraction(Fraction(1, n))
+        d = self.from_int(n)
+        if d.is_unit():
+            return elt * d.inverse()
+        if d.is_zero() and not elt.is_zero():
+            raise Inconsistent(f"{n} is zero in {self} and {elt!r} is not")
+        raise Unsupported(f"no unique quotient by {n} in {self}")
+
     def is_nilpotent(self, elt: RingElement) -> bool:
         """Only sound within the decidable family."""
         return elt.is_zero()
@@ -260,6 +285,12 @@ class Integers(CoefficientRing):
         if not self.is_unit(elt):
             raise Unsupported(f"{elt.payload} is not a unit in Z")
         return elt
+
+    def divide(self, elt, n):
+        q, r = divmod(elt.payload, n)
+        if r:
+            raise Inconsistent(f"{elt.payload} is not divisible by {n} in Z")
+        return RingElement(self, q)
 
     def is_domain(self):
         return True
@@ -379,6 +410,15 @@ class IntegersMod(CoefficientRing):
             return elt
         return RingElement(self, pow(elt.payload, -1, self.modulus))
 
+    def divide(self, elt, n):
+        # n*x = a mod m has gcd(n, m) solutions when the gcd divides a, else none
+        g = math.gcd(n, self.modulus)
+        if elt.payload % g:
+            raise Inconsistent(f"{elt.payload} is not divisible by {n} mod {self.modulus}")
+        if g > 1:
+            raise Unsupported(f"{elt.payload}/{n} has {g} values mod {self.modulus}")
+        return super().divide(elt, n)
+
     def is_nilpotent(self, elt):
         # a is nilpotent mod m iff every prime factor of m divides a
         if elt.payload == 0:
@@ -465,6 +505,12 @@ class PLocalIntegers(CoefficientRing):
         if not self.is_unit(elt):
             raise Unsupported(f"{elt.payload} is not a unit in Z_({self.p})")
         return RingElement(self, 1 / elt.payload)
+
+    def divide(self, elt, n):
+        q = elt.payload / n
+        if q.denominator % self.p == 0:
+            raise Inconsistent(f"{elt.payload} is not divisible by {n} in {self}")
+        return RingElement(self, q)
 
     def is_domain(self):
         return True
@@ -564,17 +610,9 @@ class LaurentExtension(CoefficientRing):
     def _canonical(self, payload):
         return {e: c for e, c in payload.items() if not c.is_zero()}
 
-    # the sparse Laurent kernels; they never read self, so the polynomial
-    # helpers below call them on None
-    def _add(self, a, b):
-        out = dict(a)
-        for e, c in b.items():
-            s = out[e] + c if e in out else c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return out
+    # the sparse Laurent kernels; _neg never reads self, so the polynomial
+    # helpers below call it on None
+    _add = staticmethod(sparse_add)
 
     def _neg(self, a):
         return {e: -c for e, c in a.items()}
@@ -671,6 +709,9 @@ class LaurentExtension(CoefficientRing):
             return lead
         # elt = u*v^e0 * (1 + n) with n nilpotent
         return lead * _geometric_inverse(lead * elt)
+
+    def divide(self, elt, n):
+        return RingElement(self, {e: self.base.divide(c, n) for e, c in elt.payload.items()})
 
     def is_nilpotent(self, elt):
         return all(self.base.is_nilpotent(c) for c in elt.payload.values())
@@ -771,21 +812,7 @@ def _poly_scale(a: dict, c: RingElement) -> dict:
 
 
 def _poly_sub(a: dict, b: dict) -> dict:
-    return LaurentExtension._add(None, a, LaurentExtension._neg(None, b))
-
-
-def _poly_mod(a: dict, f: dict) -> dict:
-    """Remainder of a by the monic polynomial f, over a field."""
-    d = _poly_degree(f)
-    a = dict(a)
-    while a:
-        da = _poly_degree(a)
-        if da < d:
-            break
-        lead = a[da]
-        shift = {da - d + e: c * lead for e, c in f.items()}
-        a = _poly_sub(a, shift)
-    return a
+    return sparse_add(a, LaurentExtension._neg(None, b))
 
 
 def _poly_monic(a: dict) -> dict:
@@ -830,9 +857,9 @@ class QuotientByPrincipal(CoefficientRing):
     def _reduce(self, payload: dict) -> dict:
         neg = -min((e for e in payload if e < 0), default=0)
         poly = {e + neg: c for e, c in payload.items()}
-        poly = _poly_mod(poly, self.modulus)
+        poly = _poly_divmod(poly, self.modulus)[1]
         for _ in range(neg):
-            poly = _poly_mod(self.base._mul(poly, self._var_inv), self.modulus)
+            poly = _poly_divmod(self.base._mul(poly, self._var_inv), self.modulus)[1]
         return poly
 
     def from_int(self, n):

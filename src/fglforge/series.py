@@ -16,29 +16,12 @@ import operator
 from fractions import Fraction
 
 from .errors import (
-    Inconsistent,
     InsufficientPrecision,
     NonUnitLinearCoefficient,
     NonzeroConstantTerm,
     RingMismatch,
 )
-from .rings import RingElement
-
-
-def _div_coeff(c, n: int):
-    """Exact division of a coefficient by a positive integer."""
-    ring = c.ring
-    if ring.is_q_algebra():
-        return c * ring.from_fraction(Fraction(1, n))
-    payload = c.payload
-    if isinstance(payload, int):
-        q, r = divmod(payload, n)
-        if r:
-            raise Inconsistent(f"{payload} is not divisible by {n}")
-        return ring.element(q)
-    if isinstance(payload, dict):  # Laurent-type payloads: divide coefficientwise
-        return ring.element({e: _div_coeff(x, n) for e, x in payload.items()})
-    raise Inconsistent(f"no exact division by {n} in {ring}")
+from .rings import RingElement, sparse_add
 
 
 def _coerce_scalar(ring, c):
@@ -102,6 +85,16 @@ class TruncatedSeries1:
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
+
+    def constant_term(self):
+        return self.coeffs[0]
+
+    def _set_constant(self, value):
+        return TruncatedSeries1(self.ring, (value,) + self.coeffs[1:], self.precision)
+
+    def constant_like(self, value) -> "TruncatedSeries1":
+        """The constant series value at this precision."""
+        return TruncatedSeries1(self.ring, [value], self.precision)
 
     def _check(self, other):
         if other.ring != self.ring:
@@ -169,10 +162,12 @@ class TruncatedSeries1:
         return TruncatedSeries1(self.ring, out, self.precision - 1)
 
     def integrate(self) -> "TruncatedSeries1":
-        """Antiderivative with zero constant term, at precision N+1."""
+        """Antiderivative with zero constant term, at precision N+1; raises
+        when a coefficient has no unique quotient by its new exponent."""
+        divide = self.ring.divide
         out = [self.ring.zero()]
         for n, c in enumerate(self.coeffs):
-            out.append(_div_coeff(c, n + 1))
+            out.append(divide(c, n + 1))
         return TruncatedSeries1(self.ring, out, self.precision + 1)
 
     # -- composition and friends ---------------------------------------
@@ -241,10 +236,6 @@ class TruncatedSeriesN:
         return cls(ring, nvars, {}, precision)
 
     @classmethod
-    def constant(cls, ring, nvars, value, precision):
-        return cls(ring, nvars, {(0,) * nvars: value}, precision)
-
-    @classmethod
     def variable(cls, ring, nvars, index, precision):
         key = tuple(1 if i == index else 0 for i in range(nvars))
         return cls(ring, nvars, {key: ring.one()}, precision)
@@ -275,6 +266,10 @@ class TruncatedSeriesN:
             coeffs[key] = value
         return type(self)(self.ring, self.nvars, coeffs, self.precision)
 
+    def constant_like(self, value):
+        """The constant series value in these variables at this precision."""
+        return type(self)(self.ring, self.nvars, {(0,) * self.nvars: value}, self.precision)
+
     def _check(self, other):
         if other.ring != self.ring or other.nvars != self.nvars:
             raise RingMismatch("series are not over the same ring and variables")
@@ -282,14 +277,7 @@ class TruncatedSeriesN:
 
     def __add__(self, other):
         n = self._check(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out[k] + c if k in out else c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return type(self)(self.ring, self.nvars, out, n)
+        return type(self)(self.ring, self.nvars, sparse_add(self.coeffs, other.coeffs), n)
 
     def __sub__(self, other):
         return self + (-other)
@@ -408,33 +396,18 @@ class TruncatedSeries2(TruncatedSeriesN):
 # -- substitution -------------------------------------------------------------
 
 
-def _is_multi(series) -> bool:
-    return isinstance(series, TruncatedSeriesN)
-
-
 def compose_series(outer: TruncatedSeries1, inner):
     """outer(inner) for an inner series (1 or n variables) vanishing at 0."""
-    if _is_multi(inner):
-        if not inner.constant_term().is_zero():
-            raise NonzeroConstantTerm("inner series must vanish at the origin")
-        n = min(outer.precision, inner.precision)
-        inner = inner.truncate(n)
-        acc = type(inner)(inner.ring, inner.nvars, {}, n)
-        acc = acc._set_constant(outer.coeffs[n])
-        for k in range(n - 1, -1, -1):
-            acc = acc * inner
-            acc = acc._set_constant(acc.constant_term() + outer.coeffs[k])
-        return acc
-    if not inner.coeffs[0].is_zero():
+    if outer.ring != inner.ring:
+        raise RingMismatch(f"{outer.ring} vs {inner.ring}")
+    if not inner.constant_term().is_zero():
         raise NonzeroConstantTerm("inner series must vanish at the origin")
     n = min(outer.precision, inner.precision)
     inner = inner.truncate(n)
-    acc = TruncatedSeries1.constant(outer.ring, outer.coeffs[n], n)
+    acc = inner.constant_like(outer.coeffs[n])
     for k in range(n - 1, -1, -1):
         acc = acc * inner
-        acc = TruncatedSeries1(
-            acc.ring, [acc.coeffs[0] + outer.coeffs[k]] + list(acc.coeffs[1:]), n
-        )
+        acc = acc._set_constant(acc.constant_term() + outer.coeffs[k])
     return acc
 
 
@@ -444,18 +417,12 @@ def substitute_pair(body: TruncatedSeries2, u, v):
     The result has the shape of u.  Powers of u and v are cached; sparse
     representations keep single-variable substituends cheap.
     """
-    if _is_multi(u):
-        if not (u.constant_term().is_zero() and v.constant_term().is_zero()):
-            raise NonzeroConstantTerm("substituted series must vanish at the origin")
-        n = min(body.precision, u.precision, v.precision)
-        one = type(u)(u.ring, u.nvars, {(0,) * u.nvars: u.ring.one()}, n)
-    else:
-        if not (u.coeffs[0].is_zero() and v.coeffs[0].is_zero()):
-            raise NonzeroConstantTerm("substituted series must vanish at the origin")
-        n = min(body.precision, u.precision, v.precision)
-        one = TruncatedSeries1.constant(u.ring, u.ring.one(), n)
+    if not (u.constant_term().is_zero() and v.constant_term().is_zero()):
+        raise NonzeroConstantTerm("substituted series must vanish at the origin")
+    n = min(body.precision, u.precision, v.precision)
     u = u.truncate(n)
     v = v.truncate(n)
+    one = u.constant_like(u.ring.one())
     u_pows = {0: one}
     v_pows = {0: one}
 
@@ -471,11 +438,7 @@ def substitute_pair(body: TruncatedSeries2, u, v):
             continue
         term = (power(u_pows, u, i) * power(v_pows, v, j)).scale(c)
         acc = term if acc is None else acc + term
-    if acc is None:
-        if _is_multi(u):
-            return type(u)(u.ring, u.nvars, {}, n)
-        return TruncatedSeries1.zero(u.ring, n)
-    return acc
+    return u.constant_like(u.ring.zero()) if acc is None else acc
 
 
 def embed2(body: TruncatedSeries2, nvars: int, positions) -> TruncatedSeriesN:

@@ -37,7 +37,7 @@ from fglforge.errors import (
     NonInvertibleK,
     WindowMiss,
 )
-from fglforge.rings import Integers, Rationals
+from fglforge.rings import Integers, PLocalIntegers, Rationals
 from fglforge.series import TruncatedSeries1
 
 Z = Integers()
@@ -94,6 +94,15 @@ def test_omega_solve():
             Q, [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(9)], 8
         )
         assert omega(omega_solve(f)) == f
+
+
+def test_omega_solve_over_p_local_integers():
+    # omega(-log(1-x)) = 1, and 1/2, 1/3, 1/4 are 5-local
+    Z5 = PLocalIntegers(5)
+    f = TruncatedSeries1.from_ints(Z5, [1], 3)
+    g = omega_solve(f)
+    assert g == TruncatedSeries1.from_fractions(Z5, [0, 1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)])
+    assert omega(g) == f
 
 
 # -- the transform -----------------------------------------------------------------

@@ -229,6 +229,10 @@ def test_input_errors_exit_2(capsys):
     assert code == 2
     code, _, err = run(capsys, "ops", "compose", "--lhs", "nope", "--rhs", "geom(1)")
     assert code == 2
+    code, out, err = run(capsys, "ops", "adams", "--k", "2", "--window=5:-5")
+    assert code == 2 and "error:" in err and not out
+    code, out, err = run(capsys, "landweber", "check", "--fgl", "multiplicative", "--primes", "")
+    assert code == 2 and "error:" in err and not out
 
 
 def test_env_var_sets_default_precision(capsys, monkeypatch):

@@ -311,13 +311,7 @@ def test_algebroid_mismatch():
 def test_coaction_counit_law_enforced():
     algebroid, _ = groupoid_fixture(2)
     with pytest.raises(NotACoaction):
-        Coaction(
-            algebroid,
-            algebroid.base,
-            rho=lambda r: {},
-            embed=lambda a: a,
-            samples=[algebroid.base.one()],
-        )
+        Coaction(algebroid, rho=lambda r: {}, samples=[algebroid.base.one()])
 
 
 def test_action_examples():
@@ -466,7 +460,7 @@ def test_corrupted_map_reports_rank_deficit():
 
 
 def test_hilbert_series_matches_partitions():
-    ring = lazard_base_ring(8, max_degree=8)
+    ring = lazard_base_ring(8)
     for d in range(1, 9):
         assert len(ring.monomial_keys_of_degree(d)) == partitions(d)
     assert [partitions(d) for d in range(1, 9)] == [1, 2, 3, 5, 7, 11, 15, 22]

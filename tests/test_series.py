@@ -1,6 +1,7 @@
 """Truncated power series: arithmetic, composition, reversion, calculus."""
 
 import random
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,16 @@ from fglforge.errors import (
     NonUnitLinearCoefficient,
     NonzeroConstantTerm,
     RingMismatch,
+    Unsupported,
 )
-from fglforge.rings import Integers, IntegersMod, LaurentExtension, Rationals
+from fglforge.rings import (
+    Integers,
+    IntegersMod,
+    LaurentExtension,
+    PLocalIntegers,
+    Rationals,
+    quotient_by_element,
+)
 from fglforge.series import (
     TruncatedSeries1,
     TruncatedSeries2,
@@ -161,11 +170,55 @@ def test_integrate_and_inverse():
         s(Z, [1, 1], 3).integrate()
 
 
+def test_integrate_over_p_local_integers():
+    Z5 = PLocalIntegers(5)
+    f = s(Z5, [1, 1, 1, 1], 3)
+    assert f.integrate() == TruncatedSeries1.from_fractions(
+        Z5, [0, 1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]
+    )
+    assert s(Z5, [0, 0, 0, 0, 5], 4).integrate().coefficient(5) == Z5.one()
+    with pytest.raises(Inconsistent):  # 1/5 is not 5-local
+        s(Z5, [1, 1, 1, 1, 1], 4).integrate()
+
+
+def test_integrate_divides_by_units_mod_m():
+    F7 = IntegersMod(7)
+    # 2 and 3 are units mod 7: 1/2 = 4 and 1/3 = 5
+    assert s(F7, [1, 1, 1], 2).integrate() == s(F7, [0, 1, 4, 5], 3)
+    F7B = LaurentExtension(F7, "beta", 1)
+    beta = F7B.var()
+    g = TruncatedSeries1(F7B, [F7B.zero(), beta], 1).integrate()
+    assert g.coefficient(2) == beta * F7B.from_int(4)
+
+
+def test_integrate_refuses_undetermined_quotients():
+    Z8 = IntegersMod(8)
+    # 2y = 4 mod 8 holds for y = 2 and y = 6: neither may be reported
+    with pytest.raises(Unsupported):
+        s(Z8, [0, 4], 1).integrate()
+    with pytest.raises(Inconsistent):  # 2y = 1 mod 8 has no solution
+        s(Z8, [0, 1], 1).integrate()
+    # over F_3[beta]/(beta^2 + 1), 3 = 0: 1/3 does not exist, 1/2 does
+    F3B = LaurentExtension(IntegersMod(3), "beta", 1)
+    beta = F3B.var()
+    K = quotient_by_element(F3B, beta * beta + 1)
+    assert s(K, [1, 1], 1).integrate() == s(K, [0, 1, 2], 2)
+    with pytest.raises(Inconsistent):
+        s(K, [1, 1, 1], 2).integrate()
+
+
 def test_ring_mismatch():
     with pytest.raises(RingMismatch):
         s(Z, [1], 3) + s(Q, [1], 3)
     with pytest.raises(RingMismatch):
         s(Z, [1], 3).scale(Q.one())
+
+
+def test_compose_checks_rings_at_every_precision():
+    # at precision 0 no product or sum meets both rings
+    for inner in (s(Q, [0], 0), TruncatedSeriesN.zero(Q, 3, 0)):
+        with pytest.raises(RingMismatch):
+            compose_series(s(Z, [1, 2], 1), inner)
 
 
 def test_two_variable_series():
@@ -218,3 +271,94 @@ def test_never_reports_beyond_precision():
     assert g.precision == 8 and len(g.coeffs) == 9
     h = compose_series(s(Z, [0, 1, 1], 4), s(Z, [0, 1], 8))
     assert h.precision == 4
+
+
+# -- an independent oracle for composition and substitution ------------------
+# sympy multiplies the untruncated polynomials; the series code must agree
+# with the result below its output precision.
+
+
+def _exponents(nvars, precision):
+    """Every exponent tuple in nvars variables of total degree <= precision."""
+    if nvars == 0:
+        return [()]
+    return [
+        (e,) + rest
+        for e in range(precision + 1)
+        for rest in _exponents(nvars - 1, precision - e)
+    ]
+
+
+def _random_shaped(rng, nvars, precision, vanish):
+    """A sparse random series over Q with small fractions, in nvars variables:
+    a TruncatedSeries1 for one, a TruncatedSeries2 for two."""
+    coeffs = {
+        k: Q.from_fraction(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        for k in _exponents(nvars, precision)
+        if rng.random() < 0.6 and not (vanish and sum(k) == 0)
+    }
+    if nvars == 1:
+        return TruncatedSeries1(
+            Q, [coeffs.get((i,), Q.zero()) for i in range(precision + 1)], precision
+        )
+    cls = TruncatedSeries2 if nvars == 2 else TruncatedSeriesN
+    return cls(Q, nvars, coeffs, precision)
+
+
+def _terms(series):
+    """{exponent tuple: Fraction} over the nonzero coefficients."""
+    if isinstance(series, TruncatedSeries1):
+        return {(i,): c.payload for i, c in enumerate(series.coeffs) if not c.is_zero()}
+    return {k: c.payload for k, c in series.coeffs.items()}
+
+
+def _poly(sympy, terms, nvars):
+    symbols = sympy.symbols(f"x0:{nvars}")
+    data = {k: sympy.Rational(c.numerator, c.denominator) for k, c in terms.items()}
+    return sympy.Poly.from_dict(data or {(0,) * nvars: 0}, *symbols, domain="QQ")
+
+
+def _truncated(poly, precision):
+    return {
+        k: Fraction(int(c.p), int(c.q))
+        for k, c in poly.terms()
+        if c != 0 and sum(k) <= precision
+    }
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_compose_series_matches_sympy(nvars):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(zlib.crc32(f"compose_series {nvars}".encode()))
+    for _ in range(12):
+        n = rng.randint(1, 3)
+        outer = _random_shaped(rng, 1, n + rng.randint(0, 1), vanish=False)
+        inner = _random_shaped(rng, nvars, n + rng.randint(0, 1), vanish=True)
+        got = compose_series(outer, inner)
+        n = min(outer.precision, inner.precision)
+        assert got.precision == n and type(got) is type(inner)
+        inner_poly = _poly(sympy, _terms(inner), nvars)
+        expected = _poly(sympy, {}, nvars)
+        for (i,), c in _terms(outer).items():
+            expected += inner_poly**i * sympy.Rational(c.numerator, c.denominator)
+        assert _terms(got) == _truncated(expected, n)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_substitute_pair_matches_sympy(nvars):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(zlib.crc32(f"substitute_pair {nvars}".encode()))
+    for _ in range(12):
+        n = rng.randint(1, 3)
+        body = _random_shaped(rng, 2, n + rng.randint(0, 1), vanish=False)
+        u = _random_shaped(rng, nvars, n + rng.randint(0, 1), vanish=True)
+        v = _random_shaped(rng, nvars, n + rng.randint(0, 1), vanish=True)
+        got = substitute_pair(body, u, v)
+        n = min(body.precision, u.precision, v.precision)
+        assert got.precision == n and type(got) is type(u)
+        u_poly = _poly(sympy, _terms(u), nvars)
+        v_poly = _poly(sympy, _terms(v), nvars)
+        expected = _poly(sympy, {}, nvars)
+        for (i, j), c in _terms(body).items():
+            expected += u_poly**i * v_poly**j * sympy.Rational(c.numerator, c.denominator)
+        assert _terms(got) == _truncated(expected, n)
