@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 
 from . import __version__
 from .errors import FGLForgeError
@@ -28,6 +29,7 @@ from .hopf import (
     lb_structure_maps,
 )
 from .iojson import (
+    algebroid_to_json,
     canonical_json,
     element_to_expr,
     fgl_from_json,
@@ -64,6 +66,11 @@ def _default_precision() -> int:
 def _check_precision(n: int):
     if not 1 <= n <= MAX_PRECISION:
         raise ValueError(f"precision must lie in [1, {MAX_PRECISION}]")
+
+
+def _check_depth(n: int):
+    if not 0 <= n <= MAX_DEPTH:
+        raise ValueError(f"depth must lie in [0, {MAX_DEPTH}]")
 
 
 def ring_from_spec(spec: str):
@@ -103,6 +110,7 @@ def fgl_from_spec(spec: str, precision: int):
     if os.path.exists(spec):
         with open(spec) as handle:
             fgl = fgl_from_json(json.load(handle))
+        _check_precision(fgl.precision)
         _require_axioms(fgl, f"law in {spec}")
         return fgl
     name, sep, ring_spec = spec.partition("-over-")
@@ -115,6 +123,7 @@ def fgl_from_spec(spec: str, precision: int):
 
 def series_from_spec(spec: str, precision: int):
     """geom(n) for (1-x)^n, or a path to a series JSON file."""
+    # deferred so that `import fglforge.cli` does not load adams
     from .adams import geometric_power
 
     spec = spec.strip()
@@ -123,7 +132,9 @@ def series_from_spec(spec: str, precision: int):
         return geometric_power(-n, precision)
     if os.path.exists(spec):
         with open(spec) as handle:
-            return series1_from_json(json.load(handle))
+            series = series1_from_json(json.load(handle))
+        _check_precision(series.precision)
+        return series
     raise ValueError(f"unknown series spec {spec!r}")
 
 
@@ -271,8 +282,6 @@ def _cmd_lazard(args) -> int:
         )
         return 0 if report.passed else 1
     if args.lazard_command == "hopf":
-        from .iojson import algebroid_to_json
-
         if args.flavor == "lazard_lb_rational":
             algebroid = lb_structure_maps(args.degree)
         else:
@@ -294,6 +303,7 @@ def _cmd_lazard(args) -> int:
 
 
 def _cmd_ops(args) -> int:
+    # deferred so that `import fglforge.cli` does not load adams
     from .adams import (
         adams_operation_sequence,
         adams_operation_tower,
@@ -304,8 +314,7 @@ def _cmd_ops(args) -> int:
 
     if args.ops_command == "adams":
         if args.model == "tower":
-            if not 0 <= args.depth <= MAX_DEPTH:
-                raise ValueError(f"depth must lie in [0, {MAX_DEPTH}]")
+            _check_depth(args.depth)
             _check_precision(args.precision)
             element = adams_operation_tower(args.k, args.depth, args.precision)
         else:
@@ -338,6 +347,15 @@ def _cmd_ops(args) -> int:
             raise ValueError(
                 f"direction {args.direction} expects a {expected}-model input"
             )
+        # a tower keeps its depth and precision; a sequence on [lo, hi]
+        # becomes a tower of precision hi and depth -lo unless --depth is given
+        for component in element.terms.values():
+            if element.model == "tower":
+                _check_depth(component.depth)
+                _check_precision(component.precision)
+            else:
+                _check_depth(max(-component.lo, 0) if args.depth is None else args.depth)
+                _check_precision(component.hi)
         converted = mult_add_iso(element, args.depth)
         _emit("ops iso", twisted_to_json(converted))
         return 0
@@ -346,16 +364,14 @@ def _cmd_ops(args) -> int:
 
 def _detect_geometric(series):
     """If the result is (1-x)^n, report n (the geom() notation of the CLI)."""
+    # deferred so that `import fglforge.cli` does not load adams
     from .adams import geometric_power
 
     if series.coeffs[0] != series.ring.one():
         return None
     if series.precision < 1:
         return None
-    c1 = series.coeffs[1].payload
-    from fractions import Fraction
-
-    c1 = Fraction(c1)
+    c1 = Fraction(series.coeffs[1].payload)
     if c1.denominator != 1:
         return None
     # (1-x)^g starts 1 - g*x, so the geom() exponent is -c1
@@ -365,6 +381,7 @@ def _detect_geometric(series):
 
 
 def _cmd_selftest(args) -> int:
+    # deferred so that `import fglforge.cli` does not load selftest and adams
     from .selftest import format_table, run_selftest
 
     report, passed = run_selftest()

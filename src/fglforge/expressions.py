@@ -9,7 +9,8 @@ Grammar (EBNF):
 
 Exponents are integer literals (possibly negative); anything else after '^'
 is rejected as NonIntegerExponent.  Printing is canonical: parse-print-parse
-is idempotent and printed forms always re-parse to an equal element.
+is idempotent and printed forms always re-parse to an equal element.  Each
+ring class prints its own payloads (CoefficientRing.to_expr) in this grammar.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ExpressionSyntaxError, NonIntegerExponent, UnknownVariable
-from .gradedpoly import GradedPolynomialRing
-from .rings import LaurentExtension, QuotientByPrincipal, RingElement
+from .rings import RingElement
 
 _SYMBOLS = "+-*^()/"
 
@@ -186,94 +186,10 @@ def parse_expression(src: str, ring) -> RingElement:
 # -- canonical printing --------------------------------------------------------
 
 
-def _join_terms(terms):
-    if not terms:
-        return "0"
-    out = terms[0]
-    for t in terms[1:]:
-        if t.startswith("-"):
-            out += " - " + t[1:]
-        else:
-            out += " + " + t
-    return out
-
-
-def _needs_parens(s: str) -> bool:
-    depth = 0
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and depth == 0:
-            return True
-    return False
-
-
-def _coeff_times(coeff_str: str, var_str: str) -> str:
-    if coeff_str == "1":
-        return var_str
-    if coeff_str == "-1":
-        # unary minus binds tighter than '^' in the grammar, so a leading
-        # "-beta^-4" would re-parse as (-beta)^-4; spell the -1 out instead
-        if "^" in var_str:
-            return f"-1*{var_str}"
-        return "-" + var_str
-    if _needs_parens(coeff_str.lstrip("-")) or (
-        coeff_str.startswith("-") and _needs_parens(coeff_str[1:])
-    ):
-        return f"({coeff_str})*{var_str}"
-    return f"{coeff_str}*{var_str}"
-
-
-def _power_str(var: str, e: int) -> str:
-    if e == 1:
-        return var
-    return f"{var}^{e}"
-
-
 def element_to_expr(elt: RingElement) -> str:
     """Canonical expression string; re-parses to an equal element.
 
     Function-ring elements (tuples of rationals) render as plain lists;
     they are display-only and not part of the expression grammar.
     """
-    ring = elt.ring
-    payload = elt.payload
-    if isinstance(payload, int):
-        return str(payload)
-    if isinstance(payload, Fraction):
-        return str(payload)
-    if isinstance(payload, tuple):
-        return "[" + ", ".join(str(v) for v in payload) + "]"
-    if isinstance(ring, (LaurentExtension, QuotientByPrincipal)):
-        base_var = (
-            ring.variable if isinstance(ring, LaurentExtension) else ring.base.variable
-        )
-        if not payload:
-            return "0"
-        terms = []
-        for e in sorted(payload):
-            c = element_to_expr(payload[e])
-            if e == 0:
-                terms.append(c)
-            else:
-                terms.append(_coeff_times(c, _power_str(base_var, e)))
-        return _join_terms(terms)
-    if isinstance(ring, GradedPolynomialRing):
-        if not payload:
-            return "0"
-        keys = sorted(payload, key=lambda k: (ring.key_degree(k), ring.unpack(k)))
-        terms = []
-        for key in keys:
-            c = payload[key]
-            exps = ring.unpack(key)
-            var_part = "*".join(
-                _power_str(ring.names[i], e) for i, e in enumerate(exps) if e
-            )
-            if not var_part:
-                terms.append(str(c))
-            else:
-                terms.append(_coeff_times(str(c), var_part))
-        return _join_terms(terms)
-    return str(payload)
+    return elt.ring.to_expr(elt.payload)

@@ -196,6 +196,7 @@ def named_fgl(name: str, ring, precision: int) -> FormalGroupLaw:
         )
         fgl = FormalGroupLaw(ring, precision, body, name="honda_h1")
     elif name == "universal_rational":
+        # hopf imports this module, so a module-level import would be a cycle
         from .hopf import universal_fgl_rational
 
         return universal_fgl_rational(precision)

@@ -16,7 +16,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import RingMismatch, Unsupported
-from .rings import CoefficientRing, RingElement, _geometric_inverse
+from .rings import (
+    CoefficientRing,
+    RingElement,
+    _coeff_times,
+    _geometric_inverse,
+    _join_terms,
+    _power_str,
+)
 
 _BITS = 6
 _MASK = (1 << _BITS) - 1
@@ -184,6 +191,15 @@ class GradedPolynomialRing(CoefficientRing):
 
     def _freeze(self, a):
         return tuple(sorted(a.items()))
+
+    def to_expr(self, payload):
+        terms = []
+        for key in sorted(payload, key=lambda k: (self.key_degree(k), self.unpack(k))):
+            exps = self.unpack(key)
+            var_part = "*".join(_power_str(self.names[i], e) for i, e in enumerate(exps) if e)
+            c = str(payload[key])
+            terms.append(_coeff_times(c, var_part) if var_part else c)
+        return _join_terms(terms)
 
     # -- structure ----------------------------------------------------------
     def is_unit(self, elt):

@@ -124,6 +124,10 @@ class FunctionRing(CoefficientRing):
     def _is_zero(self, a):
         return all(x == 0 for x in a)
 
+    def to_expr(self, payload):
+        # a display-only list, outside the expression grammar
+        return "[" + ", ".join(str(v) for v in payload) + "]"
+
     def is_unit(self, elt):
         return all(x != 0 for x in elt.payload)
 
@@ -295,11 +299,7 @@ class LazardAlgebroid(HopfAlgebroidTrunc):
         return [self.base.generator(f"m{i}") for i in range(1, self.truncation + 1)]
 
     def basis_label(self, key):
-        if key == 0:
-            return "1"
-        from .expressions import element_to_expr
-
-        return element_to_expr(RingElement(self.bring, {key: 1}))
+        return self.bring.to_expr({key: 1})
 
     def delta_basis(self, key):
         cached = self._delta_cache.get(key)

@@ -7,9 +7,11 @@ emitted JSON uses sorted keys so identical inputs give byte-identical output.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 from .errors import Unsupported
-from .expressions import _join_terms, element_to_expr, parse_expression
+from .expressions import element_to_expr, parse_expression
+from .fgl import FormalGroupLaw
 from .gradedpoly import GradedPolynomialRing
 from .rings import (
     CoefficientRing,
@@ -19,6 +21,7 @@ from .rings import (
     PLocalIntegers,
     QuotientByPrincipal,
     Rationals,
+    _join_terms,
 )
 from .series import TruncatedSeries1, TruncatedSeries2
 
@@ -109,8 +112,6 @@ def fgl_to_json(fgl) -> dict:
 
 
 def fgl_from_json(data: dict):
-    from .fgl import FormalGroupLaw
-
     ring = ring_from_json(data["ring"])
     precision = int(data["precision"])
     coeffs = {
@@ -139,8 +140,7 @@ def sequence_to_json(seq) -> dict:
 
 
 def sequence_from_json(data):
-    from fractions import Fraction
-
+    # deferred so that `import fglforge.cli` does not load adams
     from .adams import AdamsSequence
 
     lo, hi = data["window"]
@@ -161,6 +161,7 @@ def tower_to_json(tower) -> dict:
 
 
 def tower_from_json(data):
+    # deferred so that `import fglforge.cli` does not load adams
     from .adams import OmegaTower
 
     ring = ring_from_json(data["ring"])
@@ -185,6 +186,7 @@ def twisted_to_json(element) -> dict:
 
 
 def twisted_from_json(data):
+    # deferred so that `import fglforge.cli` does not load adams
     from .adams import TwistedLaurent
 
     model = data["model"]

@@ -11,6 +11,7 @@ All values are immutable after construction and every operation is pure.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .errors import Inconsistent, RingMismatch, Undecidable, Unsupported
@@ -44,6 +45,55 @@ def sparse_add(a: dict, b: dict) -> dict:
     return out
 
 
+# -- canonical printing helpers for the ring classes' to_expr ----------------
+
+
+def _join_terms(terms):
+    if not terms:
+        return "0"
+    out = terms[0]
+    for t in terms[1:]:
+        if t.startswith("-"):
+            out += " - " + t[1:]
+        else:
+            out += " + " + t
+    return out
+
+
+def _needs_parens(s: str) -> bool:
+    depth = 0
+    for ch in s:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch in "+-" and depth == 0:
+            return True
+    return False
+
+
+def _coeff_times(coeff_str: str, var_str: str) -> str:
+    if coeff_str == "1":
+        return var_str
+    if coeff_str == "-1":
+        # unary minus binds tighter than '^' in the grammar, so a leading
+        # "-beta^-4" would re-parse as (-beta)^-4; spell the -1 out instead
+        if "^" in var_str:
+            return f"-1*{var_str}"
+        return "-" + var_str
+    if _needs_parens(coeff_str.lstrip("-")) or (
+        coeff_str.startswith("-") and _needs_parens(coeff_str[1:])
+    ):
+        return f"({coeff_str})*{var_str}"
+    return f"{coeff_str}*{var_str}"
+
+
+def _power_str(var: str, e: int) -> str:
+    if e == 1:
+        return var
+    return f"{var}^{e}"
+
+
 class RingElement:
     """An exact element of a coefficient ring, in canonical form."""
 
@@ -55,9 +105,9 @@ class RingElement:
 
     def _coerce(self, other):
         if isinstance(other, RingElement):
-            if other.ring != self.ring:
-                raise RingMismatch(f"{self.ring} vs {other.ring}")
-            return other
+            if other.ring == self.ring:
+                return other
+            raise RingMismatch(f"{self.ring} vs {other.ring}")
         if isinstance(other, int):
             return self.ring.from_int(other)
         if isinstance(other, Fraction):
@@ -114,9 +164,9 @@ class RingElement:
                 return NotImplemented
         if not isinstance(other, RingElement):
             return NotImplemented
-        if other.ring != self.ring:
-            raise RingMismatch(f"{self.ring} vs {other.ring}")
-        return self.payload == other.payload
+        if other.ring == self.ring:
+            return self.payload == other.payload
+        raise RingMismatch(f"{self.ring} vs {other.ring}")
 
     def __hash__(self):
         return hash((self.ring, self.ring._freeze(self.payload)))
@@ -134,9 +184,7 @@ class RingElement:
         return self.ring.invert(self)
 
     def __repr__(self):
-        from .expressions import element_to_expr
-
-        return element_to_expr(self)
+        return self.ring.to_expr(self.payload)
 
 
 class CoefficientRing:
@@ -182,6 +230,11 @@ class CoefficientRing:
     def _freeze(self, a):
         """Hashable canonical image of a payload."""
         return a
+
+    def to_expr(self, payload) -> str:
+        """Canonical expression string of a payload; it re-parses to an equal
+        element (expressions.element_to_expr is the public entry)."""
+        return str(payload)
 
     # -- structural predicates -----------------------------------------
     def is_unit(self, elt: RingElement) -> bool:
@@ -253,11 +306,24 @@ class CoefficientRing:
     def to_json(self) -> dict:
         raise Unsupported(f"{self} has no JSON descriptor")
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
+
+class _NumberRing(CoefficientRing):
+    """Z, Q and Z_(p): domains whose payloads are Python ints or Fractions
+    with their own arithmetic."""
+
+    _add = staticmethod(operator.add)
+    _neg = staticmethod(operator.neg)
+    _mul = staticmethod(operator.mul)
+    _is_zero = staticmethod(operator.not_)
+
+    def is_domain(self):
+        return True
+
+    def to_json(self):
+        return {"kind": self.kind}
 
 
-class Integers(CoefficientRing):
+class Integers(_NumberRing):
     kind = "integers"
 
     def from_int(self, n):
@@ -265,18 +331,6 @@ class Integers(CoefficientRing):
 
     def _canonical(self, payload):
         return int(payload)
-
-    def _add(self, a, b):
-        return a + b
-
-    def _neg(self, a):
-        return -a
-
-    def _mul(self, a, b):
-        return a * b
-
-    def _is_zero(self, a):
-        return a == 0
 
     def is_unit(self, elt):
         return elt.payload in (1, -1)
@@ -292,9 +346,6 @@ class Integers(CoefficientRing):
             raise Inconsistent(f"{elt.payload} is not divisible by {n} in Z")
         return RingElement(self, q)
 
-    def is_domain(self):
-        return True
-
     def quotient_by_element(self, r):
         return IntegersMod(abs(r.payload))
 
@@ -302,9 +353,6 @@ class Integers(CoefficientRing):
         if isinstance(target, IntegersMod):
             return target.from_int(elt.payload)
         return super().project(elt, target)
-
-    def to_json(self):
-        return {"kind": self.kind}
 
     def __eq__(self, other):
         return isinstance(other, Integers)
@@ -316,7 +364,7 @@ class Integers(CoefficientRing):
         return "Z"
 
 
-class Rationals(CoefficientRing):
+class Rationals(_NumberRing):
     kind = "rationals"
 
     def from_int(self, n):
@@ -327,18 +375,6 @@ class Rationals(CoefficientRing):
 
     def _canonical(self, payload):
         return Fraction(payload)
-
-    def _add(self, a, b):
-        return a + b
-
-    def _neg(self, a):
-        return -a
-
-    def _mul(self, a, b):
-        return a * b
-
-    def _is_zero(self, a):
-        return a == 0
 
     def is_unit(self, elt):
         return elt.payload != 0
@@ -353,12 +389,6 @@ class Rationals(CoefficientRing):
 
     def is_field(self):
         return True
-
-    def is_domain(self):
-        return True
-
-    def to_json(self):
-        return {"kind": self.kind}
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -461,7 +491,7 @@ class IntegersMod(CoefficientRing):
         return f"Z/{self.modulus}"
 
 
-class PLocalIntegers(CoefficientRing):
+class PLocalIntegers(_NumberRing):
     """Integers localized at a prime p: reduced fractions a/b with p not | b."""
 
     kind = "p_local"
@@ -486,18 +516,6 @@ class PLocalIntegers(CoefficientRing):
             raise ValueError(f"{q} is not {self.p}-local")
         return q
 
-    def _add(self, a, b):
-        return a + b
-
-    def _neg(self, a):
-        return -a
-
-    def _mul(self, a, b):
-        return a * b
-
-    def _is_zero(self, a):
-        return a == 0
-
     def is_unit(self, elt):
         return elt.payload != 0 and elt.payload.numerator % self.p != 0
 
@@ -511,9 +529,6 @@ class PLocalIntegers(CoefficientRing):
         if q.denominator % self.p == 0:
             raise Inconsistent(f"{elt.payload} is not divisible by {n} in {self}")
         return RingElement(self, q)
-
-    def is_domain(self):
-        return True
 
     def valuation(self, elt) -> int:
         """p-adic valuation of a nonzero element."""
@@ -636,6 +651,13 @@ class LaurentExtension(CoefficientRing):
 
     def _freeze(self, a):
         return tuple(sorted((e, c.ring._freeze(c.payload)) for e, c in a.items()))
+
+    def to_expr(self, payload):
+        terms = []
+        for e in sorted(payload):
+            c = payload[e].ring.to_expr(payload[e].payload)
+            terms.append(c if e == 0 else _coeff_times(c, _power_str(self.variable, e)))
+        return _join_terms(terms)
 
     def _components(self):
         """When the innermost coefficient ring is Z/m and m is not a prime
@@ -862,13 +884,12 @@ class QuotientByPrincipal(CoefficientRing):
             poly = _poly_divmod(self.base._mul(poly, self._var_inv), self.modulus)[1]
         return poly
 
+    # a constant has degree 0 < deg f, so it is already reduced
     def from_int(self, n):
-        c = self.base.base.from_int(n)
-        return RingElement(self, {} if c.is_zero() else {0: c})
+        return RingElement(self, self.base.from_int(n).payload)
 
     def from_fraction(self, q):
-        c = self.base.base.from_fraction(q)
-        return RingElement(self, {} if c.is_zero() else {0: c})
+        return RingElement(self, self.base.from_fraction(q).payload)
 
     def from_base(self, elt: RingElement) -> RingElement:
         if elt.ring != self.base:
@@ -892,6 +913,9 @@ class QuotientByPrincipal(CoefficientRing):
 
     def _freeze(self, a):
         return self.base._freeze(a)
+
+    def to_expr(self, payload):
+        return self.base.to_expr(payload)
 
     def is_unit(self, elt):
         if not elt.payload:
@@ -940,9 +964,7 @@ class QuotientByPrincipal(CoefficientRing):
         return super().project(elt, target)
 
     def to_json(self):
-        from .expressions import element_to_expr
-
-        generator = element_to_expr(RingElement(self.base, dict(self.modulus)))
+        generator = self.base.to_expr(self.modulus)
         return {"kind": self.kind, "base": self.base.to_json(), "generator": generator}
 
     def __eq__(self, other):

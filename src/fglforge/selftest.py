@@ -39,7 +39,7 @@ from .hopf import (
     twisted_ring_multiply,
     universal_fgl_rational,
 )
-from .iojson import canonical_json
+from .iojson import canonical_json, fgl_to_json
 from .landweber import LandweberInput, landweber_check
 from .rings import Integers, IntegersMod, LaurentExtension, Rationals
 from .series import TruncatedSeries1
@@ -388,8 +388,6 @@ def criterion_hopf_suite():
 def _stable_fingerprint():
     """A deterministic artifact re-serialized twice; any in-process ordering
     nondeterminism would show up as differing bytes."""
-    from .iojson import fgl_to_json
-
     mult = named_fgl("multiplicative", LaurentExtension(_Z, "beta", 1), 8)
     report = landweber_check(LandweberInput(mult, None, [2, 3], 2))
     payload = {

@@ -211,6 +211,7 @@ class TruncatedSeries1:
         return TruncatedSeries1(self.ring, g, n)
 
     def __repr__(self):
+        # iojson imports this module, so a module-level import would be a cycle
         from .iojson import series1_to_text
 
         return f"<series {series1_to_text(self, 'x')} + O(x^{self.precision + 1})>"

@@ -220,7 +220,7 @@ def test_lazard_commands(capsys):
     assert result["algebroid"]["gamma_basis_by_degree"]["2"] == ["b1^2", "b2"]
 
 
-def test_input_errors_exit_2(capsys):
+def test_input_errors_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "landweber", "check", "--fgl", "unknown-law")
     assert code == 2 and "error:" in err
     code, _, err = run(capsys, "fgl", "pseries", "--name", "additive", "--k", "2", "--precision", "900")
@@ -233,6 +233,28 @@ def test_input_errors_exit_2(capsys):
     assert code == 2 and "error:" in err and not out
     code, out, err = run(capsys, "landweber", "check", "--fgl", "multiplicative", "--primes", "")
     assert code == 2 and "error:" in err and not out
+    # files obey the precision and depth caps of the flags
+    files = {
+        "law.json": {"ring": {"kind": "integers"}, "precision": 70, "coefficients": []},
+        "series.json": {"ring": {"kind": "integers"}, "precision": 70, "coeffs": ["1", "-1"]},
+        "tower.json": {"model": "tower", "terms": [{"beta": 0, "tower": {
+            "ring": {"kind": "rationals"}, "precision": 70, "depth": 20, "levels": [[]] * 20 + [["1"]],
+        }}]},
+        "sequence.json": {"model": "sequence", "terms": [{"beta": 0, "sequence": {
+            "window": [-20, 8], "values": ["1"] * 29,
+        }}]},
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    law, series, tower, sequence = (str(tmp_path / name) for name in files)
+    for argv in (
+        ["fgl", "axioms", "--fgl", law],
+        ["ops", "compose", "--lhs", series, "--rhs", series],
+        ["ops", "iso", "--input", tower, "--direction", "mult2add"],
+        ["ops", "iso", "--input", sequence, "--direction", "add2mult", "--depth", "20"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and "error:" in err and not out, argv
 
 
 def test_env_var_sets_default_precision(capsys, monkeypatch):

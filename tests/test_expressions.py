@@ -139,3 +139,37 @@ def test_zero_prints_as_zero():
     assert element_to_expr(ZB.zero()) == "0"
     assert element_to_expr(Z.zero()) == "0"
     assert parse_expression("0", ZB) == ZB.zero()
+
+
+def test_printed_bytes_per_ring_family():
+    from fglforge.hopf import FunctionRing, lb_structure_maps
+
+    beta = ZB.var()
+    laurent = ZB.var(-4) + 3 - 2 * beta**2
+    assert element_to_expr(laurent) == "beta^-4 + 3 - 2*beta^2"
+    assert element_to_expr(ZB.var(-4) - ZB.var(-3)) == "beta^-4 - 1*beta^-3"
+    assert repr(laurent) == "beta^-4 + 3 - 2*beta^2"
+
+    nested = LaurentExtension(ZB, "gamma", 1)
+    gens = nested.generators()
+    gamma = gens["gamma"]
+    elt = (1 + gens["beta"]) * gamma ** -1 + 3 - gamma
+    assert element_to_expr(elt) == "(1 + beta)*gamma^-1 + 3 - gamma"
+
+    quotient = quotient_by_element(QB, QB.one() + QB.var() ** 2)
+    half_minus_beta = quotient.from_fraction(Fraction(1, 2)) - quotient.generators()["beta"]
+    assert element_to_expr(half_minus_beta) == "1/2 - beta"
+    assert quotient.to_json()["generator"] == "1 + beta^2"
+
+    lazard = lazard_base_ring(4)
+    m1, m2, m3 = (lazard.generator(f"m{i}") for i in (1, 2, 3))
+    poly = lazard.from_int(7) + m2 - Fraction(1, 2) * m1 * m1 - m1 * m3
+    assert element_to_expr(poly) == "7 + m2 - 1/2*m1^2 - m1*m3"
+
+    assert element_to_expr(FunctionRing(3).from_values([1, Fraction(-1, 2), 0])) == "[1, -1/2, 0]"
+    assert element_to_expr(PLocalIntegers(5).from_fraction(Fraction(3, 4))) == "3/4"
+    assert element_to_expr(IntegersMod(7).from_int(11)) == "4"
+
+    algebroid = lb_structure_maps(3)
+    labels = [algebroid.basis_label(key) for key in algebroid.gamma_basis()]
+    assert labels == ["1", "b1", "b1^2", "b2", "b1^3", "b1*b2", "b3"]

@@ -13,6 +13,7 @@ from fglforge.errors import (
     RingMismatch,
     Unsupported,
 )
+from fglforge.fgl import from_logarithm, logarithm
 from fglforge.rings import (
     Integers,
     IntegersMod,
@@ -362,3 +363,48 @@ def test_substitute_pair_matches_sympy(nvars):
         for (i, j), c in _terms(body).items():
             expected += u_poly**i * v_poly**j * sympy.Rational(c.numerator, c.denominator)
         assert _terms(got) == _truncated(expected, n)
+
+
+# -- an independent oracle for one-variable products, inverses and reversion --
+# sympy's ring_series works modulo x^prec, so precision N compares at N + 1.
+
+
+def _nonzero_fraction(rng):
+    return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+
+
+def _rs_terms(poly):
+    """{(degree,): Fraction} of a ring_series polynomial in one of x, y."""
+    return {(sum(k),): Fraction(int(c.numerator), int(c.denominator)) for k, c in poly.terms() if c}
+
+
+def test_series1_products_inverses_and_reversions_match_sympy():
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import QQ
+    from sympy.polys.ring_series import rs_mul, rs_series_inversion, rs_series_reversion
+    from sympy.polys.rings import ring
+
+    _, x, y = ring("x, y", QQ)
+
+    def rs(series):
+        return sum((QQ(c.numerator, c.denominator) * x**i for (i,), c in _terms(series).items()), 0 * x)
+
+    rng = random.Random(zlib.crc32(b"series1 mul inverse revert"))
+    for _ in range(12):
+        n = rng.randint(1, 6)
+        f = _random_shaped(rng, 1, n, vanish=False)
+        g = _random_shaped(rng, 1, n + rng.randint(0, 1), vanish=False)
+        assert _terms(f * g) == _rs_terms(rs_mul(rs(f), rs(g), x, n + 1))
+        unit = TruncatedSeries1(Q, [Q.from_fraction(_nonzero_fraction(rng))] + list(f.coeffs[1:]), n)
+        assert _terms(unit.inverse()) == _rs_terms(rs_series_inversion(rs(unit), x, n + 1))
+        h = TruncatedSeries1(Q, [Q.zero(), Q.from_fraction(_nonzero_fraction(rng))] + list(f.coeffs[2:]), n)
+        assert _terms(h.revert()) == _rs_terms(rs_series_reversion(rs(h), x, n + 1, y))
+
+
+def test_logarithm_of_from_logarithm_is_the_identity():
+    rng = random.Random(zlib.crc32(b"logarithm from_logarithm"))
+    for _ in range(6):
+        n = rng.randint(1, 5)
+        tail = _random_shaped(rng, 1, n, vanish=False).coeffs[2:]
+        log = TruncatedSeries1(Q, [Q.zero(), Q.one(), *tail], n)
+        assert logarithm(from_logarithm(log, Q, n)) == log
