@@ -15,7 +15,7 @@ between the models carrying sigma to omega; the k-th Adams operation is the
 tower (k^-n (1-x)^-k)_n, equivalently the sequence (k^n)_n.
 
 The composition product is always evaluated through the transform; when both
-factors are integral the result is asserted integral (closure of Z[[x]]
+factors are integral the result is checked to be integral (closure of Z[[x]]
 under o is a theorem being monitored, not assumed).
 """
 
@@ -40,31 +40,8 @@ _Z = Integers()
 _Q = Rationals()
 
 
-def _to_rational(f: TruncatedSeries1) -> TruncatedSeries1:
-    if f.ring == _Q:
-        return f
-    if f.ring == _Z:
-        return TruncatedSeries1.from_fractions(
-            _Q, [Fraction(c.payload) for c in f.coeffs], f.precision
-        )
-    raise RingMismatch("composition series live over Z or Q")
-
-
-def _try_integral(f: TruncatedSeries1):
-    """Demote a rational series to Z when every coefficient is integral."""
-    if f.ring == _Z:
-        return f
-    if all(c.payload.denominator == 1 for c in f.coeffs):
-        return TruncatedSeries1.from_ints(
-            _Z, [c.payload.numerator for c in f.coeffs], f.precision
-        )
-    return None
-
-
-def geometric_power(k: int, precision: int, ring=None) -> TruncatedSeries1:
+def geometric_power(k: int, precision: int, ring=_Z) -> TruncatedSeries1:
     """(1-x)^-k for any integer k (a polynomial when k <= 0)."""
-    if ring is None:
-        ring = _Z
     coeffs = []
     c = Fraction(1)
     for n in range(precision + 1):
@@ -72,9 +49,7 @@ def geometric_power(k: int, precision: int, ring=None) -> TruncatedSeries1:
         c = c * Fraction(k + n, n + 1)
     if any(v.denominator != 1 for v in coeffs):
         raise IntegralityViolation(f"(1-x)^-{k} produced a non-integral coefficient")
-    if ring == _Z:
-        return TruncatedSeries1.from_ints(ring, [v.numerator for v in coeffs], precision)
-    return TruncatedSeries1.from_fractions(ring, coeffs, precision)
+    return TruncatedSeries1.from_ints(ring, [v.numerator for v in coeffs], precision)
 
 
 def omega(f: TruncatedSeries1) -> TruncatedSeries1:
@@ -264,53 +239,13 @@ def circ_compose(f: TruncatedSeries1, g: TruncatedSeries1) -> TruncatedSeries1:
     product = adams_transform(f.truncate(n)) * adams_transform(g.truncate(n))
     result = adams_transform_inv(product)
     if f.ring == _Z and g.ring == _Z:
-        integral = _try_integral(result)
-        if integral is None:
+        values = [c.payload for c in result.coeffs]
+        if any(v.denominator != 1 for v in values):
             raise IntegralityViolation(
                 "integral composition series produced a non-integral coefficient"
             )
-        return integral
+        return TruncatedSeries1.from_ints(_Z, [v.numerator for v in values], n)
     return result
-
-
-class CompositionSeries:
-    """An element of the composition ring (Z[[x]] or Q[[x]] with o)."""
-
-    __slots__ = ("series",)
-
-    def __init__(self, series: TruncatedSeries1):
-        if series.ring not in (_Z, _Q):
-            raise RingMismatch("composition series live over Z or Q")
-        self.series = series
-
-    @classmethod
-    def geometric(cls, k: int, precision: int, ring=None) -> "CompositionSeries":
-        return cls(geometric_power(k, precision, ring))
-
-    @property
-    def precision(self):
-        return self.series.precision
-
-    def circ(self, other: "CompositionSeries") -> "CompositionSeries":
-        return CompositionSeries(circ_compose(self.series, other.series))
-
-    def transform(self) -> AdamsSequence:
-        return adams_transform(self.series)
-
-    def __eq__(self, other):
-        if not isinstance(other, CompositionSeries):
-            return NotImplemented
-        a, b = self.series, other.series
-        if a.ring != b.ring:
-            fa, fb = _to_rational(a), _to_rational(b)
-            return fa == fb
-        return a == b
-
-    def __hash__(self):
-        return hash(self.series)
-
-    def __repr__(self):
-        return f"<composition {self.series!r}>"
 
 
 # -- towers ---------------------------------------------------------------------
@@ -424,10 +359,6 @@ class TwistedLaurent:
         self.model = model
         self.terms = {int(j): a for j, a in terms.items() if not a.is_zero()}
 
-    @classmethod
-    def from_component(cls, model, beta_exponent, component):
-        return cls(model, {beta_exponent: component})
-
     def component(self, j: int):
         return self.terms.get(j)
 
@@ -518,7 +449,7 @@ def adams_operation_tower(k: int, depth: int, precision: int, ring=None) -> Twis
     for n in range(depth + 1):
         factor = Fraction(1, 1) / Fraction(k) ** n
         levels.append(base.scale(factor))
-    return TwistedLaurent.from_component("tower", 0, OmegaTower(levels))
+    return TwistedLaurent("tower", {0: OmegaTower(levels)})
 
 
 def adams_operation_sequence(k: int, window) -> TwistedLaurent:
@@ -532,7 +463,7 @@ def adams_operation_sequence(k: int, window) -> TwistedLaurent:
         values = [1 if n == 0 else 0 for n in range(lo, hi + 1)]
     else:
         values = [Fraction(k) ** n for n in range(lo, hi + 1)]
-    return TwistedLaurent.from_component("sequence", 0, AdamsSequence(lo, values))
+    return TwistedLaurent("sequence", {0: AdamsSequence(lo, values)})
 
 
 def idempotent_sequence(n: int, window) -> AdamsSequence:
@@ -544,7 +475,7 @@ def idempotent_sequence(n: int, window) -> AdamsSequence:
 
 
 def idempotent_element(n: int, window) -> TwistedLaurent:
-    return TwistedLaurent.from_component("sequence", 0, idempotent_sequence(n, window))
+    return TwistedLaurent("sequence", {0: idempotent_sequence(n, window)})
 
 
 def unit_sequence(window) -> AdamsSequence:
@@ -554,17 +485,13 @@ def unit_sequence(window) -> AdamsSequence:
 
 def beta_power_sequence(j: int, window) -> TwistedLaurent:
     """beta^j (times the unit) in the sequence model."""
-    return TwistedLaurent.from_component("sequence", j, unit_sequence(window))
+    return TwistedLaurent("sequence", {j: unit_sequence(window)})
 
 
-def beta_power_tower(j: int, depth: int, precision: int, ring=None) -> TwistedLaurent:
+def beta_power_tower(j: int, depth: int, precision: int, ring=_Z) -> TwistedLaurent:
     """beta^j (times the o-unit tower, all levels (1-x)^-1)."""
-    if ring is None:
-        ring = _Z
     unit = geometric_power(1, precision, ring)
-    return TwistedLaurent.from_component(
-        "tower", j, OmegaTower([unit] * (depth + 1))
-    )
+    return TwistedLaurent("tower", {j: OmegaTower([unit] * (depth + 1))})
 
 
 # -- the isomorphism between the models --------------------------------------------

@@ -51,6 +51,8 @@ from .rings import (
 
 MAX_PRECISION = 64
 MAX_DEPTH = 16
+# the Hopf check grows about 2.4x a degree; degree 10 already takes over a second
+MAX_HOPF_DEGREE = 10
 MAX_PRIME = 97
 
 
@@ -283,6 +285,8 @@ def _cmd_lazard(args) -> int:
         return 0 if report.passed else 1
     if args.lazard_command == "hopf":
         if args.flavor == "lazard_lb_rational":
+            if args.degree > MAX_HOPF_DEGREE:
+                raise ValueError(f"--degree is capped at {MAX_HOPF_DEGREE}")
             algebroid = lb_structure_maps(args.degree)
         else:
             algebroid, _ = groupoid_fixture(args.objects)

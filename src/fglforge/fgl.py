@@ -335,20 +335,11 @@ def change_coordinates(fgl: FormalGroupLaw, b: TruncatedSeries1) -> FormalGroupL
     return out
 
 
-def element_degrees(elt: RingElement, degrees: dict) -> set:
-    """The set of weighted degrees of the monomials of an element.
-
-    Empty for zero; {0} for nonzero constants.  Supports the closed ring
-    family and graded polynomial rings.
-    """
-    return elt.ring.element_degrees(elt, degrees)
-
-
 def grade_check(fgl: FormalGroupLaw, degrees: dict) -> bool:
     """True iff every coefficient a_ij is homogeneous of degree i+j-1
     (x and y carrying degree -1)."""
     for (i, j), c in fgl.body.coeffs.items():
-        present = element_degrees(c, degrees)
+        present = c.ring.element_degrees(c, degrees)
         if present and present != {i + j - 1}:
             return False
     return True

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .errors import InsufficientPrecision
 from .expressions import element_to_expr
-from .fgl import FormalGroupLaw, element_degrees, v_coefficient
+from .fgl import FormalGroupLaw, v_coefficient
 from .rings import (
     RingElement,
     _is_prime,
@@ -189,7 +189,7 @@ def v_sequence_report(fgl: FormalGroupLaw, p: int, max_height: int):
         degree = p**n - 1
         homogeneous = None
         if fgl.grading is not None:
-            present = element_degrees(v, fgl.grading)
+            present = v.ring.element_degrees(v, fgl.grading)
             homogeneous = not present or present == {degree}
         rows.append(VRow(n, v, degree, homogeneous))
     return rows

@@ -281,7 +281,11 @@ class CoefficientRing:
         return {}
 
     def element_degrees(self, elt: RingElement, degrees: dict) -> set:
-        """Weighted degrees of the monomials of elt; see fgl.element_degrees."""
+        """The set of weighted degrees of the monomials of elt.
+
+        Empty for zero; {0} for nonzero constants.  Supports the closed ring
+        family and graded polynomial rings.
+        """
         return set() if elt.is_zero() else {0}
 
     # -- family decisions ----------------------------------------------

@@ -21,7 +21,6 @@ from .adams import (
     geometric_power,
     idempotent_element,
     omega,
-    _try_integral,
 )
 from .fgl import check_axioms, named_fgl, n_series
 from .hopf import (
@@ -172,11 +171,11 @@ def criterion_transform_suite():
         f = TruncatedSeries1.from_ints(_Z, [rng.randint(-4, 4) for _ in range(17)], 16)
         g = TruncatedSeries1.from_ints(_Z, [rng.randint(-4, 4) for _ in range(17)], 16)
         tf, tg = adams_transform(f), adams_transform(g)
-        if _try_integral(adams_transform_inv(tf)) != f:
+        fq = adams_transform_inv(tf)
+        if [c.payload for c in fq.coeffs] != [c.payload for c in f.coeffs]:
             round_trip = False
         if adams_transform(circ_compose(f, g)) != tf * tg:
             ring_map = False
-        fq = adams_transform_inv(tf)
         if adams_transform(fq) != tf:
             round_trip = False
         sum_ok = adams_transform(f + g) == tf + tg

@@ -5,6 +5,7 @@ Criteria 1-9 run through the same library functions as `fglforge selftest`;
 criterion 10 compares two separate CLI processes byte for byte.
 """
 
+import hashlib
 import subprocess
 import sys
 import time
@@ -85,6 +86,10 @@ def test_criterion_10_cli_selftest_byte_identical():
     status = "PASS" if identical else "FAIL"
     print(f"[{status}] criterion 10: selftest exits 0 with byte-identical JSON")
     assert identical
+    # the bytes themselves are pinned: a change to any emitted value fails here
+    assert hashlib.sha256(runs[0]).hexdigest() == (
+        "e7cdab7a619f5f48b0a62acaa75caf05dafb8158989225f8f8b1a4ffc76d53bb"
+    )
     # the in-process determinism criterion is part of the emitted suite too
     result = criterion_determinism()
     assert result["passed"]

@@ -9,7 +9,6 @@ import pytest
 from fglforge import adams
 from fglforge.adams import (
     AdamsSequence,
-    CompositionSeries,
     OmegaTower,
     TwistedLaurent,
     adams_operation_sequence,
@@ -35,9 +34,10 @@ from fglforge.errors import (
     IntegralityViolation,
     ModelMismatch,
     NonInvertibleK,
+    RingMismatch,
     WindowMiss,
 )
-from fglforge.rings import Integers, PLocalIntegers, Rationals
+from fglforge.rings import Integers, LaurentExtension, PLocalIntegers, Rationals
 from fglforge.series import TruncatedSeries1
 
 Z = Integers()
@@ -109,7 +109,7 @@ def test_omega_solve_over_p_local_integers():
 
 
 def test_transform_of_geometric_series():
-    for k in (-4, -1, 0, 1, 2, 7):
+    for k in (-4, -2, -1, 0, 1, 2, 7):
         seq = adams_transform(geometric_power(k, 12))
         assert list(seq.values) == [Fraction(k**n if k or n == 0 else 0) for n in range(13)]
 
@@ -117,6 +117,12 @@ def test_transform_of_geometric_series():
 def test_transform_of_x():
     seq = adams_transform(TruncatedSeries1.x(Z, 8))
     assert list(seq.values) == [0, 1, -1, 1, -1, 1, -1, 1, -1]
+    # the composition ring lives over Z or Q
+    beta_x = TruncatedSeries1.x(LaurentExtension(Z, "beta", 1), 4)
+    with pytest.raises(RingMismatch):
+        adams_transform(beta_x)
+    with pytest.raises(RingMismatch):
+        circ_compose(beta_x, beta_x)
 
 
 def test_inverse_transform_examples():
@@ -182,6 +188,7 @@ def test_circ_unit_and_constants():
         assert circ_compose(f, unit) == f
     one = geometric_power(0, 16)
     assert circ_compose(one, one) == one
+    assert circ_compose(geometric_power(-2, 16), geometric_power(-3, 16)) == geometric_power(6, 16)
 
 
 def test_circ_commutative_associative_integral():
@@ -196,16 +203,16 @@ def test_circ_commutative_associative_integral():
         assert circ_compose(pool[i], pool[i + 1]).ring == Z
 
 
-def test_composition_series_wrapper():
-    f = CompositionSeries.geometric(-2, 16)
-    g = CompositionSeries.geometric(-3, 16)
-    assert f.circ(g) == CompositionSeries.geometric(6, 16)
-    assert f.transform().value(2) == 4
-    from fglforge.errors import RingMismatch
-    from fglforge.rings import LaurentExtension
-
-    with pytest.raises(RingMismatch):
-        CompositionSeries(TruncatedSeries1.x(LaurentExtension(Z, "beta", 1), 4))
+def test_circ_compose_checks_integrality(monkeypatch):
+    # a wrong inverse-table entry makes x o x non-integral, which must raise,
+    # even under -O: inv[2][1] = 2 gives the coefficient of x^2 as 3/2
+    adams._inverse_matrix(4)
+    inverse = [list(row) for row in adams._TABLES["inverse"]]
+    inverse[2][1] += 1
+    monkeypatch.setitem(adams._TABLES, "inverse", inverse)
+    x = TruncatedSeries1.x(Z, 4)
+    with pytest.raises(IntegralityViolation):
+        circ_compose(x, x)
 
 
 # -- sequences ------------------------------------------------------------------------

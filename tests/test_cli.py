@@ -233,6 +233,8 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert code == 2 and "error:" in err and not out
     code, out, err = run(capsys, "landweber", "check", "--fgl", "multiplicative", "--primes", "")
     assert code == 2 and "error:" in err and not out
+    code, out, err = run(capsys, "lazard", "hopf", "--degree", "11")
+    assert code == 2 and "error:" in err and not out
     # files obey the precision and depth caps of the flags
     files = {
         "law.json": {"ring": {"kind": "integers"}, "precision": 70, "coefficients": []},
