@@ -59,21 +59,6 @@ def omega(f: TruncatedSeries1) -> TruncatedSeries1:
     return one_minus_x * df
 
 
-def omega_solve(f: TruncatedSeries1, constant_term=None) -> TruncatedSeries1:
-    """A g with omega(g) = f through index N, at precision N+1.
-
-    The kernel of omega is the constants; the solution is normalized by the
-    given constant term (default 0).  The triangular recurrence
-    (n+1) g_{n+1} = f_n + n g_n needs exact division by n+1, so a non-Q
-    coefficient ring raises when a division has no unique quotient.
-    """
-    ring = f.ring
-    g = [constant_term if constant_term is not None else ring.zero()]
-    for n in range(f.precision + 1):
-        g.append(ring.divide(f.coeffs[n] + g[n] * n, n + 1))
-    return TruncatedSeries1(ring, g, f.precision + 1)
-
-
 # -- the Adams transform -------------------------------------------------------
 
 
@@ -140,11 +125,6 @@ class AdamsSequence:
         if not self.lo <= n <= self.hi:
             raise WindowMiss(f"index {n} outside window [{self.lo}, {self.hi}]")
         return self.values[n - self.lo]
-
-    def restrict(self, lo: int, hi: int) -> "AdamsSequence":
-        if lo < self.lo or hi > self.hi:
-            raise WindowMiss(f"[{lo}, {hi}] exceeds window [{self.lo}, {self.hi}]")
-        return AdamsSequence(lo, [self.value(n) for n in range(lo, hi + 1)])
 
     def shift(self, j: int) -> "AdamsSequence":
         """sigma^j: n -> value(n + j); the window moves to [lo-j, hi-j]."""
@@ -361,9 +341,6 @@ class TwistedLaurent:
 
     def component(self, j: int):
         return self.terms.get(j)
-
-    def beta_exponents(self):
-        return sorted(self.terms)
 
     def is_zero(self):
         return not self.terms

@@ -332,8 +332,14 @@ class LazardAlgebroid(HopfAlgebroidTrunc):
         return out
 
     def eta_r(self, a: RingElement) -> dict:
+        payload = a.payload
+        # eta_R is a map of Q-algebras, so it fixes the constants
+        if not payload:
+            return {}
+        if len(payload) == 1 and 0 in payload:
+            return {0: a}
         out = {}
-        for m_key, coeff in a.payload.items():
+        for m_key, coeff in payload.items():
             scalar = RingElement(self.base, {0: coeff})
             out = self.g_add(out, self.g_scale(self._eta_r_m_monomial(m_key), scalar))
         return out

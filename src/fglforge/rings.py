@@ -1020,19 +1020,13 @@ def is_zero_ring(ring: CoefficientRing) -> bool:
     return ring.is_zero_ring()
 
 
-def is_zero_divisor(r: RingElement) -> bool:
-    """True iff some nonzero s has r*s = 0.
+def zero_divisor_witness(r: RingElement):
+    """A nonzero annihilator of r, or None when r is not a zero divisor.
 
     Decides the family: integral domains, Z/m, Laurent rings over a field or
     over Z/m, and quotients of a Laurent ring over a field.  Everything else
     raises Undecidable (a scope limit, not a wrong answer).
     """
-    witness = zero_divisor_witness(r)
-    return witness is not None
-
-
-def zero_divisor_witness(r: RingElement):
-    """A nonzero annihilator of r, or None when r is not a zero divisor."""
     ring = r.ring
     if is_zero_ring(ring):
         return None

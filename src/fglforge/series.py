@@ -193,21 +193,39 @@ class TruncatedSeries1:
     def revert(self) -> "TruncatedSeries1":
         """Compositional inverse g with f(g(x)) = x = g(f(x)).
 
-        Solved coefficient by coefficient; only the linear coefficient is
-        inverted, so this works over any commutative ring where it is a unit.
+        Solved coefficient by coefficient from a table of the powers of g
+        (Knuth, TAOCP vol. 2, 4.7): [x^m] f(g) = sum_k f_k [x^m] g^k = 0 for
+        m >= 2, and [x^m] g^k for k >= 2 needs only g_1..g_{m-1}, so each
+        new coefficient costs O(m^2) ring operations.  Only the linear
+        coefficient is inverted, so this works over any commutative ring
+        where it is a unit.
         """
-        if not self.coeffs[0].is_zero():
+        f = self.coeffs
+        if not f[0].is_zero():
             raise NonzeroConstantTerm("reversion needs f(0) = 0")
-        if self.precision < 1 or not self.coeffs[1].is_unit():
+        if self.precision < 1 or not f[1].is_unit():
             raise NonUnitLinearCoefficient("reversion needs f'(0) to be a unit")
-        f1_inv = self.coeffs[1].inverse()
+        f1_inv = f[1].inverse()
         n = self.precision
-        g = [self.ring.zero()] * (n + 1)
-        g[1] = f1_inv
+        zero = self.ring.zero()
+        g = [zero, f1_inv]
+        # powers[k][j] = [x^j] g^k, one column j at a time; powers[1] is g
+        powers = [None, g]
         for m in range(2, n + 1):
-            partial = TruncatedSeries1(self.ring, g, m)
-            err = compose_series(self.truncate(m), partial).coeffs[m]
-            g[m] = -(f1_inv * err)
+            powers.append([zero] * m)  # g^m starts at x^m
+            err = zero
+            for k in range(2, m + 1):
+                # g^k = g * g^(k-1), whose x^j coefficient vanishes for j < k-1
+                prev = powers[k - 1]
+                c = zero
+                for i in range(1, m - k + 2):
+                    a, b = g[i], prev[m - i]
+                    if not (a.is_zero() or b.is_zero()):
+                        c = c + a * b
+                powers[k].append(c)
+                if not (f[k].is_zero() or c.is_zero()):
+                    err = err + f[k] * c
+            g.append(-(f1_inv * err))
         return TruncatedSeries1(self.ring, g, n)
 
     def __repr__(self):

@@ -2,6 +2,7 @@
 logarithms, coordinate changes, gradings."""
 
 import random
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,7 @@ from fglforge.rings import Integers, IntegersMod, LaurentExtension, Rationals
 from fglforge.series import (
     TruncatedSeries1,
     TruncatedSeries2,
+    TruncatedSeriesN,
     compose_series,
     substitute_pair,
 )
@@ -376,3 +378,95 @@ def test_built_laws_raise_typed_errors_when_their_axioms_fail(monkeypatch):
         from_logarithm(TruncatedSeries1.x(Q, 4), Q, 4)
     with pytest.raises(AxiomsFailed, match="associativity"):
         specialize(uni, {"m1": Q.zero(), "m2": Q.zero()}, Q)
+
+
+# -- an oracle for the associativity verdict -----------------------------------
+
+
+def _first_difference(a, b):
+    """The first exponent, by total degree and then lexicographically, where
+    two sparse series differ."""
+    keys = sorted(set(a.coeffs) | set(b.coeffs), key=lambda k: (sum(k), k))
+    return next((k for k in keys if a.coeffs.get(k) != b.coeffs.get(k)), None)
+
+
+def _expected_report(law):
+    """The AxiomReport computed directly: the unit laws coefficient by
+    coefficient, the swap, and F(F(x,y),z) against F(x,F(y,z))."""
+    ring, n, body = law.ring, law.precision, law.body
+    unit = None
+    for i in range(n + 1):
+        want = ring.one() if i == 1 else ring.zero()
+        if body.at(i, 0) != want:
+            unit = (i, 0)
+            break
+        if body.at(0, i) != want:
+            unit = (0, i)
+            break
+    swap = _first_difference(body, body.swap())
+    x, y, z = (TruncatedSeriesN.variable(ring, 3, i, n) for i in range(3))
+    lhs = substitute_pair(body, substitute_pair(body, x, y), z)
+    rhs = substitute_pair(body, x, substitute_pair(body, y, z))
+    assoc = _first_difference(lhs, rhs)
+    checks = [
+        AxiomCheck("unitality", unit is None, unit),
+        AxiomCheck("symmetry", swap is None, swap),
+        AxiomCheck("associativity", assoc is None, assoc),
+    ]
+    if law.grading is not None:
+        checks.append(AxiomCheck("grading", grade_check(law, law.grading), None))
+    return AxiomReport(checks)
+
+
+def test_associativity_verdict_matches_the_three_variable_oracle():
+    # universal laws, and copies with one symmetric pair a_ij = a_ji moved by
+    # a nonzero rational; some of those stay associative, most do not
+    rng = random.Random(zlib.crc32(b"associativity oracle"))
+    verdicts = []
+    for n in range(4, 9):
+        law = named_fgl("universal_rational", None, n)
+        ring = law.ring
+        laws = [FormalGroupLaw(ring, n, law.body, grading=law.grading)]
+        for _ in range(3):
+            i = rng.randint(1, n - 1)
+            j = rng.randint(max(1, 3 - i), n - i)
+            r = ring.from_fraction(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4)))
+            coeffs = dict(law.body.coeffs)
+            for key in {(i, j), (j, i)}:
+                coeffs[key] = coeffs.get(key, ring.zero()) + r
+            body = TruncatedSeries2(ring, 2, coeffs, n)
+            laws.append(FormalGroupLaw(ring, n, body, grading=law.grading))
+        for candidate in laws:
+            expected = _expected_report(candidate)
+            assert check_axioms(candidate) == expected
+            verdicts.append(expected.checks[2].passed)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize(
+    "ring, a01",
+    [(Q, Q.zero()), (QB, QB.one() + QB.var())],
+    ids=["zero_over_Q", "one_plus_beta_over_Q_beta"],
+)
+def test_associativity_without_a_logarithm_uses_three_variables(ring, a01):
+    # (dF/dy)(0, 0) is not a unit, so the law has no logarithm: the check
+    # compares the three-variable substitutions, and does not raise
+    body = TruncatedSeries2.from_entries(
+        ring, [(1, 0, ring.one()), (0, 1, a01), (1, 1, ring.one())], 5
+    )
+    law = FormalGroupLaw(ring, 5, body)
+    report = check_axioms(law)
+    assert report == _expected_report(law)
+    assert not report.checks[2].passed
+
+
+def test_rational_laws_confirm_associativity_through_the_logarithm(monkeypatch):
+    # over a Q-algebra an associative law is confirmed by the two-variable
+    # identity l(F(x,y)) = l(x) + l(y), with no three-variable substitution
+    monkeypatch.setattr(fgl_module, "_associativity_witness", None)
+    for law in (
+        named_fgl("universal_rational", None, 7),
+        named_fgl("multiplicative", QB, 9),
+        from_logarithm(TruncatedSeries1.from_fractions(Q, [0, 1, 3, Fraction(-1, 2)], 6), Q, 6),
+    ):
+        assert check_axioms(law).passed

@@ -153,9 +153,29 @@ def test_eta_r_matches_classify_of_conjugated_universal():
 
 
 def test_hopf_axioms_lazard():
-    for n in (1, 2, 3, 5):
+    # the whole report at each truncation 1-8: every law, in order, passes
+    # with no witness
+    for n in range(1, 9):
         report = hopf_axiom_check(lb_structure_maps(n))
-        assert report.passed, [(c.law, c.witness) for c in report.checks]
+        assert (report.flavor, report.truncation) == ("lazard_lb_rational", n)
+        assert [(c.law, c.passed, c.witness) for c in report.checks] == [
+            (law, True, None) for law in HOPF_LAWS
+        ]
+
+
+def test_eta_r_of_constants():
+    # eta_R fixes the constants: the monomial table sends the empty monomial
+    # to 1, and eta_R is additive, also across constants and generators
+    H = lb_structure_maps(4)
+    m1, m2 = H.base.generator("m1"), H.base.generator("m2")
+    constants = [H.base.zero(), H.base.one(), H.base.from_fraction(Fraction(3, 7))]
+    for c in constants:
+        from_table = H.g_scale(H._eta_r_m_monomial(0), c)
+        assert H.eta_r(c) == from_table == ({} if c.is_zero() else {0: c})
+    for a in constants:
+        for b in constants + [m1, m2 * m1 + m1]:
+            assert H.eta_r(a + b) == H.g_add(H.eta_r(a), H.eta_r(b))
+            assert H.eta_r(a * b) == H.g_scale(H.eta_r(b), a)
 
 
 def test_hopf_axioms_groupoid():
