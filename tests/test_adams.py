@@ -36,7 +36,7 @@ from fglforge.errors import (
     RingMismatch,
     WindowMiss,
 )
-from fglforge.rings import Integers, LaurentExtension, Rationals
+from fglforge.rings import Integers, LaurentExtension, PLocalIntegers, Rationals
 from fglforge.series import TruncatedSeries1
 
 Z = Integers()
@@ -73,36 +73,47 @@ def test_omega_examples():
     assert omega(TruncatedSeries1.constant(Z, Z.one(), 5)).is_zero()
 
 
-def test_sequence_to_tower_solves_omega():
+def _solve_omega(f, constant=0):
     # level 1 of the tower is the g with omega(g) = level 0; the kernel of
     # omega is the constants, and g(0) is the sequence's value at index -1
-    def solve(f, constant=0):
-        head = adams_transform(f)
-        seq = AdamsSequence(-1, [constant, *head.values])
-        tower = sequence_to_tower(TwistedLaurent("sequence", {0: seq})).component(0)
-        assert tower.level(0) == f
-        return tower.level(1)
+    head = adams_transform(f)
+    seq = AdamsSequence(-1, [constant, *head.values])
+    tower = sequence_to_tower(TwistedLaurent("sequence", {0: seq})).component(0)
+    assert tower.level(0) == f
+    return tower.level(1)
 
+
+def test_omega_solve():
     # omega(x) = 1 - x
     x = TruncatedSeries1.x(Q, 4)
-    assert solve(TruncatedSeries1.from_fractions(Q, [1, -1], 4)) == x
-    # omega(-log(1-x)) = 1
-    g = solve(TruncatedSeries1.from_fractions(Q, [1], 4))
-    assert g == TruncatedSeries1.from_fractions(Q, [0, 1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)])
+    assert _solve_omega(TruncatedSeries1.from_fractions(Q, [1, -1], 4)) == x
     # the eigenfunction: omega((1-x)^-2) = 2 (1-x)^-2
     f = geometric_power(2, 8, Q)
-    assert solve(f.scale(Q.from_int(2)), constant=1) == f
+    assert _solve_omega(f.scale(Q.from_int(2)), constant=1) == f
     # the kernel constant comes from index -1
-    assert solve(TruncatedSeries1.zero(Q, 3), constant=7) == TruncatedSeries1.from_ints(Q, [7], 3)
+    zero = AdamsSequence(-1, [0, *adams_transform(TruncatedSeries1.zero(Q, 5)).values])
+    assert sequence_to_tower(TwistedLaurent("sequence", {0: zero})).is_zero()
+    assert _solve_omega(TruncatedSeries1.zero(Q, 3), constant=7) == TruncatedSeries1.from_ints(Q, [7], 3)
     rng = random.Random(2)
     for _ in range(20):
         f = TruncatedSeries1.from_fractions(
             Q, [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(9)], 8
         )
         c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-        g = solve(f, c)
+        g = _solve_omega(f, c)
         assert omega(g) == f.truncate(7)
         assert g.coeffs[0] == Q.from_fraction(c)
+
+
+def test_omega_solve_over_p_local_integers():
+    # omega(-log(1-x)) = 1, and 1/2, 1/3, 1/4 are 5-local, so the solution
+    # found over Q is a series over Z_(5) that omega maps to 1 there too
+    g = _solve_omega(TruncatedSeries1.from_fractions(Q, [1], 4))
+    coeffs = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]
+    assert g == TruncatedSeries1.from_fractions(Q, coeffs)
+    Z5 = PLocalIntegers(5)
+    g5 = TruncatedSeries1.from_fractions(Z5, coeffs)
+    assert omega(g5) == TruncatedSeries1.from_ints(Z5, [1], 3)
 
 
 # -- the transform -----------------------------------------------------------------
