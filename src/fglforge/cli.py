@@ -152,9 +152,13 @@ def _emit(command: str, result, stream=None) -> None:
 
 def _parse_window(text: str):
     lo, _, hi = text.partition(":")
-    if int(lo) > int(hi):
+    lo, hi = int(lo), int(hi)
+    if lo > hi:
         raise ValueError(f"window {text!r} needs lo <= hi")
-    return int(lo), int(hi)
+    # the printed element grows with the square of the window's width
+    if lo < -MAX_PRECISION or hi > MAX_PRECISION:
+        raise ValueError(f"window bounds must lie in [-{MAX_PRECISION}, {MAX_PRECISION}]")
+    return lo, hi
 
 
 # -- subcommand implementations ---------------------------------------------------

@@ -35,12 +35,10 @@ from .series import (
 class FormalGroupLaw:
     """A bivariate truncated series with the formal-group-law axioms."""
 
-    def __init__(self, ring, precision, body: TruncatedSeries2, grading=None, name=None):
-        if body.precision < precision:
-            raise InsufficientPrecision("body is less precise than requested")
-        self.ring = ring
-        self.precision = precision
-        self.body = body.truncate(precision)
+    def __init__(self, body: TruncatedSeries2, grading=None, name=None):
+        self.ring = body.ring
+        self.precision = body.precision
+        self.body = body
         self.grading = grading
         self.name = name
         self._axiom_report = None
@@ -216,7 +214,7 @@ def named_fgl(name: str, ring, precision: int) -> FormalGroupLaw:
         body = TruncatedSeries2.from_entries(
             ring, [(1, 0, ring.one()), (0, 1, ring.one())], precision
         )
-        fgl = FormalGroupLaw(ring, precision, body, name="additive")
+        fgl = FormalGroupLaw(body, name="additive")
     elif name == "multiplicative":
         if not isinstance(ring, LaurentExtension):
             raise IncompatibleRing(
@@ -229,11 +227,7 @@ def named_fgl(name: str, ring, precision: int) -> FormalGroupLaw:
             precision,
         )
         fgl = FormalGroupLaw(
-            ring,
-            precision,
-            body,
-            grading={ring.variable: ring.degree},
-            name="multiplicative",
+            body, grading={ring.variable: ring.degree}, name="multiplicative"
         )
     elif name == "honda_h1":
         if not (isinstance(ring, IntegersMod) and _is_prime(ring.modulus)):
@@ -243,7 +237,7 @@ def named_fgl(name: str, ring, precision: int) -> FormalGroupLaw:
             [(1, 0, ring.one()), (0, 1, ring.one()), (1, 1, ring.one())],
             precision,
         )
-        fgl = FormalGroupLaw(ring, precision, body, name="honda_h1")
+        fgl = FormalGroupLaw(body, name="honda_h1")
     elif name == "universal_rational":
         # hopf imports this module, so a module-level import would be a cycle
         from .hopf import universal_fgl_rational
@@ -340,7 +334,7 @@ def from_logarithm(
     if not log.coeffs[0].is_zero() or log.precision < 1 or log.coeffs[1] != ring.one():
         raise BadLogShape("need l(0) = 0 and l'(0) = 1")
     body = compose_series(log.revert(), _sum_of_logs(log, precision))
-    fgl = FormalGroupLaw(ring, precision, body, grading=grading, name=name)
+    fgl = FormalGroupLaw(body, grading=grading, name=name)
     _require_axioms(fgl, "the law of a logarithm")
     return fgl
 
@@ -366,11 +360,11 @@ def change_coordinates(fgl: FormalGroupLaw, b: TruncatedSeries1) -> FormalGroupL
     )
     inner = substitute_pair(fgl.body, u, v)
     body = compose_series(b.truncate(n), inner)
-    out = FormalGroupLaw(ring, n, body)
+    out = FormalGroupLaw(body)
     # a non-graded change destroys homogeneity: keep the annotation only
     # when it remains true of the conjugate
     if fgl.grading is not None and grade_check(out, fgl.grading):
-        out = FormalGroupLaw(ring, n, body, grading=fgl.grading)
+        out = FormalGroupLaw(body, grading=fgl.grading)
     _require_axioms(out, "the coordinate-changed law")
     return out
 

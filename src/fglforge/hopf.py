@@ -15,10 +15,14 @@ eta_R, epsilon and Delta are stored on that basis.
 
 The dual Gamma^vee is modeled by A-linear functionals on the basis, with
 the convolution-style composition product f o g = f . (id (x) g) . Delta.
+A coaction here always acts on R = A, so an element of the twisted ring
+R (x)^hat_A Gamma^vee is again an A-valued functional on Gamma: simple_tensor
+and twisted_ring_multiply return DualFunctionals.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,6 +46,16 @@ def _generic_series(ring, prefix: str, n: int) -> TruncatedSeries1:
     coeffs = [ring.zero(), ring.one()]
     coeffs += [ring.generator(f"{prefix}{i}") for i in range(1, n + 1)]
     return TruncatedSeries1(ring, coeffs, n + 1)
+
+
+def _monomial_image(ring, key, one, images, mul):
+    """prod_i images[i]^e_i for the packed monomial key = prod_i g_i^e_i of
+    ring, multiplied up from one by mul."""
+    out = one
+    for i, e in enumerate(ring.unpack(key)):
+        for _ in range(e):
+            out = mul(out, images[i + 1])
+    return out
 
 
 def universal_fgl_rational(precision: int) -> FormalGroupLaw:
@@ -74,7 +88,7 @@ def specialize(fgl: FormalGroupLaw, assignment: dict, target: CoefficientRing) -
         if not value.is_zero():
             body_entries.append((i, j, value))
     body = TruncatedSeries2.from_entries(target, body_entries, fgl.precision)
-    out = FormalGroupLaw(target, fgl.precision, body)
+    out = FormalGroupLaw(body)
     _require_axioms(out, "the specialized law")
     return out
 
@@ -242,7 +256,6 @@ class LazardAlgebroid(HopfAlgebroidTrunc):
             key for d in range(n + 1) for key in self.bring.monomial_keys_of_degree(d)
         ]
         self._delta_cache = {}
-        self._etar_monomial_cache = {}
         self._build_generator_tables()
 
     def _build_generator_tables(self):
@@ -305,12 +318,9 @@ class LazardAlgebroid(HopfAlgebroidTrunc):
         cached = self._delta_cache.get(key)
         if cached is not None:
             return cached
-        exps = self.bring.unpack(key)
-        payload = {0: 1}
-        for i, e in enumerate(exps):
-            gen_payload = self._delta_gen_payloads[i + 1]
-            for _ in range(e):
-                payload = self._pair_ring._mul(payload, gen_payload)
+        payload = _monomial_image(
+            self.bring, key, {0: 1}, self._delta_gen_payloads, self._pair_ring._mul
+        )
         table = {
             (c_key, d_key): RingElement(self.base, {0: coeff})
             for d_key, c_part in split_payload(self._pair_ring, payload, self.truncation).items()
@@ -321,15 +331,7 @@ class LazardAlgebroid(HopfAlgebroidTrunc):
 
     # -- eta_R -------------------------------------------------------------------
     def _eta_r_m_monomial(self, m_key):
-        cached = self._etar_monomial_cache.get(m_key)
-        if cached is not None:
-            return cached
-        out = self.one_gamma()
-        for i, e in enumerate(self.base.unpack(m_key)):
-            for _ in range(e):
-                out = self.g_mul(out, self._etar_gen[i + 1])
-        self._etar_monomial_cache[m_key] = out
-        return out
+        return _monomial_image(self.base, m_key, self.one_gamma(), self._etar_gen, self.g_mul)
 
     def eta_r(self, a: RingElement) -> dict:
         payload = a.payload
@@ -453,13 +455,7 @@ def hopf_axiom_check(algebroid: HopfAlgebroidTrunc) -> HopfReport:
         # (id (x) eps) Delta = id
         acc = {}
         for (k1, k2), c in table.items():
-            term = algebroid.g_scale(
-                algebroid.g_mul(
-                    {k1: algebroid.base.one()},
-                    algebroid.eta_r(algebroid.eps_basis(k2)),
-                ),
-                c,
-            )
+            term = algebroid.g_mul({k1: c}, algebroid.eta_r(algebroid.eps_basis(k2)))
             acc = algebroid.g_add(acc, term)
         if acc != target and right_fail is None:
             right_fail = f"basis {key} (degree {algebroid.basis_degree(key)})"
@@ -615,33 +611,10 @@ def coaction_to_action(coaction: Coaction, f: DualFunctional, r: RingElement) ->
     return _pair(coaction.algebroid.base.zero(), coaction.rho(r), f.values)
 
 
-class TwistedRingElement:
-    """An element of R (x)^hat_A Gamma^vee, i.e. an R-valued functional on
-    Gamma, for the ring R = A of its coaction.
-
-    This is the twisted product ring: left R-linear, right Gamma^vee-linear,
-    with (u.phi)(v.psi) = u . Delta(phi)(v) o psi in the middle.
-    """
-
-    def __init__(self, coaction: Coaction, values: dict):
-        self.coaction = coaction
-        self.values = {k: v for k, v in values.items() if not v.is_zero()}
-
-    def __call__(self, gamma: dict) -> RingElement:
-        return _pair(self.coaction.algebroid.base.zero(), gamma, self.values)
-
-    def __eq__(self, other):
-        if not isinstance(other, TwistedRingElement):
-            return NotImplemented
-        return self.coaction is other.coaction and self.values == other.values
-
-    def __hash__(self):
-        return hash((id(self.coaction), len(self.values)))
-
-
-def simple_tensor(coaction: Coaction, u: RingElement, phi: DualFunctional) -> TwistedRingElement:
-    """u . phi as an R-valued functional."""
-    return TwistedRingElement(coaction, {k: u * v for k, v in phi.values.items()})
+def simple_tensor(u: RingElement, phi: DualFunctional) -> DualFunctional:
+    """u . phi in R (x)^hat_A Gamma^vee; with R = A it is the functional
+    B -> u . phi(B)."""
+    return DualFunctional(phi.algebroid, {k: u * v for k, v in phi.values.items()})
 
 
 def twisted_ring_multiply(
@@ -650,32 +623,25 @@ def twisted_ring_multiply(
     v: RingElement,
     psi: DualFunctional,
     coaction: Coaction,
-) -> TwistedRingElement:
-    """(u.phi)(v.psi) = u . Delta(phi)(v) o psi, expanded on the Gamma basis.
+) -> DualFunctional:
+    """(u.phi)(v.psi) = u . Delta(phi)(v) o psi in the twisted ring, expanded
+    on the Gamma basis.
 
-    Delta(phi)(v) is evaluated through the coaction: applied to a basis
-    element B it is sum_C rho(v)_C . phi(B*C), which avoids an explicit
-    splitting of the comultiplication of Gamma^vee.
+    Delta(phi)(v) is evaluated through the coaction: on a basis element B it
+    is phi(B . rho(v)), which avoids an explicit splitting of the
+    comultiplication of Gamma^vee.
     """
     algebroid = phi.algebroid
     if psi.algebroid is not algebroid or coaction.algebroid is not algebroid:
         raise AlgebroidMismatch("operands over different algebroids")
     rho_v = coaction.rho(v)
-    zero = algebroid.base.zero()
-
-    middle = {}
-    for key in algebroid.gamma_basis():
-        # C -> phi(B*C) for the C in rho(v)
-        shifted = {
-            c_key: phi.values[product]
-            for c_key in rho_v
-            if (product := algebroid.basis_mul(key, c_key)) in phi.values
-        }
-        middle[key] = _pair(zero, rho_v, shifted)
-    middle_fn = TwistedRingElement(coaction, middle)
-
-    values = _convolve(algebroid, middle_fn, psi.values)
-    return TwistedRingElement(coaction, {key: u * t for key, t in values.items()})
+    one = algebroid.base.one()
+    middle = DualFunctional(
+        algebroid,
+        {key: phi(algebroid.g_mul({key: one}, rho_v)) for key in algebroid.gamma_basis()},
+    )
+    values = _convolve(algebroid, middle, psi.values)
+    return DualFunctional(algebroid, {key: u * t for key, t in values.items()})
 
 
 # -- the rational idempotence check ---------------------------------------------
@@ -749,25 +715,13 @@ def rank_table(algebroid: LazardAlgebroid, images: dict, max_degree: int) -> Ide
     base = algebroid.base
     bring = algebroid.bring
     degrees = []
-    cache = {0: bring.one()}
-
-    def image_of_monomial(m_key):
-        if m_key in cache:
-            return cache[m_key]
-        value = bring.one()
-        for i, e in enumerate(base.unpack(m_key)):
-            for _ in range(e):
-                value = value * images[i + 1]
-        cache[m_key] = value
-        return value
-
     for d in range(1, max_degree + 1):
         rows = base.monomial_keys_of_degree(d)
         cols = bring.monomial_keys_of_degree(d)
         col_index = {key: idx for idx, key in enumerate(cols)}
         matrix = []
         for m_key in rows:
-            img = image_of_monomial(m_key)
+            img = _monomial_image(base, m_key, bring.one(), images, operator.mul)
             row = [Fraction(0)] * len(cols)
             for b_key, c in img.payload.items():
                 if bring.key_degree(b_key) == d:

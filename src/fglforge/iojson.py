@@ -129,7 +129,7 @@ def fgl_from_json(data: dict):
     grading = data.get("grading")
     if grading is not None:
         grading = {str(k): int(v) for k, v in grading.items()}
-    return FormalGroupLaw(ring, precision, body, grading=grading)
+    return FormalGroupLaw(body, grading=grading)
 
 
 def sequence_to_json(seq) -> dict:

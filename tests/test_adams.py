@@ -181,7 +181,7 @@ def test_transform_substitution_is_the_multiplicative_exponential():
     body = TruncatedSeries2.from_entries(
         Q, [(1, 0, Q.one()), (0, 1, Q.one()), (1, 1, Q.from_int(-1))], 10
     )
-    law = FormalGroupLaw(Q, 10, body)
+    law = FormalGroupLaw(body)
     log = logarithm(law)
     assert log == neg_log(10)
     assert log.revert() == exp_complement(10)

@@ -1,9 +1,14 @@
 """The command-line front end: dispatch, exit codes, JSON round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fglforge
 from fglforge.cli import fgl_from_spec, ring_from_spec, run_command, series_from_spec
 from fglforge.gradedpoly import lazard_base_ring
 from fglforge.iojson import (
@@ -231,6 +236,13 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert code == 2
     code, out, err = run(capsys, "ops", "adams", "--k", "2", "--window=5:-5")
     assert code == 2 and "error:" in err and not out
+    # a window's output grows with the square of its width, so its bounds are capped
+    for argv in (
+        ["ops", "adams", "--k", "5", "--model", "sequence", "--window=-1000:1000"],
+        ["ops", "idempotent", "--n", "0", "--window=-1000:1000"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and "error:" in err and not out, argv
     code, out, err = run(capsys, "landweber", "check", "--fgl", "multiplicative", "--primes", "")
     assert code == 2 and "error:" in err and not out
     code, out, err = run(capsys, "lazard", "hopf", "--degree", "11")
@@ -257,6 +269,22 @@ def test_input_errors_exit_2(capsys, tmp_path):
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and "error:" in err and not out, argv
+
+
+def test_importing_the_cli_defers_adams_and_selftest():
+    # every CLI process pays for what `import fglforge.cli` loads, so adams and
+    # selftest are imported only by the subcommands that run them
+    path = [str(Path(fglforge.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    probe = (
+        "import sys, fglforge.cli; "
+        "print([m for m in ('fglforge.adams', 'fglforge.selftest') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_env_var_sets_default_precision(capsys, monkeypatch):

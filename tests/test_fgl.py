@@ -68,10 +68,18 @@ def test_named_laws():
         named_fgl("frobenius", Z, 5)
 
 
+def test_law_takes_its_ring_and_precision_from_its_body():
+    body = TruncatedSeries2.from_entries(
+        Q, [(1, 0, Q.one()), (0, 1, Q.one()), (1, 1, Q.from_int(-1))], 5
+    )
+    law = FormalGroupLaw(body)
+    assert (law.ring, law.precision) == (Q, 5)
+    assert repr(law) == "<fgl over Q at precision 5>"
+    assert check_axioms(law).passed
+
+
 def test_axiom_failures_carry_witnesses():
     bad = FormalGroupLaw(
-        Z,
-        5,
         TruncatedSeries2.from_entries(
             Z, [(1, 0, Z.one()), (0, 1, Z.one()), (2, 0, Z.one())], 5
         ),
@@ -81,8 +89,6 @@ def test_axiom_failures_carry_witnesses():
     assert unital.axiom == "unitality" and not unital.passed and unital.witness == (2, 0)
 
     asym = FormalGroupLaw(
-        Z,
-        5,
         TruncatedSeries2.from_entries(
             Z,
             [(1, 0, Z.one()), (0, 1, Z.one()), (1, 1, Z.one()), (2, 1, Z.one())],
@@ -303,7 +309,7 @@ def _non_associative_law():
     body = TruncatedSeries2.from_entries(
         Z, [(1, 0, Z.one()), (0, 1, Z.one()), (2, 2, Z.one())], 6
     )
-    return FormalGroupLaw(Z, 6, body)
+    return FormalGroupLaw(body)
 
 
 DIFFERENTIAL_LAWS = [
@@ -426,7 +432,7 @@ def test_associativity_verdict_matches_the_three_variable_oracle():
     for n in range(4, 9):
         law = named_fgl("universal_rational", None, n)
         ring = law.ring
-        laws = [FormalGroupLaw(ring, n, law.body, grading=law.grading)]
+        laws = [FormalGroupLaw(law.body, grading=law.grading)]
         for _ in range(3):
             i = rng.randint(1, n - 1)
             j = rng.randint(max(1, 3 - i), n - i)
@@ -435,7 +441,7 @@ def test_associativity_verdict_matches_the_three_variable_oracle():
             for key in {(i, j), (j, i)}:
                 coeffs[key] = coeffs.get(key, ring.zero()) + r
             body = TruncatedSeries2(ring, 2, coeffs, n)
-            laws.append(FormalGroupLaw(ring, n, body, grading=law.grading))
+            laws.append(FormalGroupLaw(body, grading=law.grading))
         for candidate in laws:
             expected = _expected_report(candidate)
             assert check_axioms(candidate) == expected
@@ -454,7 +460,7 @@ def test_associativity_without_a_logarithm_uses_three_variables(ring, a01):
     body = TruncatedSeries2.from_entries(
         ring, [(1, 0, ring.one()), (0, 1, a01), (1, 1, ring.one())], 5
     )
-    law = FormalGroupLaw(ring, 5, body)
+    law = FormalGroupLaw(body)
     report = check_axioms(law)
     assert report == _expected_report(law)
     assert not report.checks[2].passed

@@ -389,8 +389,8 @@ def test_twisted_multiply_matches_groupoid_matrix_algebra():
         phi = delta_fn(rng.randrange(3), rng.randrange(3))
         psi = delta_fn(rng.randrange(3), rng.randrange(3))
         got = twisted_ring_multiply(u, phi, v, psi, coaction)
-        m1 = _groupoid_matrix(algebroid, simple_tensor(coaction, u, phi))
-        m2 = _groupoid_matrix(algebroid, simple_tensor(coaction, v, psi))
+        m1 = _groupoid_matrix(algebroid, simple_tensor(u, phi))
+        m2 = _groupoid_matrix(algebroid, simple_tensor(v, psi))
         product = [
             [sum(m1[i][k] * m2[k][j] for k in range(3)) for j in range(3)]
             for i in range(3)
@@ -414,7 +414,7 @@ def test_twisted_multiply_associative_on_fixture():
         return u, phi
 
     def as_matrix(u, phi):
-        return _groupoid_matrix(algebroid, simple_tensor(coaction, u, phi))
+        return _groupoid_matrix(algebroid, simple_tensor(u, phi))
 
     for _ in range(20):
         (u, phi), (v, psi), (w, chi) = rand_pair(), rand_pair(), rand_pair()
@@ -448,7 +448,7 @@ def test_twisted_unit_reduces_to_left_action():
     psi = delta_fn(0, 1)
     got = twisted_ring_multiply(u, eps, v, psi, coaction)
     # with phi = eps the middle collapses to multiplication by v
-    expected = simple_tensor(coaction, u * v, psi)
+    expected = simple_tensor(u * v, psi)
     assert got == expected
 
 

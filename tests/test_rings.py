@@ -197,6 +197,31 @@ def test_quotient_with_polynomial_generator():
     assert w is not None and (x * w).is_zero() and not w.is_zero()
 
 
+def test_quotient_reduces_negative_powers():
+    # F_5[beta^±1]/(beta^2 + 1): beta^2 = -1, so beta^-1 = -beta = 4 beta
+    beta = F5B.var()
+    ring = quotient_by_element(F5B, beta * beta + 1)
+    assert isinstance(ring, QuotientByPrincipal)
+    b = ring.from_base(beta)
+    assert ring.from_base(F5B.var(-1)) == 4 * b
+    assert ring.from_base(F5B.var(-3)) == b
+    assert b * ring.from_base(F5B.var(-1)) == ring.one()
+
+
+def test_quotient_of_a_quotient_and_its_projection():
+    # beta = 2 is a root of beta^2 + 1 over F_5, so quotienting
+    # F_5[beta^±1]/((beta^2 + 1)(beta - 1)) by beta - 2 leaves (beta + 3)
+    beta = F5B.var()
+    q1 = quotient_by_element(F5B, (beta * beta + 1) * (beta - 1))
+    q2 = quotient_by_element(q1, project(beta - 2, q1))
+    assert isinstance(q2, QuotientByPrincipal)
+    assert q2 == QuotientByPrincipal(F5B, beta + 3)
+    # there beta = 2 and beta^-1 = 3, so beta^-1 + 3 = 1
+    x = F5B.var(-1) + 3
+    assert project(x, q2) == q2.one()
+    assert project(project(x, q1), q2) == q2.one()
+
+
 def test_quotient_zero_divisors_brute_force_mod_m():
     # agreement with exhaustive search over all residues, m <= 60
     for m in range(2, 61):
