@@ -42,6 +42,7 @@ class FormalGroupLaw:
         self.grading = grading
         self.name = name
         self._axiom_report = None
+        self._logarithm = None
 
     @property
     def validated(self) -> bool:
@@ -115,9 +116,12 @@ def _associativity_witness(fgl: FormalGroupLaw):
     return _first_mismatch(lhs, rhs)
 
 
-def _invariant_logarithm(body: TruncatedSeries2) -> TruncatedSeries1:
-    """The integral of the invariant differential, 1 / (dF/dy)(x, 0)."""
-    return body.partial_y_at_zero().inverse().integrate()
+def _invariant_logarithm(fgl: FormalGroupLaw) -> TruncatedSeries1:
+    """The integral of the invariant differential, 1 / (dF/dy)(x, 0),
+    memoized on the law."""
+    if fgl._logarithm is None:
+        fgl._logarithm = fgl.body.partial_y_at_zero().inverse().integrate()
+    return fgl._logarithm
 
 
 def _sum_of_logs(log: TruncatedSeries1, precision: int) -> TruncatedSeries2:
@@ -145,7 +149,7 @@ def _linearised_by_logarithm(fgl: FormalGroupLaw) -> bool:
     if n < 1 or not fgl.ring.is_q_algebra() or not body.constant_term().is_zero():
         return False
     try:
-        log = _invariant_logarithm(body)
+        log = _invariant_logarithm(fgl)
     except NonUnitLinearCoefficient:
         return False
     return compose_series(log, body) == _sum_of_logs(log, n)
@@ -318,7 +322,7 @@ def logarithm(fgl: FormalGroupLaw) -> TruncatedSeries1:
     """
     if not fgl.ring.is_q_algebra():
         raise NotQAlgebra(f"{fgl.ring} is not a Q-algebra")
-    return _invariant_logarithm(fgl.body)
+    return _invariant_logarithm(fgl)
 
 
 def from_logarithm(

@@ -171,7 +171,8 @@ class HopfAlgebroidTrunc:
 
     Gamma elements are maps basis-key -> A-element (the eta_L coefficients).
     Delta lands in maps (key, key) -> A-element with the coefficient acting
-    on the leftmost tensor factor.
+    on the leftmost tensor factor.  Inside the layer the same maps hold the
+    raw payloads of A instead, and are boxed only where they leave it.
     """
 
     def __init__(self, flavor, base, truncation):
@@ -224,25 +225,30 @@ class HopfAlgebroidTrunc:
         return out
 
     def g_mul(self, u: dict, v: dict) -> dict:
-        out = {}
+        base = self.base
+        out = self._g_mul_raw(_payloads(u), _payloads(v))
+        return {k: RingElement(base, p) for k, p in out.items()}
+
+    def _g_mul_raw(self, u: dict, v: dict) -> dict:
+        """g_mul on payload maps."""
+        base = self.base
+        mul, add, is_zero = base._mul, base._add, base._is_zero
         basis_mul = self.basis_mul
+        out = {}
         for k1, c1 in u.items():
             for k2, c2 in v.items():
                 k = basis_mul(k1, k2)
-                if k is None:
-                    continue
-                p = c1 * c2
-                if p.is_zero():
-                    continue
-                s = out[k] + p if k in out else p
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
+                if k is not None:
+                    _add_term(out, k, mul(c1, c2), add, is_zero)
         return out
 
+    def _eta_r_raw(self, payload) -> dict:
+        """eta_R of a payload of A, as a payload map."""
+        return _payloads(self.eta_r(RingElement(self.base, payload)))
+
     def eps(self, u: dict) -> RingElement:
-        return _pair(self.base.zero(), u, {k: self.eps_basis(k) for k in u})
+        values = {k: self.eps_basis(k).payload for k in u}
+        return RingElement(self.base, _pair(self.base, _payloads(u), values))
 
 
 class LazardAlgebroid(HopfAlgebroidTrunc):
@@ -432,9 +438,32 @@ class HopfReport:
         return all(c.passed for c in self.checks)
 
 
+class _Products(dict):
+    """(i, j) -> values[i] * values[j] on payloads, filled on first lookup."""
+
+    __slots__ = ("values", "mul")
+
+    def __init__(self, values, mul):
+        super().__init__()
+        self.values = values
+        self.mul = mul
+
+    def __missing__(self, key):
+        i, j = key
+        p = self[key] = self.mul(self.values[i], self.values[j])
+        return p
+
+
 def hopf_axiom_check(algebroid: HopfAlgebroidTrunc) -> HopfReport:
     """Both counit laws, coassociativity, and eps o eta_L = eps o eta_R = id,
-    verified on generators and the Gamma basis up to the truncation."""
+    verified on generators and the Gamma basis up to the truncation.
+
+    The counit and coassociativity laws run on payloads.  Each distinct
+    value of A that they meet (a counit value, a Delta coefficient or an
+    eta_R coefficient) gets an index; each is pushed through eta_R at most
+    once, each product of two of them is computed once, and each Delta
+    table is read once.
+    """
     checks = []
 
     units = (
@@ -448,22 +477,56 @@ def hopf_axiom_check(algebroid: HopfAlgebroidTrunc) -> HopfReport:
         )
         checks.append(HopfCheck(law, witness is None, witness))
 
+    base = algebroid.base
+    add, is_zero, freeze = base._add, base._is_zero, base._freeze
+    basis_mul = algebroid.basis_mul
+    values, index, pushed = [], {}, []
+    products = _Products(values, base._mul)
+    tables = {}  # basis key -> [(k1, k2, index of c, eta_R(c))]
+
+    def intern(payload):
+        frozen = freeze(payload)
+        i = index.get(frozen)
+        if i is None:
+            i = index[frozen] = len(values)
+            values.append(payload)
+            pushed.append(None)
+        return i
+
+    def push(i):
+        """eta_R of values[i], as (basis key, value index) pairs."""
+        if pushed[i] is None:
+            image = algebroid._eta_r_raw(values[i])
+            pushed[i] = tuple((k, intern(p)) for k, p in image.items())
+        return pushed[i]
+
+    def delta(key):
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = []
+            for (k1, k2), c in algebroid.delta_basis(key).items():
+                i = intern(c.payload)
+                table.append((k1, k2, i, push(i)))
+        return table
+
+    eps = {key: intern(algebroid.eps_basis(key).payload) for key in algebroid.gamma_basis()}
+    one = base.one().payload
     left_fail = right_fail = None
     for key in algebroid.gamma_basis():
-        table = algebroid.delta_basis(key)
-        target = {key: algebroid.base.one()}
+        target = {key: one}
         # (id (x) eps) Delta = id
         acc = {}
-        for (k1, k2), c in table.items():
-            term = algebroid.g_mul({k1: c}, algebroid.eta_r(algebroid.eps_basis(k2)))
-            acc = algebroid.g_add(acc, term)
+        for k1, k2, c, _ in delta(key):
+            for j, e in push(eps[k2]):
+                k = basis_mul(k1, j)
+                if k is not None:
+                    _add_term(acc, k, products[c, e], add, is_zero)
         if acc != target and right_fail is None:
             right_fail = f"basis {key} (degree {algebroid.basis_degree(key)})"
         # (eps (x) id) Delta = id
         acc = {}
-        for (k1, k2), c in table.items():
-            term = algebroid.g_scale({k2: algebroid.base.one()}, c * algebroid.eps_basis(k1))
-            acc = algebroid.g_add(acc, term)
+        for k1, k2, c, _ in delta(key):
+            _add_term(acc, k2, products[c, eps[k1]], add, is_zero)
         if acc != target and left_fail is None:
             left_fail = f"basis {key} (degree {algebroid.basis_degree(key)})"
     checks.append(HopfCheck("counit_left", left_fail is None, left_fail))
@@ -471,29 +534,18 @@ def hopf_axiom_check(algebroid: HopfAlgebroidTrunc) -> HopfReport:
 
     coassoc_fail = None
     for key in algebroid.gamma_basis():
-        table = algebroid.delta_basis(key)
         lhs = {}
         rhs = {}
-        for (k1, k2), c in table.items():
-            for (j1, j2), d in algebroid.delta_basis(k1).items():
-                triple = (j1, j2, k2)
-                p = c * d
-                s = lhs[triple] + p if triple in lhs else p
-                if s.is_zero():
-                    lhs.pop(triple, None)
-                else:
-                    lhs[triple] = s
-            for (j2, j3), d in algebroid.delta_basis(k2).items():
+        for k1, k2, c, _ in delta(key):
+            for j1, j2, d, _ in delta(k1):
+                _add_term(lhs, (j1, j2, k2), products[c, d], add, is_zero)
+            for j2, j3, _, d_pushed in delta(k2):
                 # the coefficient d enters the middle factor via eta_L: push
                 # it through the balance as eta_R on the left factor
-                left = algebroid.g_mul({k1: c}, algebroid.eta_r(d))
-                for j1, e in left.items():
-                    triple = (j1, j2, j3)
-                    s = rhs[triple] + e if triple in rhs else e
-                    if s.is_zero():
-                        rhs.pop(triple, None)
-                    else:
-                        rhs[triple] = s
+                for j, e in d_pushed:
+                    j1 = basis_mul(k1, j)
+                    if j1 is not None:
+                        _add_term(rhs, (j1, j2, j3), products[c, e], add, is_zero)
         if lhs != rhs and coassoc_fail is None:
             coassoc_fail = f"basis {key} (degree {algebroid.basis_degree(key)})"
     checks.append(HopfCheck("coassociativity", coassoc_fail is None, coassoc_fail))
@@ -504,35 +556,55 @@ def hopf_axiom_check(algebroid: HopfAlgebroidTrunc) -> HopfReport:
 # -- dual functionals -------------------------------------------------------------
 
 
-def _pair(zero, gamma, values):
-    """sum_k gamma_k * values_k over the keys of gamma that values holds,
-    starting from zero."""
-    total = zero
+def _payloads(u: dict) -> dict:
+    """A map of ring elements as the map of their payloads."""
+    return {k: c.payload for k, c in u.items()}
+
+
+def _add_term(out, key, p, add, is_zero):
+    """out[key] += p on a payload map, dropping a zero sum."""
+    if key in out:
+        p = add(out[key], p)
+    if is_zero(p):
+        out.pop(key, None)
+    else:
+        out[key] = p
+
+
+def _pair(ring, gamma, values):
+    """sum_k gamma_k * values_k over the keys of gamma that values holds, on
+    payload maps of ring; the result is a payload."""
+    mul, add = ring._mul, ring._add
+    total = ring.zero().payload
     for key, c in gamma.items():
         v = values.get(key)
         if v is not None:
-            total = total + c * v
+            total = add(total, mul(c, v))
     return total
 
 
-def _convolve(algebroid, f, g_values) -> dict:
-    """{key: f((id (x) g) Delta(key))} over the Gamma basis, g given by its
-    basis values; the coefficient of g enters through eta_R, which each value
-    of g passes through once, on first use."""
+def _convolve(algebroid, f_raw, g_values) -> dict:
+    """{key: f((id (x) g) Delta(key))} over the Gamma basis, f given by the
+    payloads of its basis values and g by its basis values; the coefficient
+    of g enters through eta_R, which each value of g passes through once, on
+    first use."""
+    base = algebroid.base
+    mul, add = base._mul, base._add
+    basis_mul = algebroid.basis_mul
     out, pushed = {}, {}
     for key in algebroid.gamma_basis():
-        # regroup Delta(key) as {right-basis-key: left Gamma element}
-        grouped = {}
+        total = base.zero().payload
         for (k1, k2), c in algebroid.delta_basis(key).items():
-            grouped.setdefault(k2, {})[k1] = c
-        total = f({})  # the zero of f's value ring
-        for k2, left in grouped.items():
             gv = g_values.get(k2)
-            if gv is not None:
-                if k2 not in pushed:
-                    pushed[k2] = algebroid.eta_r(gv)
-                total = total + f(algebroid.g_mul(left, pushed[k2]))
-        out[key] = total
+            if gv is None:
+                continue
+            if k2 not in pushed:
+                pushed[k2] = tuple(algebroid._eta_r_raw(gv.payload).items())
+            for j, e in pushed[k2]:
+                v = f_raw.get(basis_mul(k1, j))
+                if v is not None:
+                    total = add(total, mul(mul(c.payload, e), v))
+        out[key] = RingElement(base, total)
     return out
 
 
@@ -544,7 +616,8 @@ class DualFunctional:
         self.values = {k: v for k, v in values.items() if not v.is_zero()}
 
     def __call__(self, gamma: dict) -> RingElement:
-        return _pair(self.algebroid.base.zero(), gamma, self.values)
+        base = self.algebroid.base
+        return RingElement(base, _pair(base, _payloads(gamma), _payloads(self.values)))
 
     def __eq__(self, other):
         if not isinstance(other, DualFunctional):
@@ -572,7 +645,7 @@ def dual_compose(f: DualFunctional, g: DualFunctional) -> DualFunctional:
     """The composition product on Gamma^vee: f o g = f . (id (x) g) . Delta."""
     if f.algebroid is not g.algebroid:
         raise AlgebroidMismatch("functionals over different algebroids")
-    return DualFunctional(f.algebroid, _convolve(f.algebroid, f, g.values))
+    return DualFunctional(f.algebroid, _convolve(f.algebroid, _payloads(f.values), g.values))
 
 
 # -- coactions and the twisted ring ------------------------------------------------
@@ -608,7 +681,8 @@ def coaction_to_action(coaction: Coaction, f: DualFunctional, r: RingElement) ->
     """The action lambda(f, r) = (id_R (x) f)(rho(r)); it extends eta_L^vee."""
     if f.algebroid is not coaction.algebroid:
         raise AlgebroidMismatch("functional and coaction disagree")
-    return _pair(coaction.algebroid.base.zero(), coaction.rho(r), f.values)
+    base = coaction.algebroid.base
+    return RingElement(base, _pair(base, _payloads(coaction.rho(r)), _payloads(f.values)))
 
 
 def simple_tensor(u: RingElement, phi: DualFunctional) -> DualFunctional:
@@ -634,12 +708,14 @@ def twisted_ring_multiply(
     algebroid = phi.algebroid
     if psi.algebroid is not algebroid or coaction.algebroid is not algebroid:
         raise AlgebroidMismatch("operands over different algebroids")
-    rho_v = coaction.rho(v)
-    one = algebroid.base.one()
-    middle = DualFunctional(
-        algebroid,
-        {key: phi(algebroid.g_mul({key: one}, rho_v)) for key in algebroid.gamma_basis()},
-    )
+    base = algebroid.base
+    rho_v = _payloads(coaction.rho(v))
+    phi_raw = _payloads(phi.values)
+    one = base.one().payload
+    middle = {
+        key: _pair(base, algebroid._g_mul_raw({key: one}, rho_v), phi_raw)
+        for key in algebroid.gamma_basis()
+    }
     values = _convolve(algebroid, middle, psi.values)
     return DualFunctional(algebroid, {key: u * t for key, t in values.items()})
 

@@ -96,6 +96,13 @@ class TruncatedSeries1:
         """The constant series value at this precision."""
         return TruncatedSeries1(self.ring, [value], self.precision)
 
+    def _zero_padded(self, precision: int) -> "TruncatedSeries1":
+        """These coefficients with zeros up to a higher precision.  The zeros
+        are not known coefficients: pad by one degree only before multiplying
+        by a series with zero constant term, whose product up to the padded
+        precision the zeros do not reach."""
+        return TruncatedSeries1(self.ring, self.coeffs, precision)
+
     def _check(self, other):
         if other.ring != self.ring:
             raise RingMismatch(f"{self.ring} vs {other.ring}")
@@ -289,6 +296,13 @@ class TruncatedSeriesN:
         """The constant series value in these variables at this precision."""
         return type(self)(self.ring, self.nvars, {(0,) * self.nvars: value}, self.precision)
 
+    def _zero_padded(self, precision):
+        """These coefficients with zeros up to a higher precision.  The zeros
+        are not known coefficients: pad by one degree only before multiplying
+        by a series with zero constant term, whose product up to the padded
+        precision the zeros do not reach."""
+        return type(self)(self.ring, self.nvars, self.coeffs, precision)
+
     def _check(self, other):
         if other.ring != self.ring or other.nvars != self.nvars:
             raise RingMismatch("series are not over the same ring and variables")
@@ -416,17 +430,25 @@ class TruncatedSeries2(TruncatedSeriesN):
 
 
 def compose_series(outer: TruncatedSeries1, inner):
-    """outer(inner) for an inner series (1 or n variables) vanishing at 0."""
+    """outer(inner) for an inner series (1 or n variables) vanishing at 0.
+
+    Horner's rule at shrinking precision (Brent and Kung, J. ACM 25 (1978)):
+    acc_n = c_n and acc_k = c_k + inner * acc_{k+1}, so that the result is
+    sum_{j<k} c_j inner^j + inner^k acc_k.  inner^k starts in degree k, so
+    acc_k is needed only to precision n-k.  Each step pads acc_{k+1}, known
+    to precision n-k-1, with zeros in degree n-k; the pad meets only the
+    zero constant term of inner, so the product is exact to precision n-k.
+    """
     if outer.ring != inner.ring:
         raise RingMismatch(f"{outer.ring} vs {inner.ring}")
     if not inner.constant_term().is_zero():
         raise NonzeroConstantTerm("inner series must vanish at the origin")
     n = min(outer.precision, inner.precision)
-    inner = inner.truncate(n)
-    acc = inner.constant_like(outer.coeffs[n])
+    c = outer.coeffs
+    acc = inner.truncate(0).constant_like(c[n])
     for k in range(n - 1, -1, -1):
-        acc = acc * inner
-        acc = acc._set_constant(acc.constant_term() + outer.coeffs[k])
+        acc = acc._zero_padded(n - k) * inner
+        acc = acc._set_constant(acc.constant_term() + c[k])
     return acc
 
 

@@ -476,3 +476,22 @@ def test_rational_laws_confirm_associativity_through_the_logarithm(monkeypatch):
         from_logarithm(TruncatedSeries1.from_fractions(Q, [0, 1, 3, Fraction(-1, 2)], 6), Q, 6),
     ):
         assert check_axioms(law).passed
+
+
+def test_the_invariant_logarithm_is_computed_once_per_law(monkeypatch):
+    # building and validating the universal law, its logarithm and its
+    # classifying map all read the one memoized logarithm
+    from fglforge.hopf import classify_rational, universal_fgl_rational
+
+    calls = []
+    inverse = TruncatedSeries1.inverse
+    monkeypatch.setattr(
+        TruncatedSeries1, "inverse", lambda self: calls.append(self) or inverse(self)
+    )
+    law = universal_fgl_rational(8)
+    assert check_axioms(law).passed
+    log = logarithm(law)
+    assignment = classify_rational(law)
+    assert len(calls) == 1
+    assert logarithm(law) is log
+    assert [assignment[f"m{i}"] for i in range(1, 8)] == [log.coefficient(i + 1) for i in range(1, 8)]

@@ -203,6 +203,17 @@ def _delta_b2_cross_term_off_by_one():
     return H
 
 
+def _delta_b1_plus_m1():
+    H = lb_structure_maps(3)
+    b1 = H.bring.pack([1, 0, 0])
+    # Delta(b1) := b1 (x) 1 + 1 (x) b1 + m1 (1 (x) 1): coassociativity at b1
+    # needs eta_R(m1) = m1, and eta_R(m1) = m1 - b1
+    table = dict(H.delta_basis(b1))
+    table[(0, 0)] = H.base.generator("m1")
+    H._delta_cache[b1] = table
+    return H
+
+
 def _eta_r_m1_doubled():
     H = lb_structure_maps(3)
     H._etar_gen[1] = {k: v + v for k, v in H._etar_gen[1].items()}
@@ -226,13 +237,27 @@ HOPF_LAWS = ("eps_eta_L", "eps_eta_R", "counit_left", "counit_right", "coassocia
             {"counit_left": "basis 1 (degree 1)", "coassociativity": "basis 2 (degree 2)"},
         ),
         (_delta_b2_cross_term_off_by_one, {"coassociativity": "basis 4096 (degree 3)"}),
+        (
+            _delta_b1_plus_m1,
+            {
+                "counit_left": "basis 1 (degree 1)",
+                "counit_right": "basis 1 (degree 1)",
+                "coassociativity": "basis 1 (degree 1)",
+            },
+        ),
         (_eta_r_m1_doubled, {"eps_eta_R": "on m1"}),
         (
             _groupoid_eps_swapped,
             {"eps_eta_R": "on [1, 0]", "counit_right": "basis 0 (degree 0)"},
         ),
     ],
-    ids=["delta_b1_left_only", "delta_b2_cross_term", "eta_r_m1_doubled", "groupoid_eps_swapped"],
+    ids=[
+        "delta_b1_left_only",
+        "delta_b2_cross_term",
+        "delta_b1_plus_m1",
+        "eta_r_m1_doubled",
+        "groupoid_eps_swapped",
+    ],
 )
 def test_corrupted_structure_report(corrupt, failures):
     # the whole report: every law in order, and the first failing witness of each

@@ -362,6 +362,72 @@ def test_compose_series_matches_sympy(nvars):
         assert _terms(got) == _truncated(expected, n)
 
 
+L5 = lazard_base_ring(5)
+
+
+def _small_coefficient(ring, rng):
+    """A small fraction over Q; over L5 one times a monomial in m1..m3 of
+    degree at most 6 (those above 5 vanish), plus an integer."""
+    q = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    if ring == Q:
+        return Q.from_fraction(q)
+    return ring.monomial([rng.randint(0, 1) for _ in range(3)], q) + rng.randint(-1, 1)
+
+
+def _random_inner(ring, rng, nvars, precision, shape):
+    """A series vanishing at the origin: dense and random, with no linear
+    terms (valuation 2), or zero."""
+    if nvars == 1:
+        keys = [(i,) for i in range(1, precision + 1)]
+    else:
+        keys = [k for k in _exponents(nvars, precision) if sum(k) >= 1]
+    low = 2 if shape == "valuation_2" else 1
+    coeffs = {}
+    if shape != "zero":
+        for k in keys:
+            if sum(k) >= low and rng.random() < 0.6:
+                coeffs[k] = _small_coefficient(ring, rng)
+    if nvars == 1:
+        return TruncatedSeries1(
+            ring, [coeffs.get((i,), ring.zero()) for i in range(precision + 1)], precision
+        )
+    cls = TruncatedSeries2 if nvars == 2 else TruncatedSeriesN
+    return cls(ring, nvars, coeffs, precision)
+
+
+def _composition_reference(outer, inner):
+    """sum_k c_k inner^k, every power a product at the full precision."""
+    n = min(outer.precision, inner.precision)
+    inner = inner.truncate(n)
+    power = inner.constant_like(inner.ring.one())
+    total = inner.constant_like(inner.ring.zero())
+    for c in outer.coeffs[: n + 1]:
+        total = total + power.scale(c)
+        power = power * inner
+    return total
+
+
+@pytest.mark.parametrize("ring", [Q, L5], ids=["Q", "L5"])
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_compose_series_matches_sum_of_powers(nvars, ring):
+    rng = random.Random(zlib.crc32(f"compose reference {nvars} {ring}".encode()))
+    # three-variable products grow fastest; 7 keeps this test under a second
+    for n in (0, 1, 2, 5, 10 if nvars < 3 else 7):
+        for shape in ("dense", "valuation_2", "zero"):
+            inner = _random_inner(ring, rng, nvars, n, shape)
+            # the outer precision below, equal to and above the inner one
+            for outer_precision in {max(n - 2, 0), n, n + 2}:
+                outer = TruncatedSeries1(
+                    ring,
+                    [_small_coefficient(ring, rng) for _ in range(outer_precision + 1)],
+                    outer_precision,
+                )
+                got = compose_series(outer, inner)
+                assert type(got) is type(inner)
+                assert got.precision == min(outer_precision, n)
+                assert got == _composition_reference(outer, inner), (n, shape, outer_precision)
+
+
 @pytest.mark.parametrize("nvars", [1, 2, 3])
 def test_substitute_pair_matches_sympy(nvars):
     sympy = pytest.importorskip("sympy")
