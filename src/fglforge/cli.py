@@ -21,13 +21,6 @@ from . import __version__
 from .errors import FGLForgeError
 from .expressions import parse_expression
 from .fgl import _require_axioms, check_axioms, logarithm, n_series, named_fgl
-from .hopf import (
-    classify_rational,
-    groupoid_fixture,
-    hopf_axiom_check,
-    hq_idempotence_check,
-    lb_structure_maps,
-)
 from .iojson import (
     algebroid_to_json,
     canonical_json,
@@ -40,7 +33,6 @@ from .iojson import (
     twisted_from_json,
     twisted_to_json,
 )
-from .landweber import LandweberInput, landweber_check
 from .rings import (
     Integers,
     IntegersMod,
@@ -60,8 +52,11 @@ def _default_precision() -> int:
     env = os.environ.get("FGLFORGE_PRECISION")
     if env is None:
         return 8
-    value = int(env)
-    _check_precision(value)
+    try:
+        value = int(env)
+        _check_precision(value)
+    except ValueError as exc:
+        raise ValueError(f"FGLFORGE_PRECISION={env!r}: {exc}") from None
     return value
 
 
@@ -204,6 +199,9 @@ def _cmd_fgl(args) -> int:
         )
         return 0
     if args.fgl_command == "classify":
+        # deferred so that the other fgl subcommands do not load hopf and gradedpoly
+        from .hopf import classify_rational
+
         assignment = classify_rational(fgl)
         _emit(
             "fgl classify",
@@ -248,6 +246,9 @@ def _landweber_report_json(report) -> dict:
 
 
 def _cmd_landweber(args) -> int:
+    # deferred so that `import fglforge.cli` does not load landweber
+    from .landweber import LandweberInput, landweber_check
+
     precision = args.precision
     _check_precision(precision)
     primes = [int(p) for p in args.primes.split(",") if p.strip()]
@@ -274,6 +275,14 @@ def _cmd_landweber(args) -> int:
 
 
 def _cmd_lazard(args) -> int:
+    # deferred so that `import fglforge.cli` does not load hopf and gradedpoly
+    from .hopf import (
+        groupoid_fixture,
+        hopf_axiom_check,
+        hq_idempotence_check,
+        lb_structure_maps,
+    )
+
     if args.lazard_command == "hq":
         report = hq_idempotence_check(args.max_degree)
         _emit(
@@ -409,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    default_n = _default_precision()
 
     p_fgl = sub.add_parser("fgl", help="formal group law operations")
     fgl_sub = p_fgl.add_subparsers(dest="fgl_command", required=True)
@@ -422,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
         q = fgl_sub.add_parser(name, help=extra)
         q.add_argument("--fgl", default=None, help="law name[-over-RING] or JSON file")
         q.add_argument("--name", default=None, help="alias for --fgl by name")
-        q.add_argument("--precision", type=int, default=default_n)
+        q.add_argument("--precision", type=int)
         if name == "pseries":
             q.add_argument("--k", type=int, required=True)
     p_fgl.set_defaults(func=_cmd_fgl)
@@ -434,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--module", default="self", help="'self' or a generator expression")
     q.add_argument("--primes", default="2,3,5,7")
     q.add_argument("--max-height", type=int, default=2)
-    q.add_argument("--precision", type=int, default=default_n)
+    q.add_argument("--precision", type=int)
     q.add_argument("--format", choices=("json", "text"), default="json")
     p_land.set_defaults(func=_cmd_landweber)
 
@@ -456,12 +464,12 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--model", choices=("tower", "sequence"), default="sequence")
     q.add_argument("--depth", type=int, default=3)
-    q.add_argument("--precision", type=int, default=default_n)
+    q.add_argument("--precision", type=int)
     q.add_argument("--window", default="-4:4", help="lo:hi (use --window=-4:4)")
     q = ops_sub.add_parser("compose", help="composition product of two series")
     q.add_argument("--lhs", required=True, help="geom(n) or a series JSON file")
     q.add_argument("--rhs", required=True)
-    q.add_argument("--precision", type=int, default=default_n)
+    q.add_argument("--precision", type=int)
     q = ops_sub.add_parser("idempotent", help="the Adams idempotent e_n")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--window", default="-4:4")
@@ -489,6 +497,9 @@ def run_command(argv=None) -> int:
             if args.name is None:
                 raise ValueError("one of --fgl or --name is required")
             args.fgl = args.name
+        # without --precision, FGLFORGE_PRECISION is read, and checked, here
+        if getattr(args, "precision", 0) is None:
+            args.precision = _default_precision()
         return args.func(args)
     except (FGLForgeError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,8 +10,6 @@ x + y - beta*x*y graded with |beta| = 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     AxiomsFailed,
     BadCoordinate,
@@ -68,16 +66,45 @@ class FormalGroupLaw:
         return f"<{label} over {self.ring} at precision {self.precision}>"
 
 
-@dataclass
-class AxiomCheck:
-    axiom: str
-    passed: bool
-    witness: tuple | None = None
+class _Record:
+    """A plain record: the fields are the class's ``__slots__``.
+
+    Records compare equal when they have the same type and equal fields, print
+    as ``Name(field=value, ...)`` and, being mutable, are unhashable, as an
+    unfrozen dataclass with ``eq`` is.  Plain classes keep ``dataclasses`` (and
+    with it ``inspect``, ``ast`` and ``dis``) out of every CLI process.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
 
-@dataclass
-class AxiomReport:
-    checks: list
+class AxiomCheck(_Record):
+    __slots__ = ("axiom", "passed", "witness")
+
+    def __init__(self, axiom: str, passed: bool, witness: tuple | None = None):
+        self.axiom = axiom
+        self.passed = passed
+        self.witness = witness
+
+
+class AxiomReport(_Record):
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: list):
+        self.checks = checks
 
     @property
     def passed(self) -> bool:
@@ -87,12 +114,14 @@ class AxiomReport:
         return [c for c in self.checks if not c.passed]
 
 
-@dataclass
-class NSeries:
+class NSeries(_Record):
     """[k](x): the k-fold formal sum of x with itself."""
 
-    k: int
-    series: TruncatedSeries1
+    __slots__ = ("k", "series")
+
+    def __init__(self, k: int, series: TruncatedSeries1):
+        self.k = k
+        self.series = series
 
 
 def _first_mismatch(a: TruncatedSeriesN, b: TruncatedSeriesN):

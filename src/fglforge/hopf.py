@@ -23,11 +23,10 @@ and twisted_ring_multiply return DualFunctionals.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AlgebroidMismatch, NotACoaction, NotQAlgebra, Unsupported
-from .fgl import FormalGroupLaw, _require_axioms, from_logarithm, logarithm
+from .fgl import FormalGroupLaw, _Record, _require_axioms, from_logarithm, logarithm
 from .gradedpoly import (
     GradedPolynomialRing,
     coordinate_change_ring,
@@ -420,18 +419,22 @@ def groupoid_fixture(n: int):
 # -- the axiom report -----------------------------------------------------------
 
 
-@dataclass
-class HopfCheck:
-    law: str
-    passed: bool
-    witness: str | None = None
+class HopfCheck(_Record):
+    __slots__ = ("law", "passed", "witness")
+
+    def __init__(self, law: str, passed: bool, witness: str | None = None):
+        self.law = law
+        self.passed = passed
+        self.witness = witness
 
 
-@dataclass
-class HopfReport:
-    flavor: str
-    truncation: int
-    checks: list
+class HopfReport(_Record):
+    __slots__ = ("flavor", "truncation", "checks")
+
+    def __init__(self, flavor: str, truncation: int, checks: list):
+        self.flavor = flavor
+        self.truncation = truncation
+        self.checks = checks
 
     @property
     def passed(self):
@@ -750,21 +753,25 @@ def _rank(matrix) -> int:
     return rank
 
 
-@dataclass
-class DegreeRank:
-    degree: int
-    dimension: int
-    rank: int
+class DegreeRank(_Record):
+    __slots__ = ("degree", "dimension", "rank")
+
+    def __init__(self, degree: int, dimension: int, rank: int):
+        self.degree = degree
+        self.dimension = dimension
+        self.rank = rank
 
     @property
     def full(self):
         return self.rank == self.dimension
 
 
-@dataclass
-class IdempotenceReport:
-    max_degree: int
-    degrees: list
+class IdempotenceReport(_Record):
+    __slots__ = ("max_degree", "degrees")
+
+    def __init__(self, max_degree: int, degrees: list):
+        self.max_degree = max_degree
+        self.degrees = degrees
 
     @property
     def passed(self):

@@ -17,11 +17,9 @@ beyond that scope is performed or implied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import InsufficientPrecision
 from .expressions import element_to_expr
-from .fgl import FormalGroupLaw, v_coefficient
+from .fgl import FormalGroupLaw, _Record, v_coefficient
 from .rings import (
     RingElement,
     _is_prime,
@@ -32,17 +30,19 @@ from .rings import (
 )
 
 
-@dataclass
-class LandweberInput:
+class LandweberInput(_Record):
     """A law, a module (None = the ring itself, or a cyclic-quotient
     generator), the primes to test, and the height bound."""
 
-    fgl: FormalGroupLaw
-    module: RingElement | None
-    primes: list
-    max_height: int
+    __slots__ = ("fgl", "module", "primes", "max_height")
 
-    def __post_init__(self):
+    def __init__(
+        self, fgl: FormalGroupLaw, module: RingElement | None, primes: list, max_height: int
+    ):
+        self.fgl = fgl
+        self.module = module
+        self.primes = primes
+        self.max_height = max_height
         if not self.primes:
             raise ValueError("no primes to check")
         for p in self.primes:
@@ -58,33 +58,66 @@ class LandweberInput:
         return self.fgl.precision
 
 
-@dataclass
-class StageRecord:
-    n: int
-    status: str  # injective | fails | quotient_zero
-    ring: str
-    v_value: str | None = None
-    v_degree: int | None = None
-    witness: str | None = None
+class StageRecord(_Record):
+    __slots__ = ("n", "status", "ring", "v_value", "v_degree", "witness")
+
+    def __init__(
+        self,
+        n: int,
+        status: str,  # injective | fails | quotient_zero
+        ring: str,
+        v_value: str | None = None,
+        v_degree: int | None = None,
+        witness: str | None = None,
+    ):
+        self.n = n
+        self.status = status
+        self.ring = ring
+        self.v_value = v_value
+        self.v_degree = v_degree
+        self.witness = witness
 
 
-@dataclass
-class PrimeVerdict:
-    prime: int
-    stages: list
-    exact: bool
-    height: int | None = None
-    failed_stage: int | None = None
-    witness: str | None = None
-    height_within_bound: bool = True
+class PrimeVerdict(_Record):
+    __slots__ = (
+        "prime",
+        "stages",
+        "exact",
+        "height",
+        "failed_stage",
+        "witness",
+        "height_within_bound",
+    )
+
+    def __init__(
+        self,
+        prime: int,
+        stages: list,
+        exact: bool,
+        height: int | None = None,
+        failed_stage: int | None = None,
+        witness: str | None = None,
+        height_within_bound: bool = True,
+    ):
+        self.prime = prime
+        self.stages = stages
+        self.exact = exact
+        self.height = height
+        self.failed_stage = failed_stage
+        self.witness = witness
+        self.height_within_bound = height_within_bound
 
 
-@dataclass
-class LandweberReport:
-    primes: list
-    max_height: int
-    precision: int
-    per_prime: list = field(default_factory=list)
+class LandweberReport(_Record):
+    __slots__ = ("primes", "max_height", "precision", "per_prime")
+
+    def __init__(
+        self, primes: list, max_height: int, precision: int, per_prime: list | None = None
+    ):
+        self.primes = primes
+        self.max_height = max_height
+        self.precision = precision
+        self.per_prime = [] if per_prime is None else per_prime
 
     @property
     def exact(self) -> bool:
@@ -164,12 +197,14 @@ def landweber_check(inp: LandweberInput) -> LandweberReport:
     return report
 
 
-@dataclass
-class VRow:
-    n: int
-    value: RingElement
-    degree: int
-    homogeneous: bool | None
+class VRow(_Record):
+    __slots__ = ("n", "value", "degree", "homogeneous")
+
+    def __init__(self, n: int, value: RingElement, degree: int, homogeneous: bool | None):
+        self.n = n
+        self.value = value
+        self.degree = degree
+        self.homogeneous = homogeneous
 
 
 def v_sequence_report(fgl: FormalGroupLaw, p: int, max_height: int):

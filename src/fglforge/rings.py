@@ -883,9 +883,9 @@ class QuotientByPrincipal(CoefficientRing):
     def _reduce(self, payload: dict) -> dict:
         neg = -min((e for e in payload if e < 0), default=0)
         poly = {e + neg: c for e, c in payload.items()}
-        poly = _poly_divmod(poly, self.modulus)[1]
+        poly = _poly_divmod_monic(poly, self.modulus)[1]
         for _ in range(neg):
-            poly = _poly_divmod(self.base._mul(poly, self._var_inv), self.modulus)[1]
+            poly = _poly_divmod_monic(self.base._mul(poly, self._var_inv), self.modulus)[1]
         return poly
 
     # a constant has degree 0 < deg f, so it is already reduced
@@ -987,13 +987,19 @@ class QuotientByPrincipal(CoefficientRing):
 
 def _poly_divmod(a: dict, b: dict):
     """Quotient and remainder over a field (b nonzero)."""
+    lead_inv = b[_poly_degree(b)].inverse()
+    q, r = _poly_divmod_monic(a, _poly_scale(b, lead_inv))
+    return _poly_scale(q, lead_inv), r
+
+
+def _poly_divmod_monic(a: dict, b: dict):
+    """Quotient and remainder by a monic b, over any ring: nothing is inverted."""
     d = _poly_degree(b)
-    lead_inv = b[d].inverse()
     q = {}
     a = dict(a)
     while a and _poly_degree(a) >= d:
         da = _poly_degree(a)
-        c = a[da] * lead_inv
+        c = a[da]
         q[da - d] = c
         a = _poly_sub(a, {da - d + e: x * c for e, x in b.items()})
     return q, a

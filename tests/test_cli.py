@@ -271,20 +271,58 @@ def test_input_errors_exit_2(capsys, tmp_path):
         assert code == 2 and "error:" in err and not out, argv
 
 
-def test_importing_the_cli_defers_adams_and_selftest():
-    # every CLI process pays for what `import fglforge.cli` loads, so adams and
-    # selftest are imported only by the subcommands that run them
+# what every CLI process loads: the modules `fgl pseries` runs on
+CLI_CORE = {"cli", "errors", "expressions", "fgl", "iojson", "rings", "series"}
+LAZARD = CLI_CORE | {"gradedpoly", "hopf"}
+
+
+def _modules_loaded(argv=None):
+    """Import fglforge.cli in a fresh interpreter and run argv there.  Returns
+    the exit code, the fglforge modules loaded, and whether the run added
+    dataclasses to sys.modules (site may load it before any fglforge import)."""
     path = [str(Path(fglforge.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env.pop("FGLFORGE_PRECISION", None)
     probe = (
-        "import sys, fglforge.cli; "
-        "print([m for m in ('fglforge.adams', 'fglforge.selftest') if m in sys.modules])"
+        "import json, sys; before = set(sys.modules); import fglforge.cli; "
+        f"argv = {argv!r}; "
+        "code = None if argv is None else fglforge.cli.run_command(argv); "
+        "mods = sorted(m.split('.', 1)[1] for m in sys.modules if m.startswith('fglforge.')); "
+        "added = 'dataclasses' in set(sys.modules) - before; "
+        "print(json.dumps([code, mods, added]))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    code, modules, added = json.loads(proc.stdout.splitlines()[-1])
+    return code, set(modules), added
+
+
+def test_importing_the_cli_defers_adams_and_selftest():
+    # every CLI process pays for what `import fglforge.cli` loads (and, with no
+    # bytecode cache, compiles), so each subcommand imports what it runs
+    assert _modules_loaded() == (None, CLI_CORE, False)
+
+
+@pytest.mark.parametrize(
+    "argv, code, modules",
+    [
+        (["fgl", "pseries", "--name", "multiplicative", "--k", "2"], 0, CLI_CORE),
+        (["fgl", "axioms", "--fgl", "LAW_FILE"], 0, CLI_CORE),
+        (["fgl", "log", "--fgl", "universal_rational", "--precision", "3"], 0, LAZARD),
+        (["landweber", "check", "--fgl", "multiplicative"], 0, CLI_CORE | {"landweber"}),
+        (["ops", "compose", "--lhs", "geom(2)", "--rhs", "geom(3)"], 0, CLI_CORE | {"adams"}),
+        (["lazard", "hq", "--max-degree", "3"], 0, LAZARD),
+        (["fgl", "pseries", "--name", "nosuch", "--k", "2"], 2, CLI_CORE),
+    ],
+    ids=["pseries", "axioms-file", "log-universal", "landweber", "compose", "hq", "malformed"],
+)
+def test_subcommands_load_only_what_they_run(tmp_path, argv, code, modules):
+    law = tmp_path / "law.json"
+    law.write_text(json.dumps(fgl_to_json(fgl_from_spec("multiplicative", 6))))
+    argv = [str(law) if arg == "LAW_FILE" else arg for arg in argv]
+    assert _modules_loaded(argv) == (code, modules, False)
 
 
 def test_env_var_sets_default_precision(capsys, monkeypatch):
@@ -292,6 +330,21 @@ def test_env_var_sets_default_precision(capsys, monkeypatch):
     code, out, _ = run(capsys, "fgl", "pseries", "--name", "additive", "--k", "3")
     assert code == 0
     assert result_of(out)["series"]["precision"] == 5
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "65"])
+def test_bad_env_precision_is_an_input_error(capsys, monkeypatch, value):
+    monkeypatch.delenv("FGLFORGE_PRECISION", raising=False)
+    _, hq_out, _ = run(capsys, "lazard", "hq", "--max-degree", "3")
+    monkeypatch.setenv("FGLFORGE_PRECISION", value)
+    code, out, err = run(capsys, "fgl", "pseries", "--name", "additive", "--k", "2")
+    assert code == 2 and not out
+    assert err.startswith("error: FGLFORGE_PRECISION") and value in err
+    # the variable is read only in place of a missing --precision
+    code, out, _ = run(capsys, "fgl", "pseries", "--name", "additive", "--k", "2", "--precision", "5")
+    assert code == 0 and result_of(out)["series"]["precision"] == 5
+    code, out, _ = run(capsys, "lazard", "hq", "--max-degree", "3")
+    assert code == 0 and out == hq_out
 
 
 def test_json_round_trips():

@@ -208,6 +208,30 @@ def test_quotient_reduces_negative_powers():
     assert b * ring.from_base(F5B.var(-1)) == ring.one()
 
 
+def test_reducing_by_the_monic_modulus_decides_nothing(monkeypatch):
+    # the modulus is monic, so a reduction divides without inverting its leading 1
+    beta = F5B.var()
+    ring = quotient_by_element(F5B, beta * beta + 1)
+    x = 2 * F5B.var(-3) + 3 * F5B.var(4) + beta + F5B.var(-7)
+    calls = []
+
+    def counted(name):
+        method = getattr(rings.RingElement, name)
+
+        def wrapper(self):
+            calls.append(name)
+            return method(self)
+
+        return wrapper
+
+    for name in ("inverse", "is_unit"):
+        monkeypatch.setattr(rings.RingElement, name, counted(name))
+    reduced = ring.from_base(x)
+    assert calls == []
+    # beta^-3 = beta^-7 = beta and beta^4 = 1
+    assert {e: c.payload for e, c in reduced.payload.items()} == {0: 3, 1: 4}
+
+
 def test_quotient_of_a_quotient_and_its_projection():
     # beta = 2 is a root of beta^2 + 1 over F_5, so quotienting
     # F_5[beta^±1]/((beta^2 + 1)(beta - 1)) by beta - 2 leaves (beta + 3)
