@@ -6,7 +6,9 @@ lazard (hq, hopf), ops (adams, compose, idempotent, iso), selftest.
 Every JSON-emitting command wraps its result in the envelope
 {"tool": "fgl-forge", "version": ..., "command": ..., "result": ...} and
 prints with sorted keys, so identical invocations are byte-identical.
-Exit codes: 0 success / checks passed, 1 a check failed, 2 input error.
+Exit codes: 0 success / checks passed, 1 a check failed, 2 input error,
+141 (128 + SIGPIPE, as a shell reports a process killed by it) when stdout
+is closed before the output is written.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ MAX_DEPTH = 16
 # the Hopf check grows about 2.4x a degree; degree 10 already takes over a second
 MAX_HOPF_DEGREE = 10
 MAX_PRIME = 97
+EXIT_BROKEN_PIPE = 141
 
 
 def _default_precision() -> int:
@@ -500,7 +503,17 @@ def run_command(argv=None) -> int:
         # without --precision, FGLFORGE_PRECISION is read, and checked, here
         if getattr(args, "precision", 0) is None:
             args.precision = _default_precision()
-        return args.func(args)
+        code = args.func(args)
+        # a reader that has gone shows here, not in the interpreter's last flush
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout was closed early, as by `| head`: not an input error, and
+        # nothing is left to say; what stdout still buffers goes nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (FGLForgeError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

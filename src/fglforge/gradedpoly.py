@@ -164,27 +164,40 @@ class GradedPolynomialRing(CoefficientRing):
         return {k: -c for k, c in a.items()}
 
     def _mul(self, a, b):
+        return self._settle(self._mul_add(None, a, self._operand(b)))
+
+    def _operand(self, b):
         # each term's degree is read once; b keeps its insertion order, so
         # the product's key order does not depend on the degrees
         deg = self._deg_memo
+        return [(k, c, deg[k]) for k, c in b.items()]
+
+    def _mul_add(self, acc, a, b_terms):
+        # the products go into acc in place, a key leaving as its sum cancels;
+        # integral Fractions stay until _settle
+        if acc is None:
+            acc = {}
+        get = acc.get
+        deg = self._deg_memo
         max_degree = self.max_degree
-        b_terms = [(k2, c2, deg[k2]) for k2, c2 in b.items()]
-        out = {}
         for k1, c1 in a.items():
             room = max_degree - deg[k1]
             for k2, c2, d2 in b_terms:
                 if d2 > room:
                     continue
                 k = k1 + k2
-                s = out.get(k, 0) + c1 * c2
+                s = get(k, 0) + c1 * c2
                 if s:
-                    out[k] = s
+                    acc[k] = s
                 else:
-                    del out[k]
-        for k, c in out.items():
+                    del acc[k]
+        return acc
+
+    def _settle(self, acc):
+        for k, c in acc.items():
             if type(c) is Fraction and c.denominator == 1:
-                out[k] = c.numerator
-        return out
+                acc[k] = c.numerator
+        return acc
 
     def _is_zero(self, a):
         return not a

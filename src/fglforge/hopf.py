@@ -22,6 +22,7 @@ and twisted_ring_multiply return DualFunctionals.
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 
@@ -727,29 +728,43 @@ def twisted_ring_multiply(
 
 
 def _rank(matrix) -> int:
-    """Exact rank of a matrix of Fractions by Gaussian elimination."""
-    m = [row[:] for row in matrix]
+    """Exact rank of a matrix of ints and Fractions, by fraction-free
+    elimination (Bareiss, Math. Comp. 22 (1968)).
+
+    Each row is scaled by the lcm of its denominators to integers.  Each
+    pivot row then clears its column from the rows left with integer row
+    operations, and every new row is divided by the gcd of its entries (in
+    place of Bareiss's exact division by the previous pivot), so the
+    entries stay small and no Fraction is formed.
+    """
+    rows = []
+    for row in matrix:
+        den = math.lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        if any(ints):
+            rows.append(ints)
     rank = 0
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(rows):
-            if r != rank and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-        if rank == rows:
-            break
+    col = 0
+    while rows:
+        pivot = next((r for r in rows if r[col]), None)
+        if pivot is not None:
+            rank += 1
+            p = pivot[col]
+            left = []
+            for r in rows:
+                if r is pivot:
+                    continue
+                c = r[col]
+                if c:
+                    r = [p * x - c * y for x, y in zip(r, pivot)]
+                    g = math.gcd(*r)
+                    if not g:
+                        continue
+                    if g != 1:
+                        r = [x // g for x in r]
+                left.append(r)
+            rows = left
+        col += 1
     return rank
 
 
@@ -805,10 +820,10 @@ def rank_table(algebroid: LazardAlgebroid, images: dict, max_degree: int) -> Ide
         matrix = []
         for m_key in rows:
             img = _monomial_image(base, m_key, bring.one(), images, operator.mul)
-            row = [Fraction(0)] * len(cols)
+            row = [0] * len(cols)
             for b_key, c in img.payload.items():
                 if bring.key_degree(b_key) == d:
-                    row[col_index[b_key]] = Fraction(c)
+                    row[col_index[b_key]] = c
             matrix.append(row)
         degrees.append(DegreeRank(d, len(rows), _rank(matrix)))
     return IdempotenceReport(max_degree, degrees)

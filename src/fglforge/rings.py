@@ -227,6 +227,20 @@ class CoefficientRing:
     def _is_zero(self, a) -> bool:
         raise NotImplementedError
 
+    # multiply-accumulate, for sums of products such as series coefficients:
+    # the right factor b goes through _operand once, acc is None for the empty
+    # sum, and _settle makes the finished sum canonical.  A ring may update
+    # acc in place, as long as the accumulators are its own.
+    def _operand(self, b):
+        return b
+
+    def _mul_add(self, acc, a, b):
+        p = self._mul(a, b)
+        return p if acc is None else self._add(acc, p)
+
+    def _settle(self, acc):
+        return acc
+
     def _freeze(self, a):
         """Hashable canonical image of a payload."""
         return a

@@ -327,10 +327,12 @@ class TruncatedSeriesN:
         if isinstance(other, TruncatedSeriesN):
             n = self._check(other)
             ring = self.ring
-            mul, add, is_zero = ring._mul, ring._add, ring._is_zero
-            # raw payloads and total degrees, read once; the right operand is
-            # walked in its insertion order, which fixes the output's key order
-            right = [(k2, sum(k2), c2.payload) for k2, c2 in other.coeffs.items()]
+            mul_add, settle, is_zero = ring._mul_add, ring._settle, ring._is_zero
+            # the right operand's keys, total degrees and prepared payloads are
+            # read once; it is walked in its insertion order, which fixes the
+            # output's key order.  A sum leaves as it cancels and comes back
+            # at the end; each output coefficient is settled once.
+            right = [(k2, sum(k2), ring._operand(c2.payload)) for k2, c2 in other.coeffs.items()]
             out = {}
             for k1, c1 in self.coeffs.items():
                 room = n - sum(k1)
@@ -341,15 +343,13 @@ class TruncatedSeriesN:
                     if d2 > room:
                         continue
                     k = tuple(map(operator.add, k1, k2))
-                    p = mul(a, b)
-                    if k in out:
-                        p = add(out[k], p)
+                    p = mul_add(out.get(k), a, b)
                     if is_zero(p):
                         out.pop(k, None)
                     else:
                         out[k] = p
             return type(self)(
-                ring, self.nvars, {k: RingElement(ring, p) for k, p in out.items()}, n
+                ring, self.nvars, {k: RingElement(ring, settle(p)) for k, p in out.items()}, n
             )
         return self.scale(other)
 

@@ -9,7 +9,13 @@ from pathlib import Path
 import pytest
 
 import fglforge
-from fglforge.cli import fgl_from_spec, ring_from_spec, run_command, series_from_spec
+from fglforge.cli import (
+    EXIT_BROKEN_PIPE,
+    fgl_from_spec,
+    ring_from_spec,
+    run_command,
+    series_from_spec,
+)
 from fglforge.gradedpoly import lazard_base_ring
 from fglforge.iojson import (
     fgl_from_json,
@@ -276,13 +282,21 @@ CLI_CORE = {"cli", "errors", "expressions", "fgl", "iojson", "rings", "series"}
 LAZARD = CLI_CORE | {"gradedpoly", "hopf"}
 
 
+def _child_env(**overrides):
+    """The environment of a fresh interpreter that imports this fglforge."""
+    path = [str(Path(fglforge.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env.pop("FGLFORGE_PRECISION", None)
+    env.pop("PYTHONUNBUFFERED", None)
+    env.update(overrides)
+    return env
+
+
 def _modules_loaded(argv=None):
     """Import fglforge.cli in a fresh interpreter and run argv there.  Returns
     the exit code, the fglforge modules loaded, and whether the run added
     dataclasses to sys.modules (site may load it before any fglforge import)."""
-    path = [str(Path(fglforge.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    env.pop("FGLFORGE_PRECISION", None)
+    env = _child_env()
     probe = (
         "import json, sys; before = set(sys.modules); import fglforge.cli; "
         f"argv = {argv!r}; "
@@ -323,6 +337,30 @@ def test_subcommands_load_only_what_they_run(tmp_path, argv, code, modules):
     law.write_text(json.dumps(fgl_to_json(fgl_from_spec("multiplicative", 6))))
     argv = [str(law) if arg == "LAW_FILE" else arg for arg in argv]
     assert _modules_loaded(argv) == (code, modules, False)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_closed_stdout_is_not_an_input_error(unbuffered, fmt):
+    # the read end is closed before the process writes, as `| head` closes it
+    # once it has read enough; buffered, the write comes at the last flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    argv = ["landweber", "check", "--fgl", "additive-over-Z", "--primes", "2"]
+    argv += ["--max-height", "2", "--precision", "4", "--format", fmt]
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fglforge.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_child_env(PYTHONUNBUFFERED=unbuffered),
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_BROKEN_PIPE == 141
+    assert proc.stderr == ""
 
 
 def test_env_var_sets_default_precision(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """The product kernels against naive references: graded polynomials over Q,
-multivariate truncated series, and the Gamma product of the Hopf algebroids."""
+multivariate truncated series (also over graded polynomials), and the Gamma
+product of the Hopf algebroids."""
 
 import random
 import zlib
@@ -218,6 +219,88 @@ def test_series_product_drops_zero_divisor_terms():
     # 6x^2 + 13xy + 6y^2 = xy over Z/6
     assert (f * g).coeffs == {(1, 1): Z6.one()}
     assert (x.scale(Z6.from_int(2)) * x.scale(Z6.from_int(3))).coeffs == {}
+
+
+def _ref_terms(elt):
+    return {exps: Fraction(c) for exps, c in _view(elt)}
+
+
+def _ref_series_product(f, g):
+    """The product term by term on exponent-tuple references: each pair of
+    coefficients multiplied and added in, sums that cancel left out."""
+    ring = f.ring
+    n = min(f.precision, g.precision)
+    out = {}
+    for k1, c1 in f.coeffs.items():
+        for k2, c2 in g.coeffs.items():
+            k = tuple(a + b for a, b in zip(k1, k2))
+            if sum(k) <= n:
+                p = _ref_mul(_ref_terms(c1), _ref_terms(c2), ring.degrees, ring.max_degree)
+                out[k] = _ref_add(out.get(k, {}), p)
+    return {k: c for k, c in out.items() if c}
+
+
+def _assert_graded_product(f, g):
+    product = f * g
+    ref = _ref_series_product(f, g)
+    assert {k: _ref_terms(c) for k, c in product.coeffs.items()} == ref
+    # the same keys in the same order as the sum on boxed ring elements
+    assert list(product.coeffs.items()) == list(_boxed_product(f, g).items())
+    for c in product.coeffs.values():
+        assert c.payload
+        for v in c.payload.values():
+            assert v != 0 and type(v) is (int if Fraction(v).denominator == 1 else Fraction)
+    return product
+
+
+@pytest.mark.parametrize("degrees", [(1, 2, 3), (2, 3), (1, 1, 2)], ids=str)
+def test_graded_series_products_against_term_by_term_reference(degrees):
+    rng = random.Random(zlib.crc32(b"graded series " + repr(degrees).encode()))
+    ring = GradedPolynomialRing([(f"g{i}", d) for i, d in enumerate(degrees)], 5)
+
+    def coefficient(coeffs):
+        # terms above the ring's truncation are dropped as the element is made
+        return _element(ring, _random_terms(degrees, 5, rng, rng.randint(1, 3), coeffs))
+
+    for _ in range(40):
+        nvars = rng.choice((1, 2, 3))
+        coeffs = (-1, 1) if rng.random() < 0.5 else range(-4, 5)
+        series = []
+        for _ in range(2):
+            precision = rng.randint(0, 5)
+            terms = {}
+            for _ in range(rng.randint(0, 8)):
+                terms[tuple(rng.randint(0, 3) for _ in range(nvars))] = coefficient(coeffs)
+            series.append(TruncatedSeriesN(ring, nvars, terms, precision))
+        _assert_graded_product(*series)
+
+
+def test_graded_series_product_cancellation_and_truncation():
+    ring = GradedPolynomialRing([("a", 1), ("b", 2)], 4)
+    a, b = ring.generator("a"), ring.generator("b")
+    x = TruncatedSeriesN.variable(ring, 2, 0, 3)
+    y = TruncatedSeriesN.variable(ring, 2, 1, 3)
+    # (a x + b y)(a x - b y): the xy coefficient ab - ba cancels, so its key goes
+    product = _assert_graded_product(x.scale(a) + y.scale(b), x.scale(a) - y.scale(b))
+    assert product.coeffs == {(2, 0): a * a, (0, 2): -(b * b)}
+    # b x times (ab + a) y: the ab*b term has degree 5, past the ring's cut
+    product = _assert_graded_product(x.scale(b), y.scale(a * b + a))
+    assert product.coeffs == {(1, 1): a * b}
+    # and when every term is past the cut, the key goes too
+    assert _assert_graded_product(x.scale(b), y.scale(a * b)).coeffs == {}
+    # x^2 times x^2 lies past the series precision 3
+    assert _assert_graded_product(x * x.scale(a), x * x).coeffs == {}
+    # the xy sum cancels after two of its three terms and comes back with the
+    # third, so its key goes last, as in the sum on boxed ring elements
+    f = TruncatedSeriesN(ring, 2, {(0, 0): a, (1, 0): a, (0, 1): a}, 2)
+    g = TruncatedSeriesN(ring, 2, {(1, 1): b, (0, 1): -b, (1, 0): a}, 2)
+    product = _assert_graded_product(f, g)
+    assert list(product.coeffs) == [(0, 1), (1, 0), (2, 0), (0, 2), (1, 1)]
+    assert product.coeffs[(1, 1)] == a * a
+    # halves that add up to an integer are stored as an int
+    half = ring.from_fraction(Fraction(1, 2))
+    product = _assert_graded_product(x.scale(half) + y.scale(half), x.scale(a) + y.scale(a))
+    assert product.coeffs[(1, 1)].payload == {ring.pack([1, 0]): 1}
 
 
 # -- the Gamma product of the algebroids ---------------------------------------------

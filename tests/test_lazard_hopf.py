@@ -2,6 +2,7 @@
 groupoid fixtures, and the rational idempotence check."""
 
 import random
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from fglforge.fgl import change_coordinates, named_fgl
 from fglforge.gradedpoly import GradedPolynomialRing, lazard_base_ring
 from fglforge.hopf import (
     Coaction,
+    _rank,
     DualFunctional,
     base_coaction,
     classify_rational,
@@ -502,6 +504,62 @@ def test_corrupted_map_reports_rank_deficit():
     report = rank_table(H, images, 3)
     assert not report.passed
     assert report.degrees[0].rank == 0
+
+
+def test_rank_hand_cases():
+    assert _rank([]) == 0
+    assert _rank([[]]) == 0
+    assert _rank([[0, 0, 0], [Fraction(0)] * 3]) == 0
+    assert _rank([[0, Fraction(-3, 4), 5]]) == 1
+    assert _rank([[0, 0, 0]]) == 0
+    assert _rank([[Fraction(1, 2), 1], [1, 2]]) == 1
+    assert _rank([[1, 2], [3, 4]]) == 2
+    matrix = [[Fraction(1, 3), 2], [4, 5]]
+    _rank(matrix)
+    assert matrix == [[Fraction(1, 3), 2], [4, 5]]  # the input is left as it was
+
+
+def _random_rank_case(rng):
+    """A rows x cols matrix of ints and Fractions, with rank at most r: some
+    rows are combinations of r others, duplicates, multiples or zero."""
+    rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+    r = rng.randint(0, min(rows, cols))
+
+    def entry():
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7, 12)))
+
+    basis = [[entry() for _ in range(cols)] for _ in range(r)]
+    matrix = []
+    for _ in range(rows):
+        kind = rng.random()
+        if matrix and kind < 0.15:
+            matrix.append(list(rng.choice(matrix)))
+        elif matrix and kind < 0.25:
+            matrix.append([x * entry() for x in rng.choice(matrix)])
+        elif kind < 0.3:
+            matrix.append([0] * cols)
+        else:
+            row = [0] * cols
+            for b in basis:
+                c = entry()
+                row = [x + c * y for x, y in zip(row, b)]
+            matrix.append([int(x) if x.denominator == 1 else x for x in row])
+    return matrix
+
+
+def test_rank_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(zlib.crc32(b"hopf._rank"))
+    seen = set()
+    for _ in range(300):
+        matrix = _random_rank_case(rng)
+        expected = sympy.Matrix(matrix).rank()
+        assert _rank(matrix) == expected, matrix
+        seen.add((expected, len(matrix), len(matrix[0])))
+    # the cases cover full and deficient ranks, in both shapes
+    assert any(r == min(m, n) for r, m, n in seen)
+    assert any(0 < r < min(m, n) for r, m, n in seen)
+    assert any(r == 0 for r, m, n in seen)
 
 
 def test_hilbert_series_matches_partitions():
