@@ -243,8 +243,9 @@ class GradedPolynomialRing(CoefficientRing):
         return {name: d for name, d in self.gens}
 
     def element_degrees(self, elt, degrees):
-        weights = [degrees.get(name, d) for name, d in self.gens]
-        return {sum(e * w for e, w in zip(self.unpack(key), weights)) for key in elt.payload}
+        weights = tuple(degrees.get(name, d) for name, d in self.gens)
+        memo = self._deg_memo if weights == self.degrees else _DegreeMemo(weights)
+        return {memo[key] for key in elt.payload}
 
     def to_json(self):
         return {

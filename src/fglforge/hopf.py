@@ -18,6 +18,11 @@ the convolution-style composition product f o g = f . (id (x) g) . Delta.
 A coaction here always acts on R = A, so an element of the twisted ring
 R (x)^hat_A Gamma^vee is again an A-valued functional on Gamma: simple_tensor
 and twisted_ring_multiply return DualFunctionals.
+
+Inside the layer a value of A is a payload of A: Gamma elements, the
+structure maps, rho and the stored functionals all hold payloads.  The
+public calls (DualFunctional, coaction_to_action, simple_tensor,
+twisted_ring_multiply) check that ring elements lie over A, and box results.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .errors import AlgebroidMismatch, NotACoaction, NotQAlgebra, Unsupported
+from .errors import AlgebroidMismatch, NotACoaction, NotQAlgebra, RingMismatch, Unsupported
 from .fgl import FormalGroupLaw, _Record, _require_axioms, from_logarithm, logarithm
 from .gradedpoly import (
     GradedPolynomialRing,
@@ -34,7 +39,7 @@ from .gradedpoly import (
     lazard_base_ring,
     split_payload,
 )
-from .rings import CoefficientRing, RingElement, sparse_add
+from .rings import CoefficientRing, RingElement
 from .series import TruncatedSeries1, TruncatedSeries2
 
 
@@ -169,10 +174,19 @@ class FunctionRing(CoefficientRing):
 class HopfAlgebroidTrunc:
     """A cogroupoid object in commutative rings, stored on a Gamma-basis.
 
-    Gamma elements are maps basis-key -> A-element (the eta_L coefficients).
-    Delta lands in maps (key, key) -> A-element with the coefficient acting
-    on the leftmost tensor factor.  Inside the layer the same maps hold the
-    raw payloads of A instead, and are boxed only where they leave it.
+    A Gamma element is a map basis-key -> payload of A (its eta_L
+    coefficients).  A subclass gives the basis and the structure maps on
+    it, all on payloads of A:
+
+    * gamma_basis(), basis_degree(key) and basis_label(key);
+    * basis_mul(k1, k2): the key of the product of two basis elements, or
+      None once it passes the truncation (the coefficient is always 1);
+    * eps_basis(key): the counit of a basis element;
+    * delta_basis(key): Delta as a map (key, key) -> coefficient, the
+      coefficient acting on the leftmost tensor factor;
+    * eta_r(payload): the right unit, as a Gamma element;
+    * one_gamma(), the unit of Gamma, and base_sample(), the generators of
+      A that the structural checks try.
     """
 
     def __init__(self, flavor, base, truncation):
@@ -180,57 +194,8 @@ class HopfAlgebroidTrunc:
         self.base = base
         self.truncation = truncation
 
-    # subclass responsibilities -------------------------------------------
-    def gamma_basis(self):
-        raise NotImplementedError
-
-    def basis_degree(self, key) -> int:
-        raise NotImplementedError
-
-    def basis_mul(self, k1, k2):
-        """The basis key of the product of two basis elements, or None once
-        the product passes the truncation (the coefficient is always 1)."""
-        raise NotImplementedError
-
-    def eps_basis(self, key) -> RingElement:
-        raise NotImplementedError
-
-    def delta_basis(self, key) -> dict:
-        raise NotImplementedError
-
-    def eta_r(self, a: RingElement) -> dict:
-        raise NotImplementedError
-
-    def one_gamma(self) -> dict:
-        raise NotImplementedError
-
-    def base_sample(self):
-        """Generators of A used by the structural checks."""
-        raise NotImplementedError
-
-    def basis_label(self, key) -> str:
-        raise NotImplementedError
-
-    # generic Gamma-element algebra ------------------------------------------
-    g_add = staticmethod(sparse_add)
-
-    def g_scale(self, u: dict, a: RingElement) -> dict:
-        if a.is_zero():
-            return {}
-        out = {}
-        for k, c in u.items():
-            p = a * c
-            if not p.is_zero():
-                out[k] = p
-        return out
-
     def g_mul(self, u: dict, v: dict) -> dict:
-        base = self.base
-        out = self._g_mul_raw(_payloads(u), _payloads(v))
-        return {k: RingElement(base, p) for k, p in out.items()}
-
-    def _g_mul_raw(self, u: dict, v: dict) -> dict:
-        """g_mul on payload maps."""
+        """The product of two Gamma elements."""
         base = self.base
         mul, add, is_zero = base._mul, base._add, base._is_zero
         basis_mul = self.basis_mul
@@ -241,14 +206,6 @@ class HopfAlgebroidTrunc:
                 if k is not None:
                     _add_term(out, k, mul(c1, c2), add, is_zero)
         return out
-
-    def _eta_r_raw(self, payload) -> dict:
-        """eta_R of a payload of A, as a payload map."""
-        return _payloads(self.eta_r(RingElement(self.base, payload)))
-
-    def eps(self, u: dict) -> RingElement:
-        values = {k: self.eps_basis(k).payload for k in u}
-        return RingElement(self.base, _pair(self.base, _payloads(u), values))
 
 
 class LazardAlgebroid(HopfAlgebroidTrunc):
@@ -287,13 +244,10 @@ class LazardAlgebroid(HopfAlgebroidTrunc):
         log = _generic_series(combined, "m", n)
         change = _generic_series(combined, "b", n)
         conjugated_log = log.compose(change.revert())
-        self._etar_gen = {}
-        for i in range(1, n + 1):
-            payload = conjugated_log.coefficient(i + 1).payload
-            self._etar_gen[i] = {
-                b_key: RingElement(self.base, m_payload)
-                for b_key, m_payload in split_payload(combined, payload, n).items()
-            }
+        self._etar_gen = {
+            i: split_payload(combined, conjugated_log.coefficient(i + 1).payload, n)
+            for i in range(1, n + 1)
+        }
 
     # -- basis ----------------------------------------------------------------
     def gamma_basis(self):
@@ -309,13 +263,13 @@ class LazardAlgebroid(HopfAlgebroidTrunc):
         return k1 + k2
 
     def eps_basis(self, key):
-        return self.base.one() if key == 0 else self.base.zero()
+        return {0: 1} if key == 0 else {}
 
     def one_gamma(self):
-        return {0: self.base.one()}
+        return {0: {0: 1}}
 
     def base_sample(self):
-        return [self.base.generator(f"m{i}") for i in range(1, self.truncation + 1)]
+        return [self.base.generator(f"m{i}").payload for i in range(1, self.truncation + 1)]
 
     def basis_label(self, key):
         return self.bring.to_expr({key: 1})
@@ -328,7 +282,7 @@ class LazardAlgebroid(HopfAlgebroidTrunc):
             self.bring, key, {0: 1}, self._delta_gen_payloads, self._pair_ring._mul
         )
         table = {
-            (c_key, d_key): RingElement(self.base, {0: coeff})
+            (c_key, d_key): {0: coeff}
             for d_key, c_part in split_payload(self._pair_ring, payload, self.truncation).items()
             for c_key, coeff in c_part.items()
         }
@@ -339,17 +293,19 @@ class LazardAlgebroid(HopfAlgebroidTrunc):
     def _eta_r_m_monomial(self, m_key):
         return _monomial_image(self.base, m_key, self.one_gamma(), self._etar_gen, self.g_mul)
 
-    def eta_r(self, a: RingElement) -> dict:
-        payload = a.payload
+    def eta_r(self, payload) -> dict:
         # eta_R is a map of Q-algebras, so it fixes the constants
         if not payload:
             return {}
         if len(payload) == 1 and 0 in payload:
-            return {0: a}
+            return {0: payload}
+        base = self.base
+        mul, add, is_zero = base._mul, base._add, base._is_zero
         out = {}
         for m_key, coeff in payload.items():
-            scalar = RingElement(self.base, {0: coeff})
-            out = self.g_add(out, self.g_scale(self._eta_r_m_monomial(m_key), scalar))
+            scalar = {0: coeff}
+            for k, c in self._eta_r_m_monomial(m_key).items():
+                _add_term(out, k, mul(scalar, c), add, is_zero)
         return out
 
     def eta_r_generator(self, i: int) -> dict:
@@ -380,27 +336,24 @@ class GroupoidAlgebroid(HopfAlgebroidTrunc):
         return k1 if k1 == k2 else None
 
     def eps_basis(self, key):
-        return self.base.chi(key)
+        return self.base.chi(key).payload
 
     def one_gamma(self):
-        return {j: self.base.one() for j in range(self.n)}
+        return dict.fromkeys(range(self.n), self.base.one().payload)
 
     def base_sample(self):
-        return [self.base.chi(j) for j in range(self.n)]
+        return [self.base.chi(j).payload for j in range(self.n)]
 
     def basis_label(self, key):
         return f"s{key}"
 
     def delta_basis(self, key):
-        one = self.base.one()
+        one = self.base.one().payload
         return {(k, key): one for k in range(self.n)}
 
-    def eta_r(self, a: RingElement) -> dict:
-        out = {}
-        for j, value in enumerate(a.payload):
-            if value:
-                out[j] = self.base.from_fraction(value)
-        return out
+    def eta_r(self, payload) -> dict:
+        # the constant function with value payload[j] on column j
+        return {j: (value,) * self.n for j, value in enumerate(payload) if value}
 
 
 def lb_structure_maps(truncation: int) -> LazardAlgebroid:
@@ -462,30 +415,28 @@ def hopf_axiom_check(algebroid: HopfAlgebroidTrunc) -> HopfReport:
     """Both counit laws, coassociativity, and eps o eta_L = eps o eta_R = id,
     verified on generators and the Gamma basis up to the truncation.
 
-    The counit and coassociativity laws run on payloads.  Each distinct
-    value of A that they meet (a counit value, a Delta coefficient or an
-    eta_R coefficient) gets an index; each is pushed through eta_R at most
-    once, each product of two of them is computed once, and each Delta
-    table is read once.
+    Each distinct value of A that the counit and coassociativity laws meet
+    (a counit value, a Delta coefficient or an eta_R coefficient) gets an
+    index; each is pushed through eta_R at most once, each product of two of
+    them is computed once, and each Delta table is read once.
     """
-    checks = []
+    base = algebroid.base
+    mul, add, is_zero, freeze = base._mul, base._add, base._is_zero, base._freeze
+    eps_values = {key: algebroid.eps_basis(key) for key in algebroid.gamma_basis()}
 
+    checks = []
     units = (
-        ("eps_eta_L", lambda a: algebroid.g_scale(algebroid.one_gamma(), a)),
+        ("eps_eta_L", lambda a: {k: mul(a, c) for k, c in algebroid.one_gamma().items()}),
         ("eps_eta_R", algebroid.eta_r),
     )
     for law, unit in units:
-        witness = next(
-            (f"on {a!r}" for a in algebroid.base_sample() if algebroid.eps(unit(a)) != a),
-            None,
-        )
+        bad = [a for a in algebroid.base_sample() if _pair(base, unit(a), eps_values) != a]
+        witness = f"on {base.to_expr(bad[0])}" if bad else None
         checks.append(HopfCheck(law, witness is None, witness))
 
-    base = algebroid.base
-    add, is_zero, freeze = base._add, base._is_zero, base._freeze
     basis_mul = algebroid.basis_mul
     values, index, pushed = [], {}, []
-    products = _Products(values, base._mul)
+    products = _Products(values, mul)
     tables = {}  # basis key -> [(k1, k2, index of c, eta_R(c))]
 
     def intern(payload):
@@ -500,7 +451,7 @@ def hopf_axiom_check(algebroid: HopfAlgebroidTrunc) -> HopfReport:
     def push(i):
         """eta_R of values[i], as (basis key, value index) pairs."""
         if pushed[i] is None:
-            image = algebroid._eta_r_raw(values[i])
+            image = algebroid.eta_r(values[i])
             pushed[i] = tuple((k, intern(p)) for k, p in image.items())
         return pushed[i]
 
@@ -509,11 +460,11 @@ def hopf_axiom_check(algebroid: HopfAlgebroidTrunc) -> HopfReport:
         if table is None:
             table = tables[key] = []
             for (k1, k2), c in algebroid.delta_basis(key).items():
-                i = intern(c.payload)
+                i = intern(c)
                 table.append((k1, k2, i, push(i)))
         return table
 
-    eps = {key: intern(algebroid.eps_basis(key).payload) for key in algebroid.gamma_basis()}
+    eps = {key: intern(p) for key, p in eps_values.items()}
     one = base.one().payload
     left_fail = right_fail = None
     for key in algebroid.gamma_basis():
@@ -560,11 +511,6 @@ def hopf_axiom_check(algebroid: HopfAlgebroidTrunc) -> HopfReport:
 # -- dual functionals -------------------------------------------------------------
 
 
-def _payloads(u: dict) -> dict:
-    """A map of ring elements as the map of their payloads."""
-    return {k: c.payload for k, c in u.items()}
-
-
 def _add_term(out, key, p, add, is_zero):
     """out[key] += p on a payload map, dropping a zero sum."""
     if key in out:
@@ -587,11 +533,17 @@ def _pair(ring, gamma, values):
     return total
 
 
-def _convolve(algebroid, f_raw, g_values) -> dict:
-    """{key: f((id (x) g) Delta(key))} over the Gamma basis, f given by the
-    payloads of its basis values and g by its basis values; the coefficient
-    of g enters through eta_R, which each value of g passes through once, on
-    first use."""
+def _base_payload(base, a):
+    """The payload of a, which must be a ring element over base."""
+    if not isinstance(a, RingElement) or a.ring != base:
+        raise RingMismatch(f"{a!r} is not an element of {base}")
+    return a.payload
+
+
+def _convolve(algebroid, f_values, g_values) -> dict:
+    """{key: f((id (x) g) Delta(key))} over the Gamma basis, f and g given by
+    the payloads of their basis values; the coefficient of g enters through
+    eta_R, which each value of g passes through once, on first use."""
     base = algebroid.base
     mul, add = base._mul, base._add
     basis_mul = algebroid.basis_mul
@@ -603,53 +555,73 @@ def _convolve(algebroid, f_raw, g_values) -> dict:
             if gv is None:
                 continue
             if k2 not in pushed:
-                pushed[k2] = tuple(algebroid._eta_r_raw(gv.payload).items())
+                pushed[k2] = tuple(algebroid.eta_r(gv).items())
             for j, e in pushed[k2]:
-                v = f_raw.get(basis_mul(k1, j))
+                v = f_values.get(basis_mul(k1, j))
                 if v is not None:
-                    total = add(total, mul(mul(c.payload, e), v))
-        out[key] = RingElement(base, total)
+                    total = add(total, mul(mul(c, e), v))
+        out[key] = total
     return out
 
 
 class DualFunctional:
-    """An A-linear functional on Gamma, stored on the basis up to truncation."""
+    """An A-linear functional on Gamma, stored on the basis up to truncation:
+    payloads holds the payload of each nonzero basis value."""
 
     def __init__(self, algebroid: HopfAlgebroidTrunc, values: dict):
+        base = algebroid.base
+        basis = set(algebroid.gamma_basis())
+        for key, v in values.items():
+            _base_payload(base, v)
+            if key not in basis:
+                raise ValueError(f"{key!r} is not a Gamma basis key of the algebroid")
         self.algebroid = algebroid
-        self.values = {k: v for k, v in values.items() if not v.is_zero()}
+        self.payloads = {k: v.payload for k, v in values.items() if not v.is_zero()}
+
+    @property
+    def values(self) -> dict:
+        base = self.algebroid.base
+        return {k: RingElement(base, p) for k, p in self.payloads.items()}
 
     def __call__(self, gamma: dict) -> RingElement:
         base = self.algebroid.base
-        return RingElement(base, _pair(base, _payloads(gamma), _payloads(self.values)))
+        return RingElement(base, _pair(base, gamma, self.payloads))
 
     def __eq__(self, other):
         if not isinstance(other, DualFunctional):
             return NotImplemented
         if other.algebroid is not self.algebroid:
             raise AlgebroidMismatch("functionals over different algebroids")
-        return self.values == other.values
+        return self.payloads == other.payloads
 
     def __hash__(self):
-        return hash((id(self.algebroid), len(self.values)))
+        return hash((id(self.algebroid), len(self.payloads)))
 
     def __repr__(self):
         entries = ", ".join(f"{k}: {v!r}" for k, v in sorted(self.values.items(), key=str))
         return f"<functional {{{entries}}}>"
 
 
+def _functional(algebroid, payloads: dict) -> DualFunctional:
+    """The functional with the given basis payloads, zeros dropped; the
+    payloads come from the layer itself, so they are not checked."""
+    is_zero = algebroid.base._is_zero
+    f = DualFunctional.__new__(DualFunctional)
+    f.algebroid = algebroid
+    f.payloads = {k: p for k, p in payloads.items() if not is_zero(p)}
+    return f
+
+
 def epsilon_functional(algebroid: HopfAlgebroidTrunc) -> DualFunctional:
     """The counit as a functional: the unit of the dual algebra."""
-    return DualFunctional(
-        algebroid, {k: algebroid.eps_basis(k) for k in algebroid.gamma_basis()}
-    )
+    return _functional(algebroid, {k: algebroid.eps_basis(k) for k in algebroid.gamma_basis()})
 
 
 def dual_compose(f: DualFunctional, g: DualFunctional) -> DualFunctional:
     """The composition product on Gamma^vee: f o g = f . (id (x) g) . Delta."""
     if f.algebroid is not g.algebroid:
         raise AlgebroidMismatch("functionals over different algebroids")
-    return DualFunctional(f.algebroid, _convolve(f.algebroid, _payloads(f.values), g.values))
+    return _functional(f.algebroid, _convolve(f.algebroid, f.payloads, g.payloads))
 
 
 # -- coactions and the twisted ring ------------------------------------------------
@@ -659,17 +631,20 @@ class Coaction:
     """A right coaction rho: R -> R (x)_A Gamma presented on demand, with
     R = A, the base ring of the algebroid.
 
-    rho(r) is returned as {basis-key: A-element}.  The counit law
-    (id (x) eps) rho = id is checked on the provided samples.
+    rho takes the payload of an element of A and returns its image as a
+    Gamma element, {basis-key: payload of A}.  The counit law
+    (id (x) eps) rho = id is checked on the provided samples, which are
+    payloads of A too.
     """
 
     def __init__(self, algebroid, rho, samples=()):
         self.algebroid = algebroid
         self.rho = rho
-        eps = epsilon_functional(algebroid)
+        base = algebroid.base
+        eps = epsilon_functional(algebroid).payloads
         for r in samples:
-            if coaction_to_action(self, eps, r) != r:
-                raise NotACoaction(f"counit law fails on {r!r}")
+            if _pair(base, rho(r), eps) != r:
+                raise NotACoaction(f"counit law fails on {base.to_expr(r)}")
 
 
 def base_coaction(algebroid: HopfAlgebroidTrunc) -> Coaction:
@@ -677,7 +652,7 @@ def base_coaction(algebroid: HopfAlgebroidTrunc) -> Coaction:
     return Coaction(
         algebroid,
         rho=algebroid.eta_r,
-        samples=algebroid.base_sample() + [algebroid.base.one()],
+        samples=algebroid.base_sample() + [algebroid.base.one().payload],
     )
 
 
@@ -686,13 +661,15 @@ def coaction_to_action(coaction: Coaction, f: DualFunctional, r: RingElement) ->
     if f.algebroid is not coaction.algebroid:
         raise AlgebroidMismatch("functional and coaction disagree")
     base = coaction.algebroid.base
-    return RingElement(base, _pair(base, _payloads(coaction.rho(r)), _payloads(f.values)))
+    return RingElement(base, _pair(base, coaction.rho(_base_payload(base, r)), f.payloads))
 
 
 def simple_tensor(u: RingElement, phi: DualFunctional) -> DualFunctional:
     """u . phi in R (x)^hat_A Gamma^vee; with R = A it is the functional
     B -> u . phi(B)."""
-    return DualFunctional(phi.algebroid, {k: u * v for k, v in phi.values.items()})
+    base = phi.algebroid.base
+    u = _base_payload(base, u)
+    return _functional(phi.algebroid, {k: base._mul(u, p) for k, p in phi.payloads.items()})
 
 
 def twisted_ring_multiply(
@@ -713,15 +690,13 @@ def twisted_ring_multiply(
     if psi.algebroid is not algebroid or coaction.algebroid is not algebroid:
         raise AlgebroidMismatch("operands over different algebroids")
     base = algebroid.base
-    rho_v = _payloads(coaction.rho(v))
-    phi_raw = _payloads(phi.values)
+    rho_v = coaction.rho(_base_payload(base, v))
     one = base.one().payload
     middle = {
-        key: _pair(base, algebroid._g_mul_raw({key: one}, rho_v), phi_raw)
+        key: _pair(base, algebroid.g_mul({key: one}, rho_v), phi.payloads)
         for key in algebroid.gamma_basis()
     }
-    values = _convolve(algebroid, middle, psi.values)
-    return DualFunctional(algebroid, {key: u * t for key, t in values.items()})
+    return simple_tensor(u, _functional(algebroid, _convolve(algebroid, middle, psi.payloads)))
 
 
 # -- the rational idempotence check ---------------------------------------------
@@ -800,7 +775,7 @@ def specialized_classifying_map(algebroid: LazardAlgebroid) -> dict:
     for i in range(1, algebroid.truncation + 1):
         payload = {}
         for b_key, coeff in algebroid.eta_r_generator(i).items():
-            const = coeff.payload.get(0)
+            const = coeff.get(0)
             if const:
                 payload[b_key] = const
         out[i] = RingElement(bring, payload)

@@ -28,6 +28,7 @@ from .hopf import (
     base_coaction,
     classify_rational,
     dual_compose,
+    epsilon_functional,
     groupoid_fixture,
     hopf_axiom_check,
     hq_idempotence_check,
@@ -367,8 +368,7 @@ def criterion_hopf_suite():
             scalar_ok = False
     lazard = lb_structure_maps(3)
     lazard_coaction = base_coaction(lazard)
-    eps_values = {k: lazard.eps_basis(k) for k in lazard.gamma_basis()}
-    phi = DualFunctional(lazard, eps_values)
+    phi = epsilon_functional(lazard)
     psi = DualFunctional(lazard, {lazard.bring.pack([1, 0, 0]): lazard.base.one()})
     c = lazard.base.from_fraction(Fraction(7, 3))
     lhs = twisted_ring_multiply(lazard.base.one(), phi, c, psi, lazard_coaction)

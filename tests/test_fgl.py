@@ -269,6 +269,10 @@ def test_grade_checks():
     assert grade_check(add, {})
     uni = named_fgl("universal_rational", None, 6)
     assert grade_check(uni, uni.grading)
+    # another weighting of the same ring reads its own degrees, and leaves the
+    # ring's degree memo as it was
+    assert not grade_check(uni, {"m1": 2})
+    assert grade_check(uni, uni.grading)
 
 
 def test_grading_invariant_under_graded_changes():

@@ -311,7 +311,7 @@ def _lazard_terms(H, u):
     return {
         (H.base.unpack(m_key), H.bring.unpack(b_key)): Fraction(c)
         for b_key, a in u.items()
-        for m_key, c in a.payload.items()
+        for m_key, c in a.items()
     }
 
 
@@ -334,7 +334,7 @@ def _random_gamma(H, rng):
     for key in rng.sample(H.gamma_basis(), rng.randint(0, 4)):
         coeff = _random_base(H, rng)
         if not coeff.is_zero():
-            u[key] = coeff
+            u[key] = coeff.payload
     return u
 
 
@@ -361,7 +361,7 @@ def test_lazard_basis_mul_contract():
     b4 = H.bring.pack([0, 0, 0, 1])
     b1 = H.bring.pack([1, 0, 0, 0])
     assert H.basis_mul(b4, b1) is None
-    assert H.g_mul({b4: H.base.one()}, {b1: H.base.generator("m1")}) == {}
+    assert H.g_mul({b4: H.base.one().payload}, {b1: H.base.generator("m1").payload}) == {}
 
 
 def test_lazard_g_mul_against_reference():
@@ -370,7 +370,7 @@ def test_lazard_g_mul_against_reference():
     for _ in range(60):
         u, v = _random_gamma(H, rng), _random_gamma(H, rng)
         got = H.g_mul(u, v)
-        assert all(not c.is_zero() for c in got.values())
+        assert all(not H.base._is_zero(c) for c in got.values())
         assert _lazard_terms(H, got) == _lazard_ref_mul(H, u, v)
 
 
@@ -387,16 +387,16 @@ def test_groupoid_basis_mul_and_g_mul():
             if rng.random() < 0.7:
                 f = H.base.from_values([rng.choice((0, 0, 1, -2, Fraction(1, 3))) for _ in range(3)])
                 if not f.is_zero():
-                    u[j] = f
+                    u[j] = f.payload
         return u
 
     for _ in range(40):
         u, v = random_gamma(), random_gamma()
         expected = {}
         for j in set(u) & set(v):
-            values = tuple(x * y for x, y in zip(u[j].payload, v[j].payload))
+            values = tuple(x * y for x, y in zip(u[j], v[j]))
             if any(values):
                 expected[j] = values
-        assert {j: c.payload for j, c in H.g_mul(u, v).items()} == expected
+        assert H.g_mul(u, v) == expected
     # disjointly supported coefficients multiply to zero and drop out
-    assert H.g_mul({0: H.base.chi(0)}, {0: H.base.chi(1)}) == {}
+    assert H.g_mul({0: H.base.chi(0).payload}, {0: H.base.chi(1).payload}) == {}

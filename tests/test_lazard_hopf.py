@@ -7,12 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from fglforge.errors import AlgebroidMismatch, NotACoaction
+from fglforge.errors import AlgebroidMismatch, NotACoaction, RingMismatch
 from fglforge.expressions import element_to_expr
 from fglforge.fgl import change_coordinates, named_fgl
 from fglforge.gradedpoly import GradedPolynomialRing, lazard_base_ring
 from fglforge.hopf import (
     Coaction,
+    HopfAlgebroidTrunc,
+    LazardAlgebroid,
     _rank,
     DualFunctional,
     base_coaction,
@@ -32,7 +34,7 @@ from fglforge.hopf import (
     twisted_ring_multiply,
     universal_fgl_rational,
 )
-from fglforge.rings import LaurentExtension, Rationals
+from fglforge.rings import Integers, LaurentExtension, Rationals, RingElement, sparse_add
 from fglforge.series import TruncatedSeries1
 
 Q = Rationals()
@@ -99,17 +101,19 @@ def test_lb_generator_tables():
     b1_key = H.bring.pack([1, 0, 0, 0])
     # eta_R(m1) = m1 - b1
     etar = H.eta_r_generator(1)
-    assert etar[0] == m1
-    assert etar[b1_key] == H.base.from_int(-1)
+    assert etar[0] == m1.payload
+    assert etar[b1_key] == H.base.from_int(-1).payload
     # Delta(b1) = b1 (x) 1 + 1 (x) b1
     table = H.delta_basis(b1_key)
     assert table == {
-        (b1_key, 0): H.base.one(),
-        (0, b1_key): H.base.one(),
+        (b1_key, 0): H.base.one().payload,
+        (0, b1_key): H.base.one().payload,
     }
     # eps o eta_R = id on generators
+    eps = epsilon_functional(H)
     for i in range(1, 5):
-        assert H.eps(H.eta_r(H.base.generator(f"m{i}"))) == H.base.generator(f"m{i}")
+        m = H.base.generator(f"m{i}")
+        assert eps(H.eta_r(m.payload)) == m
 
 
 def test_eta_r_matches_classify_of_conjugated_universal():
@@ -146,7 +150,7 @@ def test_eta_r_matches_classify_of_conjugated_universal():
                 {combined.pack([0] * n + list(H.bring.unpack(b_key))): 1}
             )
             lifted = H.base.evaluate(
-                coeff,
+                H.base.element(coeff),
                 {f"m{j}": combined.generator(f"m{j}") for j in range(1, n + 1)},
                 combined,
             )
@@ -171,13 +175,23 @@ def test_eta_r_of_constants():
     H = lb_structure_maps(4)
     m1, m2 = H.base.generator("m1"), H.base.generator("m2")
     constants = [H.base.zero(), H.base.one(), H.base.from_fraction(Fraction(3, 7))]
+
+    def boxed(u):
+        return {k: RingElement(H.base, p) for k, p in u.items()}
+
+    def eta_r(a):
+        return boxed(H.eta_r(a.payload))
+
+    def scale(u, a):
+        return {k: a * c for k, c in u.items() if not (a * c).is_zero()}
+
     for c in constants:
-        from_table = H.g_scale(H._eta_r_m_monomial(0), c)
-        assert H.eta_r(c) == from_table == ({} if c.is_zero() else {0: c})
+        from_table = scale(boxed(H._eta_r_m_monomial(0)), c)
+        assert eta_r(c) == from_table == ({} if c.is_zero() else {0: c})
     for a in constants:
         for b in constants + [m1, m2 * m1 + m1]:
-            assert H.eta_r(a + b) == H.g_add(H.eta_r(a), H.eta_r(b))
-            assert H.eta_r(a * b) == H.g_scale(H.eta_r(b), a)
+            assert eta_r(a + b) == sparse_add(eta_r(a), eta_r(b))
+            assert eta_r(a * b) == scale(eta_r(b), a)
 
 
 def test_hopf_axioms_groupoid():
@@ -191,7 +205,7 @@ def _delta_b1_left_only():
     H = lb_structure_maps(2)
     b1 = H.bring.pack([1, 0])
     # Delta(b1) := b1 (x) 1, dropping 1 (x) b1
-    H._delta_cache[b1] = {(b1, 0): H.base.one()}
+    H._delta_cache[b1] = {(b1, 0): H.base.one().payload}
     return H
 
 
@@ -200,7 +214,7 @@ def _delta_b2_cross_term_off_by_one():
     b1 = H.bring.pack([1, 0, 0])
     b2 = H.bring.pack([0, 1, 0])
     table = dict(H.delta_basis(b2))
-    table[(b1, b1)] = table[(b1, b1)] + H.base.one()
+    table[(b1, b1)] = H.base._add(table[(b1, b1)], H.base.one().payload)
     H._delta_cache[b2] = table
     return H
 
@@ -211,20 +225,20 @@ def _delta_b1_plus_m1():
     # Delta(b1) := b1 (x) 1 + 1 (x) b1 + m1 (1 (x) 1): coassociativity at b1
     # needs eta_R(m1) = m1, and eta_R(m1) = m1 - b1
     table = dict(H.delta_basis(b1))
-    table[(0, 0)] = H.base.generator("m1")
+    table[(0, 0)] = H.base.generator("m1").payload
     H._delta_cache[b1] = table
     return H
 
 
 def _eta_r_m1_doubled():
     H = lb_structure_maps(3)
-    H._etar_gen[1] = {k: v + v for k, v in H._etar_gen[1].items()}
+    H._etar_gen[1] = {k: H.base._add(v, v) for k, v in H._etar_gen[1].items()}
     return H
 
 
 def _groupoid_eps_swapped():
     G, _ = groupoid_fixture(2)
-    G.eps_basis = lambda key: G.base.chi(1 - key)
+    G.eps_basis = lambda key: G.base.chi(1 - key).payload
     return G
 
 
@@ -352,13 +366,48 @@ def test_algebroid_mismatch():
         dual_compose(f, g)
 
 
+def test_foreign_inputs_are_refused():
+    # an element of a larger Lazard ring (where m5 would act as 1), an integer
+    # and a key outside the Gamma basis are refused, not read into A
+    A = lb_structure_maps(3)
+    m5 = lb_structure_maps(5).base.generator("m5")
+    one, coaction, eps = A.base.one(), base_coaction(A), epsilon_functional(A)
+    for foreign in (m5, Integers().one()):
+        with pytest.raises(RingMismatch):
+            DualFunctional(A, {0: foreign})
+        with pytest.raises(RingMismatch):
+            coaction_to_action(coaction, eps, foreign)
+        for u, v in ((foreign, one), (one, foreign)):
+            with pytest.raises(RingMismatch):
+                twisted_ring_multiply(u, eps, v, eps, coaction)
+    with pytest.raises(ValueError):
+        DualFunctional(A, {12345: one})
+
+
+def test_hopf_layer_reaches_the_traced_methods(monkeypatch):
+    # the benchmark's tracer counts g_mul and delta_basis by wrapping these
+    # class attributes, and CI requires both counts to be nonzero
+    counts = {}
+    for cls, name in ((HopfAlgebroidTrunc, "g_mul"), (LazardAlgebroid, "delta_basis")):
+        def counting(self, *args, _original=getattr(cls, name), _name=name):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(cls, name, counting)
+    H = lb_structure_maps(3)
+    assert hopf_axiom_check(H).passed
+    eps = epsilon_functional(H)
+    twisted_ring_multiply(H.base.one(), eps, H.base.generator("m1"), eps, base_coaction(H))
+    assert counts.get("g_mul", 0) > 0 and counts.get("delta_basis", 0) > 0
+
+
 # -- coactions and the twisted ring ---------------------------------------------
 
 
 def test_coaction_counit_law_enforced():
     algebroid, _ = groupoid_fixture(2)
     with pytest.raises(NotACoaction):
-        Coaction(algebroid, rho=lambda r: {}, samples=[algebroid.base.one()])
+        Coaction(algebroid, rho=lambda r: {}, samples=[algebroid.base.one().payload])
 
 
 def test_action_examples():
