@@ -305,7 +305,7 @@ def _cmd_lazard(args) -> int:
                 raise ValueError(f"--degree is capped at {MAX_HOPF_DEGREE}")
             algebroid = lb_structure_maps(args.degree)
         else:
-            algebroid, _ = groupoid_fixture(args.objects)
+            algebroid = groupoid_fixture(args.objects)
         report = hopf_axiom_check(algebroid)
         _emit(
             "lazard hopf",

@@ -53,10 +53,6 @@ class AlgebroidMismatch(FGLForgeError):
     """Dual functionals over different Hopf algebroids cannot be composed."""
 
 
-class NotACoaction(FGLForgeError):
-    """Supplied coaction data violates the counit law."""
-
-
 class Inconsistent(FGLForgeError):
     """The triangular system has no solution at this precision."""
 

@@ -59,6 +59,7 @@ class GradedPolynomialRing(CoefficientRing):
     """Q[g_1, ..., g_k] with deg(g_i) > 0, truncated above max_degree."""
 
     kind = "graded_polynomial"
+    _identity = ("gens", "max_degree")
 
     def __init__(self, generators, max_degree: int):
         """generators: iterable of (name, degree) with positive degrees."""
@@ -276,16 +277,6 @@ class GradedPolynomialRing(CoefficientRing):
                     term = term * values[i] ** e
             total = total + term
         return total
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedPolynomialRing)
-            and other.gens == self.gens
-            and other.max_degree == self.max_degree
-        )
-
-    def __hash__(self):
-        return hash(("GradedPoly", self.gens, self.max_degree))
 
     def __repr__(self):
         return f"Q[{', '.join(self.names)}]<=deg {self.max_degree}"

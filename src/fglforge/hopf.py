@@ -15,13 +15,15 @@ eta_R, epsilon and Delta are stored on that basis.
 
 The dual Gamma^vee is modeled by A-linear functionals on the basis, with
 the convolution-style composition product f o g = f . (id (x) g) . Delta.
-A coaction here always acts on R = A, so an element of the twisted ring
+The right unit eta_R: A -> Gamma is the coaction of Gamma on R = A, so
+coaction_to_action and twisted_ring_multiply read eta_R from the algebroid
+and take no coaction argument.  An element of the twisted ring
 R (x)^hat_A Gamma^vee is again an A-valued functional on Gamma: simple_tensor
 and twisted_ring_multiply return DualFunctionals.
 
 Inside the layer a value of A is a payload of A: Gamma elements, the
-structure maps, rho and the stored functionals all hold payloads.  The
-public calls (DualFunctional, coaction_to_action, simple_tensor,
+structure maps and the stored functionals all hold payloads.  The public
+calls (DualFunctional, coaction_to_action, simple_tensor,
 twisted_ring_multiply) check that ring elements lie over A, and box results.
 """
 
@@ -31,7 +33,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .errors import AlgebroidMismatch, NotACoaction, NotQAlgebra, RingMismatch, Unsupported
+from .errors import AlgebroidMismatch, NotQAlgebra, RingMismatch, Unsupported
 from .fgl import FormalGroupLaw, _Record, _require_axioms, from_logarithm, logarithm
 from .gradedpoly import (
     GradedPolynomialRing,
@@ -105,6 +107,7 @@ class FunctionRing(CoefficientRing):
     """Q^n: exact rational functions on n points, componentwise operations."""
 
     kind = "functions"
+    _identity = ("n",)
 
     def __init__(self, n: int):
         if not 1 <= n:
@@ -157,12 +160,6 @@ class FunctionRing(CoefficientRing):
 
     def is_q_algebra(self):
         return True
-
-    def __eq__(self, other):
-        return isinstance(other, FunctionRing) and other.n == self.n
-
-    def __hash__(self):
-        return hash(("Fun", self.n))
 
     def __repr__(self):
         return f"Q^{self.n}"
@@ -218,7 +215,6 @@ class LazardAlgebroid(HopfAlgebroidTrunc):
         self._basis = [
             key for d in range(n + 1) for key in self.bring.monomial_keys_of_degree(d)
         ]
-        self._delta_cache = {}
         self._build_generator_tables()
 
     def _build_generator_tables(self):
@@ -275,19 +271,14 @@ class LazardAlgebroid(HopfAlgebroidTrunc):
         return self.bring.to_expr({key: 1})
 
     def delta_basis(self, key):
-        cached = self._delta_cache.get(key)
-        if cached is not None:
-            return cached
         payload = _monomial_image(
             self.bring, key, {0: 1}, self._delta_gen_payloads, self._pair_ring._mul
         )
-        table = {
+        return {
             (c_key, d_key): {0: coeff}
             for d_key, c_part in split_payload(self._pair_ring, payload, self.truncation).items()
             for c_key, coeff in c_part.items()
         }
-        self._delta_cache[key] = table
-        return table
 
     # -- eta_R -------------------------------------------------------------------
     def _eta_r_m_monomial(self, m_key):
@@ -363,11 +354,9 @@ def lb_structure_maps(truncation: int) -> LazardAlgebroid:
     return LazardAlgebroid(truncation)
 
 
-def groupoid_fixture(n: int):
-    """The indiscrete-groupoid algebroid on n objects and the coaction of
-    Gamma on the functions on objects."""
-    algebroid = GroupoidAlgebroid(n)
-    return algebroid, base_coaction(algebroid)
+def groupoid_fixture(n: int) -> GroupoidAlgebroid:
+    """The indiscrete-groupoid algebroid on n objects."""
+    return GroupoidAlgebroid(n)
 
 
 # -- the axiom report -----------------------------------------------------------
@@ -624,44 +613,14 @@ def dual_compose(f: DualFunctional, g: DualFunctional) -> DualFunctional:
     return _functional(f.algebroid, _convolve(f.algebroid, f.payloads, g.payloads))
 
 
-# -- coactions and the twisted ring ------------------------------------------------
+# -- the action on A and the twisted ring ------------------------------------------
 
 
-class Coaction:
-    """A right coaction rho: R -> R (x)_A Gamma presented on demand, with
-    R = A, the base ring of the algebroid.
-
-    rho takes the payload of an element of A and returns its image as a
-    Gamma element, {basis-key: payload of A}.  The counit law
-    (id (x) eps) rho = id is checked on the provided samples, which are
-    payloads of A too.
-    """
-
-    def __init__(self, algebroid, rho, samples=()):
-        self.algebroid = algebroid
-        self.rho = rho
-        base = algebroid.base
-        eps = epsilon_functional(algebroid).payloads
-        for r in samples:
-            if _pair(base, rho(r), eps) != r:
-                raise NotACoaction(f"counit law fails on {base.to_expr(r)}")
-
-
-def base_coaction(algebroid: HopfAlgebroidTrunc) -> Coaction:
-    """The coaction of Gamma on A itself, dual to the right unit."""
-    return Coaction(
-        algebroid,
-        rho=algebroid.eta_r,
-        samples=algebroid.base_sample() + [algebroid.base.one().payload],
-    )
-
-
-def coaction_to_action(coaction: Coaction, f: DualFunctional, r: RingElement) -> RingElement:
-    """The action lambda(f, r) = (id_R (x) f)(rho(r)); it extends eta_L^vee."""
-    if f.algebroid is not coaction.algebroid:
-        raise AlgebroidMismatch("functional and coaction disagree")
-    base = coaction.algebroid.base
-    return RingElement(base, _pair(base, coaction.rho(_base_payload(base, r)), f.payloads))
+def coaction_to_action(f: DualFunctional, r: RingElement) -> RingElement:
+    """The action lambda(f, r) = (id_R (x) f)(eta_R(r)) on R = A, with the
+    right unit as the coaction; it extends eta_L^vee."""
+    base = f.algebroid.base
+    return RingElement(base, _pair(base, f.algebroid.eta_r(_base_payload(base, r)), f.payloads))
 
 
 def simple_tensor(u: RingElement, phi: DualFunctional) -> DualFunctional:
@@ -677,23 +636,22 @@ def twisted_ring_multiply(
     phi: DualFunctional,
     v: RingElement,
     psi: DualFunctional,
-    coaction: Coaction,
 ) -> DualFunctional:
     """(u.phi)(v.psi) = u . Delta(phi)(v) o psi in the twisted ring, expanded
     on the Gamma basis.
 
-    Delta(phi)(v) is evaluated through the coaction: on a basis element B it
-    is phi(B . rho(v)), which avoids an explicit splitting of the
+    Delta(phi)(v) is evaluated through the right unit: on a basis element B
+    it is phi(B . eta_R(v)), which avoids an explicit splitting of the
     comultiplication of Gamma^vee.
     """
     algebroid = phi.algebroid
-    if psi.algebroid is not algebroid or coaction.algebroid is not algebroid:
+    if psi.algebroid is not algebroid:
         raise AlgebroidMismatch("operands over different algebroids")
     base = algebroid.base
-    rho_v = coaction.rho(_base_payload(base, v))
+    eta_r_v = algebroid.eta_r(_base_payload(base, v))
     one = base.one().payload
     middle = {
-        key: _pair(base, algebroid.g_mul({key: one}, rho_v), phi.payloads)
+        key: _pair(base, algebroid.g_mul({key: one}, eta_r_v), phi.payloads)
         for key in algebroid.gamma_basis()
     }
     return simple_tensor(u, _functional(algebroid, _convolve(algebroid, middle, psi.payloads)))

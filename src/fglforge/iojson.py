@@ -126,11 +126,16 @@ def fgl_from_json(data: dict):
             raise ValueError("(1,0) and (0,1) are implicit and must not appear")
         if i < 1 or j < 1:
             raise ValueError(f"coefficient ({i},{j}) is forced by unitality")
+        if (i, j) in coeffs:
+            raise ValueError(f"coefficient ({i},{j}) is given twice")
         coeffs[(i, j)] = parse_expression(entry["value"], ring)
     body = TruncatedSeries2(ring, 2, coeffs, precision)
     grading = data.get("grading")
     if grading is not None:
         grading = {str(k): int(v) for k, v in grading.items()}
+        unknown = sorted(set(grading) - set(ring.generators()))
+        if unknown:
+            raise ValueError(f"grading names {unknown}, which are not generators of {ring}")
     return FormalGroupLaw(body, grading=grading)
 
 

@@ -192,6 +192,22 @@ class CoefficientRing:
 
     kind = "abstract"
 
+    # the attributes that identify a ring within its class
+    _identity = ()
+
+    # -- identity -------------------------------------------------------
+    # A ring operation compares the rings of its operands, which are almost
+    # always one object, so that case stops at `is`.
+    def __eq__(self, other):
+        if self is other:
+            return True
+        return type(other) is type(self) and all(
+            getattr(self, name) == getattr(other, name) for name in self._identity
+        )
+
+    def __hash__(self):
+        return hash((type(self).__name__, *(getattr(self, name) for name in self._identity)))
+
     # -- construction -------------------------------------------------
     def element(self, payload) -> RingElement:
         return RingElement(self, self._canonical(payload))
@@ -372,12 +388,6 @@ class Integers(_NumberRing):
             return target.from_int(elt.payload)
         return super().project(elt, target)
 
-    def __eq__(self, other):
-        return isinstance(other, Integers)
-
-    def __hash__(self):
-        return hash("Z")
-
     def __repr__(self):
         return "Z"
 
@@ -408,12 +418,6 @@ class Rationals(_NumberRing):
     def is_field(self):
         return True
 
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
-
-    def __hash__(self):
-        return hash("Q")
-
     def __repr__(self):
         return "Q"
 
@@ -422,6 +426,7 @@ class IntegersMod(CoefficientRing):
     """Z/m with residues in [0, m).  IntegersMod(1) is the zero ring."""
 
     kind = "integers_mod"
+    _identity = ("modulus",)
 
     def __init__(self, modulus: int):
         if modulus < 1:
@@ -499,12 +504,6 @@ class IntegersMod(CoefficientRing):
     def to_json(self):
         return {"kind": self.kind, "modulus": self.modulus}
 
-    def __eq__(self, other):
-        return isinstance(other, IntegersMod) and other.modulus == self.modulus
-
-    def __hash__(self):
-        return hash(("Zmod", self.modulus))
-
     def __repr__(self):
         return f"Z/{self.modulus}"
 
@@ -513,6 +512,7 @@ class PLocalIntegers(_NumberRing):
     """Integers localized at a prime p: reduced fractions a/b with p not | b."""
 
     kind = "p_local"
+    _identity = ("p",)
 
     def __init__(self, p: int):
         if not _is_prime(p):
@@ -576,12 +576,6 @@ class PLocalIntegers(_NumberRing):
     def to_json(self):
         return {"kind": self.kind, "prime": self.p}
 
-    def __eq__(self, other):
-        return isinstance(other, PLocalIntegers) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("Zlocal", self.p))
-
     def __repr__(self):
         return f"Z_({self.p})"
 
@@ -616,6 +610,7 @@ class LaurentExtension(CoefficientRing):
     """
 
     kind = "laurent"
+    _identity = ("base", "variable", "degree")
 
     def __init__(self, base: CoefficientRing, variable: str = "beta", degree: int = 1):
         if variable in base.generators():
@@ -823,17 +818,6 @@ class LaurentExtension(CoefficientRing):
             "degree": self.degree,
         }
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, LaurentExtension)
-            and other.base == self.base
-            and other.variable == self.variable
-            and other.degree == self.degree
-        )
-
-    def __hash__(self):
-        return hash(("Laurent", self.base, self.variable, self.degree))
-
     def __repr__(self):
         return f"{self.base}[{self.variable}^±1]"
 
@@ -876,6 +860,7 @@ class QuotientByPrincipal(CoefficientRing):
     """
 
     kind = "quotient"
+    _identity = ("base", "_frozen_modulus")
 
     def __init__(self, base: LaurentExtension, generator: RingElement):
         if not isinstance(base, LaurentExtension) or not base.base.is_field():
@@ -889,6 +874,7 @@ class QuotientByPrincipal(CoefficientRing):
             raise ValueError("generator is a unit; the quotient is the zero ring")
         self.base = base
         self.modulus = poly  # monic, poly[0] != 0
+        self._frozen_modulus = base._freeze(poly)
         self._deg = _poly_degree(poly)
         # v^-1 = -f(0)^-1 * (f - f(0))/v, reduced
         c0inv = poly[0].inverse()
@@ -984,16 +970,6 @@ class QuotientByPrincipal(CoefficientRing):
     def to_json(self):
         generator = self.base.to_expr(self.modulus)
         return {"kind": self.kind, "base": self.base.to_json(), "generator": generator}
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuotientByPrincipal)
-            and other.base == self.base
-            and other._freeze(other.modulus) == self._freeze(self.modulus)
-        )
-
-    def __hash__(self):
-        return hash(("Quot", self.base, self._freeze(self.modulus)))
 
     def __repr__(self):
         return f"{self.base}/(f), deg f = {self._deg}"

@@ -458,6 +458,38 @@ def test_fgl_json_rejects_implicit_unit_entries(tmp_path, capsys):
     assert code == 2 and "must not appear" in err
 
 
+def test_fgl_json_rejects_a_grading_of_no_generator(tmp_path, capsys):
+    # gamma is no generator of Z[beta]; the degree check used to read beta's
+    # default degree instead and pass
+    law = {
+        "ring": {"kind": "laurent", "base": {"kind": "integers"}, "variable": "beta", "degree": 1},
+        "precision": 4,
+        "coefficients": [{"i": 1, "j": 1, "value": "-beta"}],
+        "grading": {"gamma": 7},
+    }
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps(law))
+    code, out, err = run(capsys, "fgl", "axioms", "--fgl", str(path))
+    assert code == 2 and "gamma" in err and not out
+    law["grading"] = {"beta": 1}
+    path.write_text(json.dumps(law))
+    code, out, _ = run(capsys, "fgl", "axioms", "--fgl", str(path))
+    assert code == 0 and result_of(out)["passed"]
+
+
+def test_fgl_json_rejects_a_coefficient_given_twice(tmp_path, capsys):
+    # the second (1,1) entry used to replace the first, which made the law additive
+    law = {
+        "ring": {"kind": "integers"},
+        "precision": 4,
+        "coefficients": [{"i": 1, "j": 1, "value": "5"}, {"i": 1, "j": 1, "value": "0"}],
+    }
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps(law))
+    code, out, err = run(capsys, "fgl", "pseries", "--fgl", str(path), "--k", "2")
+    assert code == 2 and "(1,1)" in err and not out
+
+
 def test_in_process_determinism(capsys):
     args = ("landweber", "check", "--fgl", "multiplicative", "--primes", "2,3")
     _, out1, _ = run(capsys, *args)

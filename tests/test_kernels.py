@@ -375,7 +375,7 @@ def test_lazard_g_mul_against_reference():
 
 
 def test_groupoid_basis_mul_and_g_mul():
-    H, _ = groupoid_fixture(3)
+    H = groupoid_fixture(3)
     for i in range(3):
         for j in range(3):
             assert H.basis_mul(i, j) == (i if i == j else None)

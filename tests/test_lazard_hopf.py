@@ -7,17 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from fglforge.errors import AlgebroidMismatch, NotACoaction, RingMismatch
+from fglforge.errors import AlgebroidMismatch, RingMismatch
 from fglforge.expressions import element_to_expr
 from fglforge.fgl import change_coordinates, named_fgl
 from fglforge.gradedpoly import GradedPolynomialRing, lazard_base_ring
 from fglforge.hopf import (
-    Coaction,
     HopfAlgebroidTrunc,
     LazardAlgebroid,
     _rank,
     DualFunctional,
-    base_coaction,
     classify_rational,
     coaction_to_action,
     dual_compose,
@@ -196,17 +194,23 @@ def test_eta_r_of_constants():
 
 def test_hopf_axioms_groupoid():
     for n in range(1, 6):
-        algebroid, _ = groupoid_fixture(n)
+        algebroid = groupoid_fixture(n)
         report = hopf_axiom_check(algebroid)
         assert report.passed
+
+
+def _with_delta(H, key, table):
+    """H with Delta(key) replaced by the given table."""
+    delta_basis = H.delta_basis
+    H.delta_basis = lambda k: table if k == key else delta_basis(k)
+    return H
 
 
 def _delta_b1_left_only():
     H = lb_structure_maps(2)
     b1 = H.bring.pack([1, 0])
     # Delta(b1) := b1 (x) 1, dropping 1 (x) b1
-    H._delta_cache[b1] = {(b1, 0): H.base.one().payload}
-    return H
+    return _with_delta(H, b1, {(b1, 0): H.base.one().payload})
 
 
 def _delta_b2_cross_term_off_by_one():
@@ -215,8 +219,7 @@ def _delta_b2_cross_term_off_by_one():
     b2 = H.bring.pack([0, 1, 0])
     table = dict(H.delta_basis(b2))
     table[(b1, b1)] = H.base._add(table[(b1, b1)], H.base.one().payload)
-    H._delta_cache[b2] = table
-    return H
+    return _with_delta(H, b2, table)
 
 
 def _delta_b1_plus_m1():
@@ -226,8 +229,7 @@ def _delta_b1_plus_m1():
     # needs eta_R(m1) = m1, and eta_R(m1) = m1 - b1
     table = dict(H.delta_basis(b1))
     table[(0, 0)] = H.base.generator("m1").payload
-    H._delta_cache[b1] = table
-    return H
+    return _with_delta(H, b1, table)
 
 
 def _eta_r_m1_doubled():
@@ -237,7 +239,7 @@ def _eta_r_m1_doubled():
 
 
 def _groupoid_eps_swapped():
-    G, _ = groupoid_fixture(2)
+    G = groupoid_fixture(2)
     G.eps_basis = lambda key: G.base.chi(1 - key).payload
     return G
 
@@ -300,7 +302,7 @@ def test_dual_compose_unital_and_associative(flavor):
     if flavor == "lazard":
         algebroid = lb_structure_maps(3)
     else:
-        algebroid, _ = groupoid_fixture(3)
+        algebroid = groupoid_fixture(3)
     eps = epsilon_functional(algebroid)
     rng = random.Random(42)
     for _ in range(15):
@@ -326,7 +328,7 @@ def test_dual_compose_pushes_each_value_through_eta_r_once(monkeypatch):
 
 
 def test_groupoid_dual_is_matrix_units():
-    algebroid, _ = groupoid_fixture(2)
+    algebroid = groupoid_fixture(2)
 
     def delta_fn(i, j):
         return DualFunctional(algebroid, {j: algebroid.base.chi(i)})
@@ -359,7 +361,7 @@ def test_lazard_degree_one_dual_composition():
 
 def test_algebroid_mismatch():
     a1 = lb_structure_maps(2)
-    a2, _ = groupoid_fixture(2)
+    a2 = groupoid_fixture(2)
     f = epsilon_functional(a1)
     g = epsilon_functional(a2)
     with pytest.raises(AlgebroidMismatch):
@@ -371,15 +373,15 @@ def test_foreign_inputs_are_refused():
     # and a key outside the Gamma basis are refused, not read into A
     A = lb_structure_maps(3)
     m5 = lb_structure_maps(5).base.generator("m5")
-    one, coaction, eps = A.base.one(), base_coaction(A), epsilon_functional(A)
+    one, eps = A.base.one(), epsilon_functional(A)
     for foreign in (m5, Integers().one()):
         with pytest.raises(RingMismatch):
             DualFunctional(A, {0: foreign})
         with pytest.raises(RingMismatch):
-            coaction_to_action(coaction, eps, foreign)
+            coaction_to_action(eps, foreign)
         for u, v in ((foreign, one), (one, foreign)):
             with pytest.raises(RingMismatch):
-                twisted_ring_multiply(u, eps, v, eps, coaction)
+                twisted_ring_multiply(u, eps, v, eps)
     with pytest.raises(ValueError):
         DualFunctional(A, {12345: one})
 
@@ -397,24 +399,18 @@ def test_hopf_layer_reaches_the_traced_methods(monkeypatch):
     H = lb_structure_maps(3)
     assert hopf_axiom_check(H).passed
     eps = epsilon_functional(H)
-    twisted_ring_multiply(H.base.one(), eps, H.base.generator("m1"), eps, base_coaction(H))
+    twisted_ring_multiply(H.base.one(), eps, H.base.generator("m1"), eps)
     assert counts.get("g_mul", 0) > 0 and counts.get("delta_basis", 0) > 0
 
 
-# -- coactions and the twisted ring ---------------------------------------------
-
-
-def test_coaction_counit_law_enforced():
-    algebroid, _ = groupoid_fixture(2)
-    with pytest.raises(NotACoaction):
-        Coaction(algebroid, rho=lambda r: {}, samples=[algebroid.base.one().payload])
+# -- the action on A and the twisted ring ---------------------------------------
 
 
 def test_action_examples():
-    algebroid, coaction = groupoid_fixture(3)
+    algebroid = groupoid_fixture(3)
     eps = epsilon_functional(algebroid)
     r = algebroid.base.from_values([1, 2, 3])
-    assert coaction_to_action(coaction, eps, r) == r
+    assert coaction_to_action(eps, r) == r
 
     def delta_fn(i, j):
         return DualFunctional(algebroid, {j: algebroid.base.chi(i)})
@@ -423,24 +419,23 @@ def test_action_examples():
     for i in range(3):
         for j in range(3):
             for m in range(3):
-                got = coaction_to_action(coaction, delta_fn(i, j), algebroid.base.chi(m))
+                got = coaction_to_action(delta_fn(i, j), algebroid.base.chi(m))
                 expected = algebroid.base.chi(i) if j == m else algebroid.base.zero()
                 assert got == expected
     # lambda(f, 1) extends the dual left unit: f(1_Gamma)
     f = delta_fn(1, 2)
-    assert coaction_to_action(coaction, f, algebroid.base.one()) == f(algebroid.one_gamma())
+    assert coaction_to_action(f, algebroid.base.one()) == f(algebroid.one_gamma())
 
 
 def test_action_on_lazard_base():
     H = lb_structure_maps(3)
-    coaction = base_coaction(H)
     eps = epsilon_functional(H)
     m1 = H.base.generator("m1")
-    assert coaction_to_action(coaction, eps, m1) == m1
+    assert coaction_to_action(eps, m1) == m1
     b1_dual = DualFunctional(H, {H.bring.pack([1, 0, 0]): H.base.one()})
-    # rho(m1) = m1 - b1, so the b1-dual picks out -1
-    assert coaction_to_action(coaction, b1_dual, m1) == H.base.from_int(-1)
-    assert coaction_to_action(coaction, b1_dual, H.base.one()).is_zero()
+    # eta_R(m1) = m1 - b1, so the b1-dual picks out -1
+    assert coaction_to_action(b1_dual, m1) == H.base.from_int(-1)
+    assert coaction_to_action(b1_dual, H.base.one()).is_zero()
 
 
 def _groupoid_matrix(algebroid, element):
@@ -453,7 +448,7 @@ def _groupoid_matrix(algebroid, element):
 
 
 def test_twisted_multiply_matches_groupoid_matrix_algebra():
-    algebroid, coaction = groupoid_fixture(3)
+    algebroid = groupoid_fixture(3)
     rng = random.Random(77)
 
     def delta_fn(i, j):
@@ -464,7 +459,7 @@ def test_twisted_multiply_matches_groupoid_matrix_algebra():
         v = algebroid.base.from_values([rng.randint(-3, 3) for _ in range(3)])
         phi = delta_fn(rng.randrange(3), rng.randrange(3))
         psi = delta_fn(rng.randrange(3), rng.randrange(3))
-        got = twisted_ring_multiply(u, phi, v, psi, coaction)
+        got = twisted_ring_multiply(u, phi, v, psi)
         m1 = _groupoid_matrix(algebroid, simple_tensor(u, phi))
         m2 = _groupoid_matrix(algebroid, simple_tensor(v, psi))
         product = [
@@ -475,7 +470,7 @@ def test_twisted_multiply_matches_groupoid_matrix_algebra():
 
 
 def test_twisted_multiply_associative_on_fixture():
-    algebroid, coaction = groupoid_fixture(2)
+    algebroid = groupoid_fixture(2)
     rng = random.Random(13)
 
     def rand_pair():
@@ -495,14 +490,14 @@ def test_twisted_multiply_associative_on_fixture():
     for _ in range(20):
         (u, phi), (v, psi), (w, chi) = rand_pair(), rand_pair(), rand_pair()
         # (u phi . v psi) . w chi and u phi . (v psi . w chi), both as matrices
-        left = twisted_ring_multiply(u, phi, v, psi, coaction)
+        left = twisted_ring_multiply(u, phi, v, psi)
         m_left = _groupoid_matrix(algebroid, left)
         m_w = as_matrix(w, chi)
         lhs = [
             [sum(m_left[i][k] * m_w[k][j] for k in range(2)) for j in range(2)]
             for i in range(2)
         ]
-        right = twisted_ring_multiply(v, psi, w, chi, coaction)
+        right = twisted_ring_multiply(v, psi, w, chi)
         m_right = _groupoid_matrix(algebroid, right)
         m_u = as_matrix(u, phi)
         rhs = [
@@ -513,7 +508,7 @@ def test_twisted_multiply_associative_on_fixture():
 
 
 def test_twisted_unit_reduces_to_left_action():
-    algebroid, coaction = groupoid_fixture(2)
+    algebroid = groupoid_fixture(2)
     eps = epsilon_functional(algebroid)
 
     def delta_fn(i, j):
@@ -522,7 +517,7 @@ def test_twisted_unit_reduces_to_left_action():
     u = algebroid.base.from_values([2, 5])
     v = algebroid.base.from_values([3, 7])
     psi = delta_fn(0, 1)
-    got = twisted_ring_multiply(u, eps, v, psi, coaction)
+    got = twisted_ring_multiply(u, eps, v, psi)
     # with phi = eps the middle collapses to multiplication by v
     expected = simple_tensor(u * v, psi)
     assert got == expected

@@ -9,6 +9,8 @@ import pytest
 
 from fglforge import rings
 from fglforge.errors import Inconsistent, RingMismatch, Undecidable, Unsupported
+from fglforge.gradedpoly import GradedPolynomialRing
+from fglforge.hopf import FunctionRing
 from fglforge.rings import (
     Integers,
     IntegersMod,
@@ -274,6 +276,92 @@ def test_ring_mismatch_raises():
         ZB.var() * QB.var()
     with pytest.raises(RingMismatch):
         Z.from_int(1) == Q.from_int(1)
+
+
+def _quotient_of_qb(generator, variable="beta"):
+    qb = LaurentExtension(Rationals(), variable, 1)
+    return QuotientByPrincipal(qb, generator(qb.var()))
+
+
+def _graded(max_degree, degrees=(1, 2)):
+    return GradedPolynomialRing([(f"m{i}", d) for i, d in enumerate(degrees, 1)], max_degree)
+
+
+# (make_a, make_b, equal): each ring is built on its own, so an equal pair is
+# two objects; an unequal pair differs in its class or in one identity field
+RING_IDENTITY = {
+    "Z": (Integers, Integers, True),
+    "Q": (Rationals, Rationals, True),
+    "Z/6": (lambda: IntegersMod(6), lambda: IntegersMod(6), True),
+    "Z_(5)": (lambda: PLocalIntegers(5), lambda: PLocalIntegers(5), True),
+    "Z[beta]": (
+        lambda: LaurentExtension(Integers(), "beta", 1),
+        lambda: LaurentExtension(Integers(), "beta", 1),
+        True,
+    ),
+    "nested Laurent": (
+        lambda: LaurentExtension(LaurentExtension(IntegersMod(6), "u", 2), "beta", 1),
+        lambda: LaurentExtension(LaurentExtension(IntegersMod(6), "u", 2), "beta", 1),
+        True,
+    ),
+    "Q[beta]/(2*beta - 2) = Q[beta]/(beta - 1)": (
+        lambda: _quotient_of_qb(lambda b: 2 * b - 2),
+        lambda: _quotient_of_qb(lambda b: b - 1),
+        True,
+    ),
+    "graded": (lambda: _graded(3), lambda: _graded(3), True),
+    "Q^3": (lambda: FunctionRing(3), lambda: FunctionRing(3), True),
+    "Z vs Q": (Integers, Rationals, False),
+    "Z/5 vs Z_(5)": (lambda: IntegersMod(5), lambda: PLocalIntegers(5), False),
+    "Z/5 vs Z/7": (lambda: IntegersMod(5), lambda: IntegersMod(7), False),
+    "Z_(5) vs Z_(7)": (lambda: PLocalIntegers(5), lambda: PLocalIntegers(7), False),
+    "Z[beta] vs Z[u]": (
+        lambda: LaurentExtension(Integers(), "beta", 1),
+        lambda: LaurentExtension(Integers(), "u", 1),
+        False,
+    ),
+    "Laurent degree 1 vs 2": (
+        lambda: LaurentExtension(Integers(), "beta", 1),
+        lambda: LaurentExtension(Integers(), "beta", 2),
+        False,
+    ),
+    "Z[beta] vs Q[beta]": (
+        lambda: LaurentExtension(Integers(), "beta", 1),
+        lambda: LaurentExtension(Rationals(), "beta", 1),
+        False,
+    ),
+    "nested Laurent, inner degree": (
+        lambda: LaurentExtension(LaurentExtension(IntegersMod(6), "u", 2), "beta", 1),
+        lambda: LaurentExtension(LaurentExtension(IntegersMod(6), "u", 1), "beta", 1),
+        False,
+    ),
+    "Q[beta]/(beta - 1) vs Q[beta]/(beta - 2)": (
+        lambda: _quotient_of_qb(lambda b: b - 1),
+        lambda: _quotient_of_qb(lambda b: b - 2),
+        False,
+    ),
+    "Q[beta]/(beta - 1) vs Q[u]/(u - 1)": (
+        lambda: _quotient_of_qb(lambda b: b - 1),
+        lambda: _quotient_of_qb(lambda u: u - 1, "u"),
+        False,
+    ),
+    "graded max_degree 3 vs 4": (lambda: _graded(3), lambda: _graded(4), False),
+    "graded generator degrees": (lambda: _graded(3), lambda: _graded(3, (1, 3)), False),
+    "Q^2 vs Q^3": (lambda: FunctionRing(2), lambda: FunctionRing(3), False),
+}
+
+
+@pytest.mark.parametrize("make_a, make_b, equal", RING_IDENTITY.values(), ids=RING_IDENTITY)
+def test_ring_identity(make_a, make_b, equal):
+    a, b = make_a(), make_b()
+    assert a is not b and a == a
+    assert (a == b) is equal and (b == a) is equal and (a != b) is not equal
+    if equal:
+        assert hash(a) == hash(b) and len({a, b}) == 1
+        assert (a.one() + b.one()).ring is a
+    else:
+        with pytest.raises(RingMismatch):
+            a.one() + b.one()
 
 
 def test_plocal_validation():
