@@ -126,6 +126,8 @@ def fgl_from_json(data: dict):
             raise ValueError("(1,0) and (0,1) are implicit and must not appear")
         if i < 1 or j < 1:
             raise ValueError(f"coefficient ({i},{j}) is forced by unitality")
+        if i + j > precision:
+            raise ValueError(f"coefficient ({i},{j}) lies above precision {precision}")
         if (i, j) in coeffs:
             raise ValueError(f"coefficient ({i},{j}) is given twice")
         coeffs[(i, j)] = parse_expression(entry["value"], ring)

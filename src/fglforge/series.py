@@ -455,31 +455,44 @@ def compose_series(outer: TruncatedSeries1, inner):
 def substitute_pair(body: TruncatedSeries2, u, v):
     """body(u, v) for series u, v of a common shape vanishing at the origin.
 
-    The result has the shape of u.  Powers of u and v are cached; sparse
-    representations keep single-variable substituends cheap.
+    The result has the shape of u, at the least of the three precisions.
+    Powers of u and v are cached from the first power up, and only a term
+    c x^i y^j with i, j >= 1 makes a series product (besides one per new
+    power); a (0, 0) term is a constant series, and a coefficient 1 is not
+    scaled by.  So x + y - beta xy costs one product.
     """
+    ring = body.ring
+    if u.ring != ring or v.ring != ring:
+        raise RingMismatch(f"{ring} vs {u.ring} and {v.ring}")
     if not (u.constant_term().is_zero() and v.constant_term().is_zero()):
         raise NonzeroConstantTerm("substituted series must vanish at the origin")
     n = min(body.precision, u.precision, v.precision)
     u = u.truncate(n)
     v = v.truncate(n)
-    one = u.constant_like(u.ring.one())
-    u_pows = {0: one}
-    v_pows = {0: one}
+    u_pows = {1: u}
+    v_pows = {1: v}
 
     def power(cache, base, k):
         while k not in cache:
-            top = max(cache)
+            top = len(cache)
             cache[top + 1] = cache[top] * base
         return cache[k]
 
+    one = ring.one()
     acc = None
     for (i, j), c in sorted(body.coeffs.items()):
         if i + j > n:
             continue
-        term = (power(u_pows, u, i) * power(v_pows, v, j)).scale(c)
+        if i and j:
+            term = power(u_pows, u, i) * power(v_pows, v, j)
+        elif i or j:
+            term = power(u_pows, u, i) if i else power(v_pows, v, j)
+        else:
+            term = u.constant_like(one)
+        if c != one:
+            term = term.scale(c)
         acc = term if acc is None else acc + term
-    return u.constant_like(u.ring.zero()) if acc is None else acc
+    return u.constant_like(ring.zero()) if acc is None else acc
 
 
 def embed2(body: TruncatedSeries2, nvars: int, positions) -> TruncatedSeriesN:

@@ -495,3 +495,23 @@ def test_in_process_determinism(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+def test_fgl_json_rejects_a_coefficient_above_its_precision(tmp_path, capsys):
+    # the (3,3) entry used to be dropped by the truncation, so this file
+    # loaded as the additive law and passed its axioms
+    law = {
+        "ring": {"kind": "integers"},
+        "precision": 3,
+        "coefficients": [{"i": 3, "j": 3, "value": "1"}],
+    }
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps(law))
+    code, out, err = run(capsys, "fgl", "axioms", "--fgl", str(path))
+    assert code == 2 and "(3,3)" in err and "precision 3" in err and not out
+    # an entry of total degree equal to the precision is kept: x + y + xy
+    law["precision"] = 2
+    law["coefficients"] = [{"i": 1, "j": 1, "value": "1"}]
+    path.write_text(json.dumps(law))
+    code, out, _ = run(capsys, "fgl", "axioms", "--fgl", str(path))
+    assert code == 0 and result_of(out)["passed"]

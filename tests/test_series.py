@@ -13,7 +13,7 @@ from fglforge.errors import (
     RingMismatch,
     Unsupported,
 )
-from fglforge.fgl import from_logarithm, logarithm
+from fglforge.fgl import from_logarithm, logarithm, n_series, named_fgl
 from fglforge.gradedpoly import lazard_base_ring
 from fglforge.rings import (
     Integers,
@@ -446,6 +446,119 @@ def test_substitute_pair_matches_sympy(nvars):
         for (i, j), c in _terms(body).items():
             expected += u_poly**i * v_poly**j * sympy.Rational(c.numerator, c.denominator)
         assert _terms(got) == _truncated(expected, n)
+
+
+# -- substitution over the rings of the Landweber checks, without sympy -------
+
+# each ring with the denominators its coefficients may have
+LANDWEBER_RINGS = {
+    "Z[beta]": (ZB, [1]),
+    "Z/4[beta]": (LaurentExtension(IntegersMod(4), "beta", 1), [1]),
+    "F5": (IntegersMod(5), [1]),
+    "Z_(3)[beta]": (LaurentExtension(PLocalIntegers(3), "beta", 1), [1, 2]),
+}
+
+
+def _landweber_coefficient(ring, rng, denominators):
+    """1 a third of the time, else a small fraction times beta^-1, 1 or beta
+    when the ring has beta."""
+    if rng.random() < 1 / 3:
+        return ring.one()
+    c = ring.from_fraction(Fraction(rng.randint(-3, 3), rng.choice(denominators)))
+    if isinstance(ring, LaurentExtension):
+        c = c * ring.var() ** rng.randint(-1, 1)
+    return c
+
+
+def _landweber_series(ring, rng, denominators, nvars, precision, keys):
+    """A series in nvars variables with random coefficients at most keys."""
+    coeffs = {
+        k: _landweber_coefficient(ring, rng, denominators) for k in keys if rng.random() < 0.7
+    }
+    if nvars == 1:
+        return TruncatedSeries1(
+            ring, [coeffs.get((i,), ring.zero()) for i in range(precision + 1)], precision
+        )
+    cls = TruncatedSeries2 if nvars == 2 else TruncatedSeriesN
+    return cls(ring, nvars, coeffs, precision)
+
+
+def _substitution_reference(body, u, v):
+    """sum c u^i v^j over the terms within the common precision, each power
+    multiplied up from the constant series 1."""
+    n = min(body.precision, u.precision, v.precision)
+    u, v = u.truncate(n), v.truncate(n)
+    total = u.constant_like(u.ring.zero())
+    for (i, j), c in body.coeffs.items():
+        if i + j > n:
+            continue
+        term = u.constant_like(u.ring.one())
+        for _ in range(i):
+            term = term * u
+        for _ in range(j):
+            term = term * v
+        total = total + term.scale(c)
+    return total
+
+
+@pytest.mark.parametrize("name", sorted(LANDWEBER_RINGS))
+@pytest.mark.parametrize("nvars", [1, 2])
+def test_substitute_pair_matches_sum_of_powers(nvars, name):
+    ring, denominators = LANDWEBER_RINGS[name]
+    rng = random.Random(zlib.crc32(f"substitute_pair reference {nvars} {name}".encode()))
+    for n in (0, 1, 2, 4, 6):
+        for _ in range(3):
+            # the body reaches two degrees past the substituted series, and
+            # always has a constant term and terms in x alone and y alone
+            body = _landweber_series(ring, rng, denominators, 2, n + 2, _exponents(2, n + 2))
+            entries = [
+                (0, 0, ring.one()),
+                (rng.randint(1, n + 2), 0, ring.one()),
+                (0, rng.randint(1, n + 2), _landweber_coefficient(ring, rng, denominators)),
+            ]
+            body = body + TruncatedSeries2.from_entries(ring, entries, n + 2)
+            keys = [k for k in _exponents(nvars, n + 1) if sum(k) >= 1]
+            u = _landweber_series(ring, rng, denominators, nvars, n + rng.randint(0, 1), keys)
+            v = _landweber_series(ring, rng, denominators, nvars, n + rng.randint(0, 1), keys)
+            got = substitute_pair(body, u, v)
+            assert type(got) is type(u)
+            assert got.precision == min(body.precision, u.precision, v.precision)
+            assert got == _substitution_reference(body, u, v), (n, body, u, v)
+
+
+def test_substitute_pair_checks_rings_at_every_precision():
+    # at precision 0 every term of the body lies above the truncation
+    body = TruncatedSeries2.from_entries(Z, [(1, 0, Z.one()), (0, 1, Z.one())], 4)
+    for n in (0, 3):
+        for u, v in ((s(Q, [0, 1], n), s(Q, [0, 1], n)), (s(Z, [0, 1], n), s(Q, [0, 1], n))):
+            with pytest.raises(RingMismatch):
+                substitute_pair(body, u, v)
+
+
+def test_substitute_pair_multiplies_only_mixed_terms(monkeypatch):
+    """x + y - beta xy costs one series product, x + y none, and [5](x) of
+    the multiplicative law three, one per double-and-add step."""
+    mult = named_fgl("multiplicative", ZB, 8)
+    add = named_fgl("additive", ZB, 8)
+    calls = []
+    for cls in (TruncatedSeries1, TruncatedSeriesN):
+        original = cls.__mul__
+
+        def counted(self, other, original=original):
+            calls.append(type(self))
+            return original(self, other)
+
+        monkeypatch.setattr(cls, "__mul__", counted)
+    x = TruncatedSeries1.x(ZB, 8)
+
+    def products(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    assert products(lambda: substitute_pair(mult.body, x, x)) == 1
+    assert products(lambda: substitute_pair(add.body, x, x)) == 0
+    assert products(lambda: n_series(mult, 5)) == 3
 
 
 # -- an independent oracle for one-variable products, inverses and reversion --
