@@ -105,7 +105,7 @@ class RingElement:
 
     def _coerce(self, other):
         if isinstance(other, RingElement):
-            if other.ring == self.ring:
+            if other.ring is self.ring or other.ring == self.ring:
                 return other
             raise RingMismatch(f"{self.ring} vs {other.ring}")
         if isinstance(other, int):
@@ -164,7 +164,7 @@ class RingElement:
                 return NotImplemented
         if not isinstance(other, RingElement):
             return NotImplemented
-        if other.ring == self.ring:
+        if other.ring is self.ring or other.ring == self.ring:
             return self.payload == other.payload
         raise RingMismatch(f"{self.ring} vs {other.ring}")
 
@@ -246,7 +246,8 @@ class CoefficientRing:
     # multiply-accumulate, for sums of products such as series coefficients:
     # the right factor b goes through _operand once, acc is None for the empty
     # sum, and _settle makes the finished sum canonical.  A ring may update
-    # acc in place, as long as the accumulators are its own.
+    # acc in place, as long as the accumulators are its own; _is_zero reads
+    # an accumulator as well as a payload.
     def _operand(self, b):
         return b
 
@@ -646,18 +647,37 @@ class LaurentExtension(CoefficientRing):
         return {e: -c for e, c in a.items()}
 
     def _mul(self, a, b):
-        out = {}
+        return self._settle(self._mul_add(None, a, self._operand(b)))
+
+    # An accumulator maps an exponent to an accumulator of the base, filled
+    # through the base's own hooks, so a tower boxes each inner payload once,
+    # in _settle.  An exponent leaves as its sum cancels; a product that
+    # vanishes on an exponent not yet present leaves nothing.
+    def _operand(self, b):
+        operand = self.base._operand
+        return [(e, operand(c.payload)) for e, c in b.items()]
+
+    def _mul_add(self, acc, a, b_terms):
+        if acc is None:
+            acc = {}
+        base = self.base
+        mul_add, is_zero = base._mul_add, base._is_zero
+        get = acc.get
         for e1, c1 in a.items():
-            for e2, c2 in b.items():
+            x = c1.payload
+            for e2, y in b_terms:
                 e = e1 + e2
-                p = c1 * c2
-                if e in out:
-                    p = out[e] + p
-                if p.is_zero():
-                    out.pop(e, None)
+                s = mul_add(get(e), x, y)
+                if is_zero(s):
+                    acc.pop(e, None)
                 else:
-                    out[e] = p
-        return out
+                    acc[e] = s
+        return acc
+
+    def _settle(self, acc):
+        base = self.base
+        settle = base._settle
+        return {e: RingElement(base, settle(s)) for e, s in acc.items()}
 
     def _is_zero(self, a):
         return not a

@@ -8,6 +8,10 @@ the operand precisions and the derivative drops one order.
 
 Coefficients can live in any ring object following the RingElement
 interface (the closed coefficient-ring family or a graded polynomial ring).
+They are stored as RingElements, but the arithmetic reads their payloads and
+runs on the ring's payload hooks: _add, _neg and _mul, and the
+multiply-accumulate hooks _operand, _mul_add and _settle for sums of
+products.  Each output coefficient is boxed once, with no branch on the ring.
 """
 
 from __future__ import annotations
@@ -108,43 +112,65 @@ class TruncatedSeries1:
             raise RingMismatch(f"{self.ring} vs {other.ring}")
         return min(self.precision, other.precision)
 
+    @classmethod
+    def _from_payloads(cls, ring, payloads, precision):
+        """The series with these canonical payloads as coefficients c_0..c_N."""
+        out = object.__new__(cls)
+        out.ring = ring
+        out.precision = precision
+        out.coeffs = tuple([RingElement(ring, p) for p in payloads])
+        return out
+
     # -- arithmetic ------------------------------------------------------
+    # on payloads, through the ring's hooks; each output coefficient is boxed
+    # once, in _from_payloads
     def __add__(self, other):
         n = self._check(other)
-        return TruncatedSeries1(
-            self.ring, [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)], n
-        )
+        add = self.ring._add
+        pairs = zip(self.coeffs[: n + 1], other.coeffs)
+        return self._from_payloads(self.ring, [add(a.payload, b.payload) for a, b in pairs], n)
 
     def __sub__(self, other):
         n = self._check(other)
-        return TruncatedSeries1(
-            self.ring, [self.coeffs[i] - other.coeffs[i] for i in range(n + 1)], n
-        )
+        add, neg = self.ring._add, self.ring._neg
+        pairs = zip(self.coeffs[: n + 1], other.coeffs)
+        return self._from_payloads(self.ring, [add(a.payload, neg(b.payload)) for a, b in pairs], n)
 
     def __neg__(self):
-        return TruncatedSeries1(self.ring, [-c for c in self.coeffs], self.precision)
+        neg = self.ring._neg
+        return self._from_payloads(self.ring, [neg(c.payload) for c in self.coeffs], self.precision)
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries1):
             n = self._check(other)
-            zero = self.ring.zero()
-            out = [zero] * (n + 1)
-            for i in range(n + 1):
-                a = self.coeffs[i]
-                if a.is_zero():
+            ring = self.ring
+            mul_add, settle, is_zero = ring._mul_add, ring._settle, ring._is_zero
+            right = [
+                (j, ring._operand(c.payload))
+                for j, c in enumerate(other.coeffs[: n + 1])
+                if not is_zero(c.payload)
+            ]
+            # accs[k] sums the products a_i b_j with i + j = k, by increasing i
+            accs = [None] * (n + 1)
+            for i, c in enumerate(self.coeffs[: n + 1]):
+                a = c.payload
+                if is_zero(a):
                     continue
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if not b.is_zero():
-                        out[i + j] = out[i + j] + a * b
-            return TruncatedSeries1(self.ring, out, n)
+                room = n - i
+                for j, b in right:
+                    if j > room:
+                        break
+                    accs[i + j] = mul_add(accs[i + j], a, b)
+            zero = ring.zero().payload
+            return self._from_payloads(ring, [zero if p is None else settle(p) for p in accs], n)
         return self.scale(other)
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        c = _coerce_scalar(self.ring, c)
-        return TruncatedSeries1(self.ring, [c * a for a in self.coeffs], self.precision)
+        x = _coerce_scalar(self.ring, c).payload
+        mul = self.ring._mul
+        return self._from_payloads(self.ring, [mul(x, a.payload) for a in self.coeffs], self.precision)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries1):
@@ -187,15 +213,27 @@ class TruncatedSeries1:
         c0 = self.coeffs[0]
         if not c0.is_unit():
             raise NonUnitLinearCoefficient("constant term is not a unit")
-        c0i = c0.inverse()
+        ring = self.ring
+        mul_add, settle, is_zero = ring._mul_add, ring._settle, ring._is_zero
+        operand, mul, neg = ring._operand, ring._mul, ring._neg
+        f = [(k, c.payload) for k, c in enumerate(self.coeffs) if k and not is_zero(c.payload)]
+        c0i = c0.inverse().payload
+        zero = ring.zero().payload
         out = [c0i]
+        # the right factors out[m] prepared once, None when zero
+        ops = [None if is_zero(c0i) else operand(c0i)]
         for n in range(1, self.precision + 1):
-            acc = self.ring.zero()
-            for k in range(1, n + 1):
-                if not self.coeffs[k].is_zero():
-                    acc = acc + self.coeffs[k] * out[n - k]
-            out.append(-(c0i * acc))
-        return TruncatedSeries1(self.ring, out, self.precision)
+            acc = None
+            for k, a in f:
+                if k > n:
+                    break
+                b = ops[n - k]
+                if b is not None:
+                    acc = mul_add(acc, a, b)
+            p = zero if acc is None else neg(mul(c0i, settle(acc)))
+            out.append(p)
+            ops.append(None if is_zero(p) else operand(p))
+        return self._from_payloads(ring, out, self.precision)
 
     def revert(self) -> "TruncatedSeries1":
         """Compositional inverse g with f(g(x)) = x = g(f(x)).
@@ -207,33 +245,42 @@ class TruncatedSeries1:
         coefficient is inverted, so this works over any commutative ring
         where it is a unit.
         """
-        f = self.coeffs
-        if not f[0].is_zero():
+        if not self.coeffs[0].is_zero():
             raise NonzeroConstantTerm("reversion needs f(0) = 0")
-        if self.precision < 1 or not f[1].is_unit():
+        if self.precision < 1 or not self.coeffs[1].is_unit():
             raise NonUnitLinearCoefficient("reversion needs f'(0) to be a unit")
-        f1_inv = f[1].inverse()
+        ring = self.ring
+        mul_add, settle, is_zero = ring._mul_add, ring._settle, ring._is_zero
+        operand, mul, neg = ring._operand, ring._mul, ring._neg
+        f = [c.payload for c in self.coeffs]
+        f1_inv = self.coeffs[1].inverse().payload
         n = self.precision
-        zero = self.ring.zero()
+        zero = ring.zero().payload
         g = [zero, f1_inv]
-        # powers[k][j] = [x^j] g^k, one column j at a time; powers[1] is g
-        powers = [None, g]
+        # powers[k][j] = [x^j] g^k as a prepared right factor, None when zero,
+        # one column j at a time; powers[1] holds the coefficients of g
+        powers = [None, [None, None if is_zero(f1_inv) else operand(f1_inv)]]
         for m in range(2, n + 1):
-            powers.append([zero] * m)  # g^m starts at x^m
-            err = zero
+            powers.append([None] * m)  # g^m starts at x^m
+            err = None
             for k in range(2, m + 1):
                 # g^k = g * g^(k-1), whose x^j coefficient vanishes for j < k-1
                 prev = powers[k - 1]
-                c = zero
+                c = None
                 for i in range(1, m - k + 2):
                     a, b = g[i], prev[m - i]
-                    if not (a.is_zero() or b.is_zero()):
-                        c = c + a * b
+                    if b is not None and not is_zero(a):
+                        c = mul_add(c, a, b)
+                if c is not None:
+                    c = settle(c)
+                    c = None if is_zero(c) else operand(c)
                 powers[k].append(c)
-                if not (f[k].is_zero() or c.is_zero()):
-                    err = err + f[k] * c
-            g.append(-(f1_inv * err))
-        return TruncatedSeries1(self.ring, g, n)
+                if c is not None and not is_zero(f[k]):
+                    err = mul_add(err, f[k], c)
+            p = zero if err is None else neg(mul(f1_inv, settle(err)))
+            g.append(p)
+            powers[1].append(None if is_zero(p) else operand(p))
+        return self._from_payloads(ring, g, n)
 
     def __repr__(self):
         # iojson imports this module, so a module-level import would be a cycle
@@ -478,7 +525,7 @@ def substitute_pair(body: TruncatedSeries2, u, v):
             cache[top + 1] = cache[top] * base
         return cache[k]
 
-    one = ring.one()
+    one = ring.one().payload
     acc = None
     for (i, j), c in sorted(body.coeffs.items()):
         if i + j > n:
@@ -488,8 +535,8 @@ def substitute_pair(body: TruncatedSeries2, u, v):
         elif i or j:
             term = power(u_pows, u, i) if i else power(v_pows, v, j)
         else:
-            term = u.constant_like(one)
-        if c != one:
+            term = u.constant_like(ring.one())
+        if c.payload != one:
             term = term.scale(c)
         acc = term if acc is None else acc + term
     return u.constant_like(ring.zero()) if acc is None else acc

@@ -1,6 +1,7 @@
 """The product kernels against naive references: graded polynomials over Q,
-multivariate truncated series (also over graded polynomials), and the Gamma
-product of the Hopf algebroids."""
+multivariate truncated series (also over graded polynomials), the Gamma
+product of the Hopf algebroids, and one-variable series over the coefficient
+family, Laurent rings and their towers included."""
 
 import random
 import zlib
@@ -10,8 +11,17 @@ import pytest
 
 from fglforge.gradedpoly import GradedPolynomialRing, lazard_base_ring
 from fglforge.hopf import groupoid_fixture, lb_structure_maps
-from fglforge.rings import IntegersMod
-from fglforge.series import TruncatedSeriesN
+from fglforge.rings import (
+    Integers,
+    IntegersMod,
+    LaurentExtension,
+    PLocalIntegers,
+    QuotientByPrincipal,
+    Rationals,
+    RingElement,
+    quotient_by_element,
+)
+from fglforge.series import TruncatedSeries1, TruncatedSeriesN
 
 # -- graded polynomials ----------------------------------------------------------
 
@@ -400,3 +410,250 @@ def test_groupoid_basis_mul_and_g_mul():
         assert H.g_mul(u, v) == expected
     # disjointly supported coefficients multiply to zero and drop out
     assert H.g_mul({0: H.base.chi(0).payload}, {0: H.base.chi(1).payload}) == {}
+
+
+# -- one-variable series over the coefficient family ---------------------------------
+
+
+def _ref_product_terms(a, b):
+    """The terms (exponent, base element) of a Laurent product, in the order
+    the pairs meet, each multiplied on boxed base elements."""
+    return [(e1 + e2, c1 * c2) for e1, c1 in a.payload.items() for e2, c2 in b.payload.items()]
+
+
+def _ref_add_terms(out, terms):
+    """Add terms into the map one at a time; a sum that cancels leaves, and
+    comes back at the end when a later term reaches it."""
+    for e, c in terms:
+        s = out[e] + c if e in out else c
+        if s.is_zero():
+            out.pop(e, None)
+        else:
+            out[e] = s
+    return out
+
+
+class _RefSum:
+    """A sum of products on boxed ring elements: a Laurent sum adds each
+    term of each product in, a quotient sum adds each reduced product, and
+    any other sum adds the products."""
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.total = {} if isinstance(ring, (LaurentExtension, QuotientByPrincipal)) else ring.zero()
+
+    def add_product(self, a, b):
+        ring = self.ring
+        if isinstance(ring, LaurentExtension):
+            _ref_add_terms(self.total, _ref_product_terms(a, b))
+        elif isinstance(ring, QuotientByPrincipal):
+            cover = ring.base
+            product = RingElement(cover, _ref_add_terms({}, _ref_product_terms(a, b)))
+            _ref_add_terms(self.total, ring.from_base(product).payload.items())
+        else:
+            self.total = self.total + a * b
+        return self
+
+    def value(self):
+        total = self.total
+        return RingElement(self.ring, total) if isinstance(total, dict) else total
+
+
+def _ref1_mul(a, b):
+    return _RefSum(a.ring).add_product(a, b).value()
+
+
+def _ref1_neg(a):
+    if isinstance(a.payload, dict):
+        return RingElement(a.ring, {e: -c for e, c in a.payload.items()})
+    return -a
+
+
+def _ref1_add(a, b):
+    if isinstance(a.payload, dict):
+        return RingElement(a.ring, _ref_add_terms(dict(a.payload), b.payload.items()))
+    return a + b
+
+
+def _ref_series_mul(f, g):
+    n = min(f.precision, g.precision)
+    out = []
+    for k in range(n + 1):
+        acc = _RefSum(f.ring)
+        for i in range(k + 1):
+            acc.add_product(f.coeffs[i], g.coeffs[k - i])
+        out.append(acc.value())
+    return out
+
+
+def _ref_series_inverse(f):
+    c0i = f.coeffs[0].inverse()
+    out = [c0i]
+    for n in range(1, f.precision + 1):
+        acc = _RefSum(f.ring)
+        for k in range(1, n + 1):
+            acc.add_product(f.coeffs[k], out[n - k])
+        out.append(_ref1_neg(_ref1_mul(c0i, acc.value())))
+    return out
+
+
+def _view1(c):
+    """A coefficient as a comparable value: Laurent and quotient payloads as
+    their (exponent, base payload) items in payload order."""
+    if isinstance(c.payload, dict):
+        return [(e, _view1(v)) for e, v in c.payload.items()]
+    return c.payload
+
+
+def _assert_same_coefficients(series, ref):
+    assert len(series.coeffs) == len(ref)
+    for c, r in zip(series.coeffs, ref):
+        assert c.ring is series.ring
+        assert _view1(c) == _view1(r)  # values and payload order
+        assert c == r
+        _assert_canonical(c)
+
+
+def _assert_canonical(c):
+    """Every Laurent value is a nonzero element of the base, boxed once; the
+    innermost payloads are ints for Z and Z/m, Fractions for Q and Z_(p)."""
+    ring = c.ring
+    if isinstance(ring, (LaurentExtension, QuotientByPrincipal)):
+        assert type(c.payload) is dict
+        base = ring.base if isinstance(ring, LaurentExtension) else ring.base.base
+        for v in c.payload.values():
+            assert type(v) is RingElement and v.ring == base and not v.is_zero()
+            _assert_canonical(v)
+    elif isinstance(ring, (Integers, IntegersMod)):
+        assert type(c.payload) is int
+        if isinstance(ring, IntegersMod):
+            assert 0 <= c.payload < ring.modulus
+    else:
+        assert type(c.payload) is Fraction
+
+
+def _number_coefficient(ring, rng, small):
+    values = (-1, 0, 1) if small else range(-4, 5)
+    if isinstance(ring, (Rationals, PLocalIntegers)):
+        return ring.from_fraction(Fraction(rng.choice(values), rng.choice((1, 2, 4, 5))))
+    return ring.from_int(rng.choice(values))
+
+
+def _coefficient(ring, rng, small):
+    """Zero a quarter of the time; a Laurent element has up to three terms
+    in beta^-2..beta^2."""
+    if rng.random() < 0.25:
+        return ring.zero()
+    if isinstance(ring, QuotientByPrincipal):
+        return ring.from_base(_coefficient(ring.base, rng, small))
+    if isinstance(ring, LaurentExtension):
+        terms = {rng.randint(-2, 2): _coefficient(ring.base, rng, small) for _ in range(rng.randint(1, 3))}
+        return ring.element(terms)
+    return _number_coefficient(ring, rng, small)
+
+
+def _series1(ring, rng, precision, small):
+    return TruncatedSeries1(ring, [_coefficient(ring, rng, small) for _ in range(precision + 1)])
+
+
+def _unit(ring, rng):
+    for _ in range(200):
+        c = _coefficient(ring, rng, rng.random() < 0.5)
+        if c.is_unit():
+            return c
+    return ring.one()
+
+
+ZB = LaurentExtension(Integers(), "beta", 1)
+Z4B = LaurentExtension(IntegersMod(4), "beta", 1)
+F5B = LaurentExtension(IntegersMod(5), "beta", 1)
+SERIES1_RINGS = {
+    "Z": Integers(),
+    "Q": Rationals(),
+    "Z/4": IntegersMod(4),
+    "Z/6": IntegersMod(6),
+    "Z_(3)": PLocalIntegers(3),
+    "Z[beta]": ZB,
+    "Z/4[beta]": Z4B,
+    "Z/6[beta]": LaurentExtension(IntegersMod(6), "beta", 1),
+    "Z_(3)[beta]": LaurentExtension(PLocalIntegers(3), "beta", 1),
+    "F5[beta]/(beta - 1)": quotient_by_element(F5B, F5B.var() - F5B.one()),
+}
+
+
+@pytest.mark.parametrize("name", list(SERIES1_RINGS))
+def test_series1_kernels_against_term_by_term_reference(name):
+    ring = SERIES1_RINGS[name]
+    rng = random.Random(zlib.crc32(b"series1 " + name.encode()))
+    for _ in range(25):
+        # small coefficients make sums that cancel common
+        small = rng.random() < 0.5
+        f = _series1(ring, rng, rng.randint(0, 6), small)
+        g = _series1(ring, rng, rng.randint(0, 6), small)
+        n = min(f.precision, g.precision)
+        head_f, head_g = f.coeffs[: n + 1], g.coeffs[: n + 1]
+        _assert_same_coefficients(f * g, _ref_series_mul(f, g))
+        _assert_same_coefficients(f + g, [_ref1_add(a, b) for a, b in zip(head_f, head_g)])
+        _assert_same_coefficients(f - g, [_ref1_add(a, _ref1_neg(b)) for a, b in zip(head_f, head_g)])
+        _assert_same_coefficients(-f, [_ref1_neg(a) for a in f.coeffs])
+        assert (f - f).is_zero() and (f + (-f)).is_zero()
+        c = _coefficient(ring, rng, small)
+        _assert_same_coefficients(f.scale(c), [_ref1_mul(c, a) for a in f.coeffs])
+        _assert_same_coefficients(f.scale(3), [_ref1_mul(ring.from_int(3), a) for a in f.coeffs])
+        h = f._set_constant(_unit(ring, rng))
+        inverse = h.inverse()
+        _assert_same_coefficients(inverse, _ref_series_inverse(h))
+        assert h * inverse == h.constant_like(ring.one())
+
+
+def test_series1_product_vanishing_on_a_new_exponent():
+    # 2 beta * 2 beta = 4 beta^2 = 0 in Z/4[beta]: the product's only term
+    # vanishes on an exponent the sum has not met
+    two_beta = Z4B.from_int(2) * Z4B.var()
+    assert (two_beta * two_beta).payload == {}
+    f = TruncatedSeries1(Z4B, [Z4B.zero(), two_beta, Z4B.one()])
+    square = f * f
+    _assert_same_coefficients(square, _ref_series_mul(f, f))
+    assert [c.payload for c in square.coeffs] == [{}, {}, {}]
+    assert f.scale(two_beta).coeffs == (Z4B.zero(), Z4B.zero(), two_beta)
+    # (1 + beta)(1 - beta) = 1 - beta^2: the beta terms cancel inside the sum
+    g = TruncatedSeries1(ZB, [ZB.one() + ZB.var()], 0)
+    h = TruncatedSeries1(ZB, [ZB.one() - ZB.var()], 0)
+    product = g * h
+    _assert_same_coefficients(product, _ref_series_mul(g, h))
+    assert list(product.coeffs[0].payload) == [0, 2]
+
+
+def test_series1_over_a_tower_keeps_innermost_payloads_raw():
+    inner = LaurentExtension(IntegersMod(4), "beta", 1)
+    tower = LaurentExtension(inner, "gamma", 1)
+    rng = random.Random(zlib.crc32(b"tower"))
+
+    def coefficient():
+        if rng.random() < 0.25:
+            return tower.zero()
+        terms = {rng.randint(-1, 1): _coefficient(inner, rng, rng.random() < 0.5) for _ in range(2)}
+        return tower.element(terms)
+
+    def boxed_product(f, g):
+        n = min(f.precision, g.precision)
+        return [sum((f.coeffs[i] * g.coeffs[k - i] for i in range(k + 1)), tower.zero()) for k in range(n + 1)]
+
+    three = IntegersMod(4).from_int(3)
+    for _ in range(20):
+        f = TruncatedSeries1(tower, [coefficient() for _ in range(rng.randint(1, 6))])
+        g = TruncatedSeries1(tower, [coefficient() for _ in range(rng.randint(1, 6))])
+        c = coefficient()
+        # 3 beta^i gamma^j is a unit
+        unit = tower.element({rng.randint(-1, 1): inner.element({rng.randint(-1, 1): three})})
+        h = f._set_constant(unit)
+        results = [f * g, f + g, f - g, f.scale(c), h.inverse()]
+        assert list(results[0].coeffs) == boxed_product(f, g)
+        assert list(results[3].coeffs) == [c * a for a in f.coeffs]
+        assert h * results[4] == h.constant_like(tower.one())
+        for series in results:
+            for d in series.coeffs:
+                _assert_canonical(d)
+                for v in d.payload.values():
+                    assert v.ring is inner
+                    assert all(type(w.payload) is int for w in v.payload.values())
