@@ -330,25 +330,9 @@ class TruncatedSeriesN:
     def constant_term(self):
         return self.coeffs.get((0,) * self.nvars, self.ring.zero())
 
-    def _set_constant(self, value):
-        key = (0,) * self.nvars
-        coeffs = dict(self.coeffs)
-        if value.is_zero():
-            coeffs.pop(key, None)
-        else:
-            coeffs[key] = value
-        return type(self)(self.ring, self.nvars, coeffs, self.precision)
-
     def constant_like(self, value):
         """The constant series value in these variables at this precision."""
         return type(self)(self.ring, self.nvars, {(0,) * self.nvars: value}, self.precision)
-
-    def _zero_padded(self, precision):
-        """These coefficients with zeros up to a higher precision.  The zeros
-        are not known coefficients: pad by one degree only before multiplying
-        by a series with zero constant term, whose product up to the padded
-        precision the zeros do not reach."""
-        return type(self)(self.ring, self.nvars, self.coeffs, precision)
 
     def _check(self, other):
         if other.ring != self.ring or other.nvars != self.nvars:
@@ -482,9 +466,19 @@ def compose_series(outer: TruncatedSeries1, inner):
     Horner's rule at shrinking precision (Brent and Kung, J. ACM 25 (1978)):
     acc_n = c_n and acc_k = c_k + inner * acc_{k+1}, so that the result is
     sum_{j<k} c_j inner^j + inner^k acc_k.  inner^k starts in degree k, so
-    acc_k is needed only to precision n-k.  Each step pads acc_{k+1}, known
-    to precision n-k-1, with zeros in degree n-k; the pad meets only the
-    zero constant term of inner, so the product is exact to precision n-k.
+    acc_k is needed only to precision n-k.  acc_{k+1} is known to precision
+    n-k-1 and is multiplied at precision n-k: its unknown degree n-k meets
+    only the zero constant term of inner, so the product is exact to
+    precision n-k.
+
+    A one-variable inner goes through series products, padding acc_{k+1}
+    with a zero in degree n-k.  A multi-variable inner runs on payloads: its
+    terms are prepared once, each accumulator maps keys to payloads summed
+    through the ring's _mul_add and _settle, and each output coefficient is
+    boxed once.  When the inner series has two variables and is symmetric in
+    x <-> y, so is every accumulator (a polynomial in a symmetric series
+    over a commutative ring): only its x^i y^j coefficients with i <= j are
+    formed, and the result shares each one with x^j y^i.
     """
     if outer.ring != inner.ring:
         raise RingMismatch(f"{outer.ring} vs {inner.ring}")
@@ -492,11 +486,60 @@ def compose_series(outer: TruncatedSeries1, inner):
         raise NonzeroConstantTerm("inner series must vanish at the origin")
     n = min(outer.precision, inner.precision)
     c = outer.coeffs
-    acc = inner.truncate(0).constant_like(c[n])
-    for k in range(n - 1, -1, -1):
-        acc = acc._zero_padded(n - k) * inner
-        acc = acc._set_constant(acc.constant_term() + c[k])
-    return acc
+    if isinstance(inner, TruncatedSeries1):
+        acc = inner.truncate(0).constant_like(c[n])
+        for k in range(n - 1, -1, -1):
+            acc = acc._zero_padded(n - k) * inner
+            acc = acc._set_constant(acc.constant_term() + c[k])
+        return acc
+    ring = inner.ring
+    mul_add, settle, is_zero = ring._mul_add, ring._settle, ring._is_zero
+    terms = inner.coeffs
+    origin = (0,) * inner.nvars
+    # decided here, not taken from the caller: the associativity check also
+    # runs on a law that has failed its symmetry axiom
+    symmetric = inner.nvars == 2 and all(terms.get((j, i)) == v for (i, j), v in terms.items())
+    # right terms (k2, degree, skew, prepared payload).  When symmetric the
+    # skew is i2 - j2 and the terms are sorted by it: a left term (i1, j1)
+    # lands on a key i <= j exactly with the right terms of skew <= j1 - i1.
+    # Otherwise every skew and every bound is 0, and no term is cut.
+    right = [
+        (k2, sum(k2), k2[0] - k2[1] if symmetric else 0, ring._operand(v.payload))
+        for k2, v in terms.items()
+    ]
+    if symmetric:
+        right.sort(key=operator.itemgetter(2))
+    # acc maps each key (only i <= j when symmetric) to a settled payload
+    acc = {}
+    for k in range(n, -1, -1):
+        left = list(acc.items())
+        if symmetric:
+            left += [((j, i), a) for (i, j), a in left if i != j]
+        precision = n - k
+        out = {}
+        for k1, a in left:
+            room = precision - sum(k1)
+            bound = k1[1] - k1[0] if symmetric else 0
+            for k2, d2, skew, b in right:
+                if skew > bound:
+                    break
+                if d2 > room:
+                    continue
+                key = tuple(map(operator.add, k1, k2))
+                p = mul_add(out.get(key), a, b)
+                if is_zero(p):
+                    out.pop(key, None)
+                else:
+                    out[key] = p
+        acc = {key: settle(p) for key, p in out.items()}
+        if not is_zero(c[k].payload):
+            acc[origin] = c[k].payload
+    coeffs = {}
+    for key, p in acc.items():
+        coeffs[key] = RingElement(ring, p)
+        if symmetric and key[0] != key[1]:
+            coeffs[key[::-1]] = coeffs[key]
+    return type(inner)(ring, inner.nvars, coeffs, n)
 
 
 def substitute_pair(body: TruncatedSeries2, u, v):

@@ -201,6 +201,29 @@ def test_log_of_n_series_is_multiplication_by_k():
         assert compose_series(log, series) == log.scale(QB.from_int(k))
 
 
+@pytest.mark.parametrize("precision", [6, 7, 8])
+def test_n_series_of_the_universal_law_through_its_logarithm(precision):
+    # over a Q-algebra [k](x) = exp(k log x), with exp the reversion of the
+    # log t + m_1 t^2 + ... + m_{N-1} t^N that defines the law.  This side
+    # composes one-variable series only and never calls substitute_pair, so
+    # through n_series it checks the mixed coefficients of the law that
+    # compose_series builds from that log
+    law = named_fgl("universal_rational", None, precision)
+    ring = law.ring
+    log = TruncatedSeries1(
+        ring, [ring.zero(), ring.one()] + [ring.generator(f"m{i}") for i in range(1, precision)]
+    )
+    exp = log.revert()
+    for k in range(-3, 5):
+        assert n_series(law, k).series == compose_series(exp, log.scale(k)), k
+    for p in (2, 3, 5, 7):
+        p_series = compose_series(exp, log.scale(p))
+        n = 0
+        while p**n <= precision:
+            assert v_coefficient(law, p, n) == p_series.coefficient(p**n), (p, n)
+            n += 1
+
+
 def test_from_logarithm():
     # l = t gives the additive law
     add = from_logarithm(TruncatedSeries1.x(Q, 5), Q, 5)

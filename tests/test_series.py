@@ -323,6 +323,20 @@ def _random_shaped(rng, nvars, precision, vanish):
     return cls(Q, nvars, coeffs, precision)
 
 
+def _mirrored(inner, rng=None):
+    """A symmetric two-variable series: the coefficients of inner at x^i y^j
+    with i <= j, each copied to x^j y^i.  Given rng, one off-diagonal
+    coefficient is then moved by 1, so the series is symmetric but for it."""
+    coeffs = {}
+    for (i, j), c in inner.coeffs.items():
+        if i <= j:
+            coeffs[(i, j)] = coeffs[(j, i)] = c
+    if rng is not None:
+        key = rng.choice([(i, j) for i, j in _exponents(2, inner.precision) if i != j])
+        coeffs[key] = coeffs.get(key, inner.ring.zero()) + 1
+    return TruncatedSeries2(inner.ring, 2, coeffs, inner.precision)
+
+
 def _terms(series):
     """{exponent tuple: Fraction} over the nonzero coefficients."""
     if isinstance(series, TruncatedSeries1):
@@ -352,14 +366,19 @@ def test_compose_series_matches_sympy(nvars):
         n = rng.randint(1, 3)
         outer = _random_shaped(rng, 1, n + rng.randint(0, 1), vanish=False)
         inner = _random_shaped(rng, nvars, n + rng.randint(0, 1), vanish=True)
-        got = compose_series(outer, inner)
-        n = min(outer.precision, inner.precision)
-        assert got.precision == n and type(got) is type(inner)
-        inner_poly = _poly(sympy, _terms(inner), nvars)
-        expected = _poly(sympy, {}, nvars)
-        for (i,), c in _terms(outer).items():
-            expected += inner_poly**i * sympy.Rational(c.numerator, c.denominator)
-        assert _terms(got) == _truncated(expected, n)
+        inners = [inner]
+        if nvars == 2:
+            # a symmetric inner, and one symmetric but for one coefficient
+            inners += [_mirrored(inner), _mirrored(inner, rng)]
+        for inner in inners:
+            got = compose_series(outer, inner)
+            n = min(outer.precision, inner.precision)
+            assert got.precision == n and type(got) is type(inner)
+            inner_poly = _poly(sympy, _terms(inner), nvars)
+            expected = _poly(sympy, {}, nvars)
+            for (i,), c in _terms(outer).items():
+                expected += inner_poly**i * sympy.Rational(c.numerator, c.denominator)
+            assert _terms(got) == _truncated(expected, n)
 
 
 L5 = lazard_base_ring(5)
@@ -415,6 +434,14 @@ def test_compose_series_matches_sum_of_powers(nvars, ring):
     for n in (0, 1, 2, 5, 10 if nvars < 3 else 7):
         for shape in ("dense", "valuation_2", "zero"):
             inner = _random_inner(ring, rng, nvars, n, shape)
+            inners = {"random": inner}
+            if nvars == 2:
+                # the same coefficients made symmetric in x <-> y, which
+                # composes on the i <= j half; and, from precision 1, a copy
+                # symmetric but for one coefficient, which must not
+                inners["symmetric"] = _mirrored(inner)
+                if n >= 1:
+                    inners["symmetric but one"] = _mirrored(inner, rng)
             # the outer precision below, equal to and above the inner one
             for outer_precision in {max(n - 2, 0), n, n + 2}:
                 outer = TruncatedSeries1(
@@ -422,10 +449,15 @@ def test_compose_series_matches_sum_of_powers(nvars, ring):
                     [_small_coefficient(ring, rng) for _ in range(outer_precision + 1)],
                     outer_precision,
                 )
-                got = compose_series(outer, inner)
-                assert type(got) is type(inner)
-                assert got.precision == min(outer_precision, n)
-                assert got == _composition_reference(outer, inner), (n, shape, outer_precision)
+                for kind, inner in inners.items():
+                    got = compose_series(outer, inner)
+                    where = (n, shape, kind, outer_precision)
+                    assert type(got) is type(inner)
+                    assert got.precision == min(outer_precision, n)
+                    assert got == _composition_reference(outer, inner), where
+                    if kind == "symmetric":
+                        # x^i y^j and x^j y^i share one boxed coefficient
+                        assert all(got.coeffs[(j, i)] is c for (i, j), c in got.coeffs.items()), where
 
 
 @pytest.mark.parametrize("nvars", [1, 2, 3])
