@@ -253,6 +253,12 @@ def named_fgl(name: str, ring, precision: int) -> FormalGroupLaw:
             raise IncompatibleRing(
                 "the multiplicative law needs a Laurent ring with a Bott variable"
             )
+        if ring.degree != 1:
+            # x + y - beta xy is homogeneous of degree -1 only when |beta| = 1
+            raise IncompatibleRing(
+                f"the multiplicative law needs its Bott variable in degree 1, "
+                f"not {ring.degree}"
+            )
         beta = ring.var()
         body = TruncatedSeries2.from_entries(
             ring,
@@ -297,13 +303,42 @@ def formal_inverse(fgl: FormalGroupLaw) -> TruncatedSeries1:
     return TruncatedSeries1(ring, inv, n)
 
 
+def _at_beta_one(fgl: FormalGroupLaw, precision: int):
+    """F_1 = F at beta = 1, over the base ring and truncated to precision,
+    when F lives over base[beta^±1] and each coefficient of x^i y^j is one
+    term c_ij beta^(i+j-1); else None.  Decided on the coefficients alone,
+    not on the law's name or grading annotation.
+    """
+    ring = fgl.ring
+    if not isinstance(ring, LaurentExtension):
+        return None
+    coeffs = {}
+    for (i, j), c in fgl.body.coeffs.items():
+        terms = c.payload
+        if len(terms) != 1 or i + j - 1 not in terms:
+            return None
+        coeffs[(i, j)] = terms[i + j - 1]
+    return TruncatedSeries2(ring.base, 2, coeffs, precision)
+
+
 def n_series(fgl: FormalGroupLaw, k: int, precision: int | None = None) -> NSeries:
     """[k](x) modulo x^(precision+1), by default at the law's precision.
 
     For k > 0 by double-and-add, [2m] = F([m],[m]) and [m+1] = F(x,[m]): about
     2 log2(k) substitutions.  That is exact only for an associative law, so the
     law is validated first and AxiomsFailed raised if it fails.  For k < 0,
-    [k] = [-k] composed with the formal inverse.
+    [k] = [-k] composed with the formal inverse, both at the requested
+    precision.
+
+    When the law lives over R[beta^±1] and each coefficient of x^i y^j is one
+    term c_ij beta^(i+j-1), as for a graded law with |beta| = 1 over an
+    ungraded R, then beta F(x, y) = F_1(beta x, beta y) for F_1 = F at
+    beta = 1, a law over R (Landweber, Amer. J. Math. 98 (1976)).  By
+    induction on k, [k]_F(x) = beta^-1 [k]_{F_1}(beta x): the x^m
+    coefficient of [k]_F is c_m beta^(m-1), where c_m is that of [k]_{F_1}.
+    So the doubling runs on F_1, over R, and its result is read back once.
+    F_1 is the image of the validated F under the ring map beta -> 1, so it
+    is a law too, and the formal inverse of F_1 serves a negative k.
     """
     ring = fgl.ring
     n = fgl.precision if precision is None else precision
@@ -313,19 +348,24 @@ def n_series(fgl: FormalGroupLaw, k: int, precision: int | None = None) -> NSeri
         )
     if k == 0:
         return NSeries(0, TruncatedSeries1.zero(ring, n))
-    if k < 0:
-        positive = n_series(fgl, -k, n).series
-        return NSeries(k, compose_series(positive, formal_inverse(fgl)))
     _require_axioms(fgl, repr(fgl))
+    body = _at_beta_one(fgl, n)
+    graded = body is not None
+    if not graded:
+        body = fgl.body.truncate(n)
     # substitute_pair truncates to its arguments' precision, so every step
     # works modulo x^(n+1): the x^m coefficient of [k](x) depends only on F
     # modulo degree m+1
-    x1 = TruncatedSeries1.x(ring, n)
+    x1 = TruncatedSeries1.x(body.ring, n)
     acc = x1
-    for bit in bin(k)[3:]:
-        acc = substitute_pair(fgl.body, acc, acc)
+    for bit in bin(abs(k))[3:]:
+        acc = substitute_pair(body, acc, acc)
         if bit == "1":
-            acc = substitute_pair(fgl.body, x1, acc)
+            acc = substitute_pair(body, x1, acc)
+    if k < 0:
+        acc = compose_series(acc, formal_inverse(FormalGroupLaw(body)))
+    if graded:
+        acc = TruncatedSeries1(ring, [ring.monomial(c, m - 1) for m, c in enumerate(acc.coeffs)])
     return NSeries(k, acc)
 
 
@@ -336,6 +376,8 @@ def v_coefficient(fgl: FormalGroupLaw, p: int, n: int) -> RingElement:
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
+    if n < 0:
+        raise ValueError(f"the height n must be nonnegative, got {n}")
     target = p**n
     if target > fgl.precision:
         raise InsufficientPrecision(

@@ -214,6 +214,8 @@ def v_sequence_report(fgl: FormalGroupLaw, p: int, max_height: int):
     that degree; ungraded laws report None.  The law's precision must reach
     x^(p^max_height).
     """
+    if max_height < 0:
+        raise ValueError("max_height must be nonnegative")
     if fgl.precision < p**max_height:
         raise InsufficientPrecision(
             f"need precision >= {p**max_height} for v_{max_height} at p = {p}"

@@ -264,6 +264,13 @@ def test_input_errors_exit_2(capsys, tmp_path):
             "window": [-20, 8], "values": ["1"] * 29,
         }}]},
     }
+    # the multiplicative law needs its Bott variable in degree 1
+    ring = {"kind": "laurent", "base": {"kind": "integers"}, "variable": "beta", "degree": 2}
+    (tmp_path / "ring.json").write_text(json.dumps(ring))
+    code, out, err = run(
+        capsys, "fgl", "pseries", "--fgl", f"multiplicative-over-{tmp_path / 'ring.json'}", "--k", "2"
+    )
+    assert code == 2 and "degree 1, not 2" in err and "axioms" not in err and not out
     for name, data in files.items():
         (tmp_path / name).write_text(json.dumps(data))
     law, series, tower, sequence = (str(tmp_path / name) for name in files)

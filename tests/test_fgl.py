@@ -4,6 +4,7 @@ logarithms, coordinate changes, gradings."""
 import random
 import zlib
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -30,7 +31,7 @@ from fglforge.fgl import (
     named_fgl,
     v_coefficient,
 )
-from fglforge.rings import Integers, IntegersMod, LaurentExtension, Rationals
+from fglforge.rings import Integers, IntegersMod, LaurentExtension, PLocalIntegers, Rationals
 from fglforge.series import (
     TruncatedSeries1,
     TruncatedSeries2,
@@ -62,6 +63,11 @@ def test_named_laws():
 
     with pytest.raises(IncompatibleRing):
         named_fgl("multiplicative", Z, 5)
+    # x + y - beta xy is graded only with |beta| = 1: refused up front, not
+    # reported as a law failing its grading axiom
+    for degree in (0, 2, -1):
+        with pytest.raises(IncompatibleRing, match=f"degree 1, not {degree}"):
+            named_fgl("multiplicative", LaurentExtension(Z, "beta", degree), 5)
     with pytest.raises(IncompatibleRing):
         named_fgl("honda_h1", IntegersMod(6), 5)
     with pytest.raises(IncompatibleRing):
@@ -163,6 +169,9 @@ def test_v_coefficients():
         v_coefficient(mult, 2, 4)
     with pytest.raises(ValueError):
         v_coefficient(mult, 4, 1)
+    # p^-1 is no exponent of x: refused before any slicing
+    with pytest.raises(ValueError, match="nonnegative"):
+        v_coefficient(mult, 2, -1)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -318,11 +327,26 @@ def test_check_axioms_is_memoized_transparently():
     assert first is second and mult.validated
 
 
+def _own_inverse(law):
+    """i(x) with F(x, i(x)) = 0, without fgl.formal_inverse: for x + y - beta xy
+    the closed form -sum beta^(m-1) x^m, else a triangular solve, where
+    i_m = -[x^m] F(x, i_1 x + ... + i_(m-1) x^(m-1))."""
+    ring, n = law.ring, law.precision
+    if law.name == "multiplicative":
+        return TruncatedSeries1(ring, [ring.zero()] + [-ring.var(m - 1) for m in range(1, n + 1)], n)
+    x1 = TruncatedSeries1.x(ring, n)
+    inv = -x1
+    for m in range(2, n + 1):
+        err = substitute_pair(law.body, x1, inv).coeffs[m]
+        inv = inv - TruncatedSeries1(ring, [ring.zero()] * m + [err], n)
+    return inv
+
+
 def _iterated_n_series(law):
     """[k](x) for k in [-5, 70] by the defining recursion [k] = F(x, [k-1]),
-    run down from [0] with the formal inverse for negative k."""
+    run down from [0] with the inverse for negative k."""
     x1 = TruncatedSeries1.x(law.ring, law.precision)
-    iota = formal_inverse(law)
+    iota = _own_inverse(law)
     out = {0: TruncatedSeries1.zero(law.ring, law.precision)}
     for k in range(1, 71):
         out[k] = substitute_pair(law.body, x1, out[k - 1])
@@ -339,32 +363,97 @@ def _non_associative_law():
     return FormalGroupLaw(body)
 
 
-DIFFERENTIAL_LAWS = [
-    ("multiplicative", ZB, 12),
-    ("additive", Z, 12),
-    ("honda_h1", IntegersMod(5), 12),
-    ("universal_rational", None, 6),
-]
-DIFFERENTIAL_IDS = [name for name, _, _ in DIFFERENTIAL_LAWS]
+def _graded_conjugate(base, precision):
+    """The multiplicative law over base[beta^±1] conjugated by a seeded
+    b(x) = x + sum c_i beta^i x^(i+1): each coefficient of x^i y^j stays one
+    term c beta^(i+j-1), so n_series runs at beta = 1."""
+    ring = LaurentExtension(base, "beta", 1)
+    rng = random.Random(zlib.crc32(f"graded conjugate over {base}".encode()))
+    b = [ring.zero(), ring.one()]
+    b += [ring.from_int(rng.randint(-3, 3)) * ring.var(i) for i in range(1, precision)]
+    mult = named_fgl("multiplicative", ring, precision)
+    return change_coordinates(mult, TruncatedSeries1(ring, b, precision))
 
 
-@pytest.mark.parametrize("name,ring,precision", DIFFERENTIAL_LAWS, ids=DIFFERENTIAL_IDS)
-def test_doubled_n_series_matches_the_defining_iteration(name, ring, precision):
-    law = named_fgl(name, ring, precision)
+def _ungraded_conjugate(precision):
+    """The multiplicative law over Z[beta^±1] conjugated by b(x) = x + 2x^2:
+    its coefficients mix powers of beta, so n_series doubles over Z[beta^±1]."""
+    b = TruncatedSeries1.from_ints(ZB, [0, 1, 2], precision)
+    return change_coordinates(named_fgl("multiplicative", ZB, precision), b)
+
+
+def _off_degree_law(precision):
+    """x + y - beta^2 xy over Z[beta^±1]: a law whose coefficients are single
+    terms of the wrong power of beta, so n_series doubles over Z[beta^±1]."""
+    body = TruncatedSeries2.from_entries(
+        ZB, [(1, 0, ZB.one()), (0, 1, ZB.one()), (1, 1, -ZB.var(2))], precision
+    )
+    return FormalGroupLaw(body)
+
+
+DIFFERENTIAL_LAWS = {
+    "multiplicative": lambda: named_fgl("multiplicative", ZB, 12),
+    "additive": lambda: named_fgl("additive", Z, 12),
+    "honda_h1": lambda: named_fgl("honda_h1", IntegersMod(5), 12),
+    "universal_rational": lambda: named_fgl("universal_rational", None, 6),
+    **{
+        f"multiplicative_over_{base}": partial(named_fgl, "multiplicative", LaurentExtension(base), 12)
+        for base in (IntegersMod(12), IntegersMod(8), PLocalIntegers(3), IntegersMod(5), Q)
+    },
+    "graded_conjugate_over_Z": lambda: _graded_conjugate(Z, 10),
+    "graded_conjugate_over_Z/12": lambda: _graded_conjugate(IntegersMod(12), 10),
+    "ungraded_conjugate": lambda: _ungraded_conjugate(8),
+    "off_degree": lambda: _off_degree_law(12),
+}
+
+
+@pytest.mark.parametrize("make_law", DIFFERENTIAL_LAWS.values(), ids=DIFFERENTIAL_LAWS)
+def test_doubled_n_series_matches_the_defining_iteration(make_law):
+    law = make_law()
     expected = _iterated_n_series(law)
     for k in range(-5, 71):
         assert n_series(law, k).series == expected[k], k
+    for p in (2, 3, 5, 7):
+        n = 0
+        while p**n <= law.precision:
+            assert v_coefficient(law, p, n) == expected[p].coefficient(p**n), (p, n)
+            n += 1
 
 
-@pytest.mark.parametrize("name,ring,precision", DIFFERENTIAL_LAWS, ids=DIFFERENTIAL_IDS)
-def test_truncated_v_coefficient_matches_the_full_p_series(name, ring, precision):
-    law = named_fgl(name, ring, precision)
+@pytest.mark.parametrize("make_law", DIFFERENTIAL_LAWS.values(), ids=DIFFERENTIAL_LAWS)
+def test_truncated_v_coefficient_matches_the_full_p_series(make_law):
+    law = make_law()
     for p in (2, 3, 5, 7, 11):
         full = n_series(law, p).series
         n = 0
         while p**n <= law.precision:
             assert v_coefficient(law, p, n) == full.coefficient(p**n), (p, n)
             n += 1
+
+
+def test_graded_laws_double_over_the_base_ring(monkeypatch):
+    # n_series of a law whose x^i y^j coefficient is one term c beta^(i+j-1)
+    # runs at beta = 1 and makes no Laurent product; any other law over
+    # Z[beta^±1] does
+    mult = named_fgl("multiplicative", ZB, 32)
+    graded = _graded_conjugate(Z, 12)
+    ungraded = _ungraded_conjugate(8)
+    off_degree = _off_degree_law(16)
+    calls = []
+    original = LaurentExtension._mul_add
+
+    def counted(self, acc, a, b):
+        calls.append(self)
+        return original(self, acc, a, b)
+
+    monkeypatch.setattr(LaurentExtension, "_mul_add", counted)
+    cases = ((mult, False), (graded, False), (ungraded, True), (off_degree, True))
+    for law, laurent_products in cases:
+        assert check_axioms(law).passed
+        calls.clear()
+        n_series(law, 29)
+        n_series(law, -3)
+        assert bool(calls) is laurent_products, law
 
 
 def test_n_series_precision_keyword():

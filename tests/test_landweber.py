@@ -181,6 +181,9 @@ def test_input_validation():
         LandweberInput(mult, None, [2], -1)
     with pytest.raises(ValueError):
         LandweberInput(mult, Q.one(), [2], 1)
+    # a negative height is refused, not answered with no rows
+    with pytest.raises(ValueError, match="nonnegative"):
+        v_sequence_report(mult, 2, -1)
 
 
 def test_summary_lines():
