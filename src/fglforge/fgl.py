@@ -24,6 +24,7 @@ from .series import (
     TruncatedSeries1,
     TruncatedSeries2,
     TruncatedSeriesN,
+    _substitution,
     compose_series,
     embed2,
     substitute_pair,
@@ -124,25 +125,48 @@ class NSeries(_Record):
         self.series = series
 
 
-def _first_mismatch(a: TruncatedSeriesN, b: TruncatedSeriesN):
-    # the coefficient maps hold no zeros, so an absent key is a zero
-    keys = set(a.coeffs) | set(b.coeffs)
+def _first_mismatch(a: dict, b: dict):
+    """The first key, by total degree and then lexicographically, where two
+    coefficient maps differ; the maps hold no zeros, so an absent key is a
+    zero."""
+    keys = set(a) | set(b)
     for key in sorted(keys, key=lambda k: (sum(k), k)):
-        if a.coeffs.get(key) != b.coeffs.get(key):
+        if a.get(key) != b.get(key):
             return key
     return None
 
 
-def _associativity_witness(fgl: FormalGroupLaw):
-    """The first monomial where F(F(x,y),z) and F(x,F(y,z)) differ, or None."""
+def _associativity_witness(fgl: FormalGroupLaw, symmetric: bool):
+    """The first monomial where F(F(x,y),z) and F(x,F(y,z)) differ, or None.
+
+    A = F(F(x,y),z) is one substitution.  When F is symmetric, F(x,F(y,z)) =
+    F(F(y,z),x) = A(y,z,x), whose x^i y^j z^k coefficient is A's at (j,k,i):
+    a rotation of A's keys, with no second substitution.
+    """
     ring, n, body = fgl.ring, fgl.precision, fgl.body
     f_xy = embed2(body, 3, (0, 1))
-    f_yz = embed2(body, 3, (1, 2))
-    var_x = TruncatedSeriesN.variable(ring, 3, 0, n)
     var_z = TruncatedSeriesN.variable(ring, 3, 2, n)
-    lhs = substitute_pair(body, f_xy, var_z)
-    rhs = substitute_pair(body, var_x, f_yz)
+    lhs = substitute_pair(body, f_xy, var_z).coeffs
+    if symmetric:
+        rhs = {(r, p, q): c for (p, q, r), c in lhs.items()}
+    else:
+        var_x = TruncatedSeriesN.variable(ring, 3, 0, n)
+        rhs = substitute_pair(body, var_x, embed2(body, 3, (1, 2))).coeffs
     return _first_mismatch(lhs, rhs)
+
+
+def _unitality_witness(body: TruncatedSeries2):
+    """The first (i, 0) or (0, i), by i and x before y, where F(x, 0) or
+    F(0, y) differs from x, read off the body's terms on the axes; or None.
+    Only an axis term or a missing linear term can differ, and only up to
+    the precision."""
+    ring, coeffs = body.ring, body.coeffs
+    one, zero = ring.one(), ring.zero()
+    keys = {k for k in coeffs if 0 in k}
+    if body.precision >= 1:
+        keys |= {(1, 0), (0, 1)}
+    wrong = [k for k in keys if coeffs.get(k, zero) != (one if sum(k) == 1 else zero)]
+    return min(wrong, key=lambda k: (sum(k), k[1] != 0), default=None)
 
 
 def _invariant_logarithm(fgl: FormalGroupLaw) -> TruncatedSeries1:
@@ -187,38 +211,33 @@ def _linearised_by_logarithm(fgl: FormalGroupLaw) -> bool:
 def check_axioms(fgl: FormalGroupLaw) -> AxiomReport:
     """Per-axiom pass/fail with the first offending coefficient as witness.
 
+    Unitality is read off the body's terms on the axes: the first (i, 0) or
+    (0, i), by i and x before y, where F(x, 0) or F(0, y) differs from x.
+    Symmetry is the first key where F and its swap differ.
+
     Associativity is the first monomial where F(F(x,y),z) and F(x,F(y,z))
     differ.  Over a Q-algebra it is first tried through the logarithm, a
     two-variable identity that can only confirm a pass; every failure, and
     every law it cannot decide, goes through the three-variable comparison,
-    which then sets the verdict and the witness.
+    which then sets the verdict and the witness.  That comparison computes
+    F(F(x,y),z) once; when symmetry has passed, F(x,F(y,z)) is its rotation
+    (see _associativity_witness), else a second substitution.
 
     The result is memoized on the law; a full pass marks it validated.
     """
     if fgl._axiom_report is not None:
         return fgl._axiom_report
-    ring = fgl.ring
-    n = fgl.precision
     body = fgl.body
     checks = []
 
-    x1 = TruncatedSeries1.x(ring, n)
-    fx0 = body.eval_y0()
-    f0y = body.eval_x0()
-    witness = None
-    for i in range(n + 1):
-        if fx0.coeffs[i] != x1.coeffs[i]:
-            witness = (i, 0)
-            break
-        if f0y.coeffs[i] != x1.coeffs[i]:
-            witness = (0, i)
-            break
+    witness = _unitality_witness(body)
     checks.append(AxiomCheck("unitality", witness is None, witness))
 
-    witness = _first_mismatch(body, body.swap())
-    checks.append(AxiomCheck("symmetry", witness is None, witness))
+    witness = _first_mismatch(body.coeffs, body.swap().coeffs)
+    symmetric = witness is None
+    checks.append(AxiomCheck("symmetry", symmetric, witness))
 
-    witness = None if _linearised_by_logarithm(fgl) else _associativity_witness(fgl)
+    witness = None if _linearised_by_logarithm(fgl) else _associativity_witness(fgl, symmetric)
     checks.append(AxiomCheck("associativity", witness is None, witness))
 
     if fgl.grading is not None:
@@ -325,10 +344,11 @@ def n_series(fgl: FormalGroupLaw, k: int, precision: int | None = None) -> NSeri
     """[k](x) modulo x^(precision+1), by default at the law's precision.
 
     For k > 0 by double-and-add, [2m] = F([m],[m]) and [m+1] = F(x,[m]): about
-    2 log2(k) substitutions.  That is exact only for an associative law, so the
-    law is validated first and AxiomsFailed raised if it fails.  For k < 0,
-    [k] = [-k] composed with the formal inverse, both at the requested
-    precision.
+    2 log2(k) substitutions, made by the substitution core on payload lists,
+    with one boxing of the result.  That is exact only for an associative
+    law, so the law is validated first and AxiomsFailed raised if it fails.
+    For k < 0, [k] = [-k] composed with the formal inverse, both at the
+    requested precision.
 
     When the law lives over R[beta^±1] and each coefficient of x^i y^j is one
     term c_ij beta^(i+j-1), as for a graded law with |beta| = 1 over an
@@ -353,15 +373,17 @@ def n_series(fgl: FormalGroupLaw, k: int, precision: int | None = None) -> NSeri
     graded = body is not None
     if not graded:
         body = fgl.body.truncate(n)
-    # substitute_pair truncates to its arguments' precision, so every step
-    # works modulo x^(n+1): the x^m coefficient of [k](x) depends only on F
-    # modulo degree m+1
-    x1 = TruncatedSeries1.x(body.ring, n)
+    # every step works modulo x^(n+1): the x^m coefficient of [k](x) depends
+    # only on F modulo degree m+1.  The doubling runs on payload lists
+    # through the substitution core, and the result is boxed once
+    substitute = _substitution(body, n)
+    x1 = [c.payload for c in TruncatedSeries1.x(body.ring, n).coeffs]
     acc = x1
     for bit in bin(abs(k))[3:]:
-        acc = substitute_pair(body, acc, acc)
+        acc = substitute(acc, acc)
         if bit == "1":
-            acc = substitute_pair(body, x1, acc)
+            acc = substitute(x1, acc)
+    acc = TruncatedSeries1._from_payloads(body.ring, acc, n)
     if k < 0:
         acc = compose_series(acc, formal_inverse(FormalGroupLaw(body)))
     if graded:

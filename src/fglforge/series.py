@@ -38,6 +38,110 @@ def _coerce_scalar(ring, c):
     return c
 
 
+# -- payload shapes -------------------------------------------------------------
+# A one-variable series on payloads is a list c_0..c_n with its zeros; a
+# multi-variable one is a map from exponent tuples to nonzero payloads.  Each
+# shape has one product loop, shared by the series' * and the substitution
+# core.  A product adds into accumulators (None for the empty sum), which
+# settle once; a right factor is prepared once, through the ring's _operand.
+
+
+class _Dense:
+    """Payload lists c_0..c_n."""
+
+    def accumulators(self, n):
+        return [None] * (n + 1)
+
+    def prepare(self, ring, b):
+        operand, is_zero = ring._operand, ring._is_zero
+        return [(j, operand(q)) for j, q in enumerate(b) if not is_zero(q)]
+
+    def product(self, ring, accs, a, right, n):
+        """Add the products a_i b_j with i + j <= n into accs[i + j], by
+        increasing i."""
+        mul_add, is_zero = ring._mul_add, ring._is_zero
+        for i, p in enumerate(a[: n + 1]):
+            if is_zero(p):
+                continue
+            room = n - i
+            for j, q in right:
+                if j > room:
+                    break
+                accs[i + j] = mul_add(accs[i + j], p, q)
+        return accs
+
+    def add(self, ring, a, b):
+        add = ring._add
+        return [add(p, q) for p, q in zip(a, b)]
+
+    def scale(self, ring, a, c):
+        mul = ring._mul
+        return [mul(c, p) for p in a]
+
+    def settle(self, ring, accs):
+        settle, zero = ring._settle, ring.zero().payload
+        return [zero if p is None else settle(p) for p in accs]
+
+
+class _Sparse:
+    """Maps from exponent tuples to nonzero payloads.  A sum leaves its map as
+    it cancels and comes back when it is added to again."""
+
+    def accumulators(self, n):
+        return {}
+
+    def prepare(self, ring, b):
+        operand = ring._operand
+        return [(k, sum(k), operand(q)) for k, q in b.items()]
+
+    def product(self, ring, out, a, right, n):
+        """Add the products of the terms of a and b of total degree at most n
+        into out; b is walked in its own order, which fixes the order of new
+        keys."""
+        mul_add, is_zero = ring._mul_add, ring._is_zero
+        for k1, p in a.items():
+            room = n - sum(k1)
+            if room < 0:
+                continue
+            for k2, d2, q in right:
+                if d2 > room:
+                    continue
+                k = tuple(map(operator.add, k1, k2))
+                acc = mul_add(out.get(k), p, q)
+                if is_zero(acc):
+                    out.pop(k, None)
+                else:
+                    out[k] = acc
+        return out
+
+    def add(self, ring, a, b):
+        add, is_zero = ring._add, ring._is_zero
+        out = dict(a)
+        for k, q in b.items():
+            p = add(out[k], q) if k in out else q
+            if is_zero(p):
+                out.pop(k, None)
+            else:
+                out[k] = p
+        return out
+
+    def scale(self, ring, a, c):
+        mul, is_zero = ring._mul, ring._is_zero
+        out = {}
+        for k, p in a.items():
+            q = mul(c, p)
+            if not is_zero(q):
+                out[k] = q
+        return out
+
+    def settle(self, ring, out):
+        settle = ring._settle
+        return {k: settle(acc) for k, acc in out.items()}
+
+
+_DENSE, _SPARSE = _Dense(), _Sparse()
+
+
 class TruncatedSeries1:
     """A power series in one variable, exact modulo x^{N+1}."""
 
@@ -144,25 +248,10 @@ class TruncatedSeries1:
         if isinstance(other, TruncatedSeries1):
             n = self._check(other)
             ring = self.ring
-            mul_add, settle, is_zero = ring._mul_add, ring._settle, ring._is_zero
-            right = [
-                (j, ring._operand(c.payload))
-                for j, c in enumerate(other.coeffs[: n + 1])
-                if not is_zero(c.payload)
-            ]
-            # accs[k] sums the products a_i b_j with i + j = k, by increasing i
-            accs = [None] * (n + 1)
-            for i, c in enumerate(self.coeffs[: n + 1]):
-                a = c.payload
-                if is_zero(a):
-                    continue
-                room = n - i
-                for j, b in right:
-                    if j > room:
-                        break
-                    accs[i + j] = mul_add(accs[i + j], a, b)
-            zero = ring.zero().payload
-            return self._from_payloads(ring, [zero if p is None else settle(p) for p in accs], n)
+            a = [c.payload for c in self.coeffs[: n + 1]]
+            right = _DENSE.prepare(ring, [c.payload for c in other.coeffs[: n + 1]])
+            accs = _DENSE.product(ring, _DENSE.accumulators(n), a, right, n)
+            return self._from_payloads(ring, _DENSE.settle(ring, accs), n)
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -339,6 +428,17 @@ class TruncatedSeriesN:
             raise RingMismatch("series are not over the same ring and variables")
         return min(self.precision, other.precision)
 
+    @classmethod
+    def _from_payloads(cls, ring, nvars, payloads, precision):
+        """The series with these nonzero canonical payloads, keyed by exponent
+        tuples of total degree at most the precision."""
+        out = object.__new__(cls)
+        out.ring = ring
+        out.nvars = nvars
+        out.precision = precision
+        out.coeffs = {k: RingElement(ring, p) for k, p in payloads.items()}
+        return out
+
     def __add__(self, other):
         n = self._check(other)
         return type(self)(self.ring, self.nvars, sparse_add(self.coeffs, other.coeffs), n)
@@ -358,30 +458,10 @@ class TruncatedSeriesN:
         if isinstance(other, TruncatedSeriesN):
             n = self._check(other)
             ring = self.ring
-            mul_add, settle, is_zero = ring._mul_add, ring._settle, ring._is_zero
-            # the right operand's keys, total degrees and prepared payloads are
-            # read once; it is walked in its insertion order, which fixes the
-            # output's key order.  A sum leaves as it cancels and comes back
-            # at the end; each output coefficient is settled once.
-            right = [(k2, sum(k2), ring._operand(c2.payload)) for k2, c2 in other.coeffs.items()]
-            out = {}
-            for k1, c1 in self.coeffs.items():
-                room = n - sum(k1)
-                if room < 0:
-                    continue
-                a = c1.payload
-                for k2, d2, b in right:
-                    if d2 > room:
-                        continue
-                    k = tuple(map(operator.add, k1, k2))
-                    p = mul_add(out.get(k), a, b)
-                    if is_zero(p):
-                        out.pop(k, None)
-                    else:
-                        out[k] = p
-            return type(self)(
-                ring, self.nvars, {k: RingElement(ring, settle(p)) for k, p in out.items()}, n
-            )
+            a = {k: c.payload for k, c in self.coeffs.items()}
+            right = _SPARSE.prepare(ring, {k: c.payload for k, c in other.coeffs.items()})
+            out = _SPARSE.product(ring, _SPARSE.accumulators(n), a, right, n)
+            return self._from_payloads(ring, self.nvars, _SPARSE.settle(ring, out), n)
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -436,17 +516,6 @@ class TruncatedSeries2(TruncatedSeriesN):
         return TruncatedSeries2(
             self.ring, 2, {(j, i): c for (i, j), c in self.coeffs.items()}, self.precision
         )
-
-    def eval_y0(self) -> TruncatedSeries1:
-        """F(x, 0) as a one-variable series."""
-        out = [self.ring.zero()] * (self.precision + 1)
-        for (i, j), c in self.coeffs.items():
-            if j == 0:
-                out[i] = c
-        return TruncatedSeries1(self.ring, out, self.precision)
-
-    def eval_x0(self) -> TruncatedSeries1:
-        return self.swap().eval_y0()
 
     def partial_y_at_zero(self) -> TruncatedSeries1:
         """(dF/dy)(x, 0), at precision N-1."""
@@ -542,47 +611,89 @@ def compose_series(outer: TruncatedSeries1, inner):
     return type(inner)(ring, inner.nvars, coeffs, n)
 
 
-def substitute_pair(body: TruncatedSeries2, u, v):
-    """body(u, v) for series u, v of a common shape vanishing at the origin.
+def _substitution(body: TruncatedSeries2, n: int, nvars: int = 0):
+    """The function (u, v) -> body(u, v) modulo degree n + 1, on payloads.
 
-    The result has the shape of u, at the least of the three precisions.
-    Powers of u and v are cached from the first power up, and only a term
-    c x^i y^j with i, j >= 1 makes a series product (besides one per new
-    power); a (0, 0) term is a constant series, and a coefficient 1 is not
-    scaled by.  So x + y - beta xy costs one product.
+    u and v are payload lists c_0..c_n (nvars = 0) or maps in nvars variables
+    truncated at n, and vanish at the origin; so does the result, unless the
+    body has a constant term.  The body's terms c x^i y^j within degree n are
+    read once.  Each call caches the powers of u and v from the first power
+    up.  Every term with i, j >= 1 adds the product (c u^i) v^j into one set
+    of accumulators, through the shape's product loop, scaling u^i first
+    only when c is not 1; the sum is settled once.  The terms in one
+    variable, and the constant term, are then added as payloads: c times
+    that power (or 1), with no product by c when c is 1.  So x + y - beta xy
+    costs one product, and x + y none.
+    """
+    ring = body.ring
+    shape = _SPARSE if nvars else _DENSE
+    terms = [(i, j, c.payload) for (i, j), c in sorted(body.coeffs.items()) if i + j <= n]
+    one = ring.one().payload
+    # the constant series 1, for a constant term of the body
+    if not nvars:
+        unit = [one] + [ring.zero().payload] * n
+    else:
+        unit = {} if ring._is_zero(one) else {(0,) * nvars: one}
+    # the highest power of u and of v a term reads, and the powers of v that
+    # are right factors of a product
+    u_top = max((i for i, _, _ in terms), default=0)
+    v_top = max((j for _, j, _ in terms), default=0)
+    v_rights = {j for i, j, _ in terms if i and j}
+
+    def powers(w, top):
+        """[None, w, w^2, ..., w^top], each power a product with w."""
+        pows = [None, w]
+        if top > 1:
+            right = shape.prepare(ring, w)
+            while len(pows) <= top:
+                accs = shape.product(ring, shape.accumulators(n), pows[-1], right, n)
+                pows.append(shape.settle(ring, accs))
+        return pows
+
+    def substitute(u, v):
+        u_pows, v_pows = powers(u, u_top), powers(v, v_top)
+        rights = {j: shape.prepare(ring, v_pows[j]) for j in v_rights}
+        total = shape.accumulators(n)
+        rest = []
+        for i, j, c in terms:
+            if i and j:
+                left = u_pows[i] if c == one else shape.scale(ring, u_pows[i], c)
+                shape.product(ring, total, left, rights[j], n)
+            else:
+                rest.append((u_pows[i] if i else v_pows[j] if j else unit, c))
+        out = shape.settle(ring, total)
+        for term, c in rest:
+            out = shape.add(ring, out, term if c == one else shape.scale(ring, term, c))
+        return out
+
+    return substitute
+
+
+def substitute_pair(body: TruncatedSeries2, u, v):
+    """body(u, v) for series u, v of one shape vanishing at the origin.
+
+    u and v are both one-variable series, or both series in the same number
+    of variables, over the body's ring; anything else raises RingMismatch.
+    The result has the shape of u, at the least of the three precisions.  It
+    is computed on payloads by the substitution core (_substitution) and
+    boxed once.
     """
     ring = body.ring
     if u.ring != ring or v.ring != ring:
         raise RingMismatch(f"{ring} vs {u.ring} and {v.ring}")
+    dense = isinstance(u, TruncatedSeries1)
+    if dense != isinstance(v, TruncatedSeries1) or not (dense or u.nvars == v.nvars):
+        raise RingMismatch("substituted series must be in the same variables")
     if not (u.constant_term().is_zero() and v.constant_term().is_zero()):
         raise NonzeroConstantTerm("substituted series must vanish at the origin")
     n = min(body.precision, u.precision, v.precision)
-    u = u.truncate(n)
-    v = v.truncate(n)
-    u_pows = {1: u}
-    v_pows = {1: v}
-
-    def power(cache, base, k):
-        while k not in cache:
-            top = len(cache)
-            cache[top + 1] = cache[top] * base
-        return cache[k]
-
-    one = ring.one().payload
-    acc = None
-    for (i, j), c in sorted(body.coeffs.items()):
-        if i + j > n:
-            continue
-        if i and j:
-            term = power(u_pows, u, i) * power(v_pows, v, j)
-        elif i or j:
-            term = power(u_pows, u, i) if i else power(v_pows, v, j)
-        else:
-            term = u.constant_like(ring.one())
-        if c.payload != one:
-            term = term.scale(c)
-        acc = term if acc is None else acc + term
-    return u.constant_like(ring.zero()) if acc is None else acc
+    if dense:
+        u, v = ([c.payload for c in w.coeffs[: n + 1]] for w in (u, v))
+        return TruncatedSeries1._from_payloads(ring, _substitution(body, n)(u, v), n)
+    nvars = u.nvars
+    cls = type(u)
+    u, v = ({k: c.payload for k, c in w.coeffs.items() if sum(k) <= n} for w in (u, v))
+    return cls._from_payloads(ring, nvars, _substitution(body, n, nvars)(u, v), n)
 
 
 def embed2(body: TruncatedSeries2, nvars: int, positions) -> TruncatedSeriesN:

@@ -512,23 +512,49 @@ def _first_difference(a, b):
     return next((k for k in keys if a.coeffs.get(k) != b.coeffs.get(k)), None)
 
 
-def _expected_report(law):
-    """The AxiomReport computed directly: the unit laws coefficient by
-    coefficient, the swap, and F(F(x,y),z) against F(x,F(y,z))."""
-    ring, n, body = law.ring, law.precision, law.body
-    unit = None
+def _sum_of_powers(body, u, v):
+    """body(u, v) as sum c u^i v^j with series * and +, each power multiplied
+    up from the constant series 1; no substitute_pair."""
+    n = min(body.precision, u.precision, v.precision)
+    u, v = u.truncate(n), v.truncate(n)
+    one = u.constant_like(u.ring.one())
+    u_pows, v_pows = [one], [one]
+    total = u.constant_like(u.ring.zero())
+    for (i, j), c in body.coeffs.items():
+        if i + j > n:
+            continue
+        while len(u_pows) <= i:
+            u_pows.append(u_pows[-1] * u)
+        while len(v_pows) <= j:
+            v_pows.append(v_pows[-1] * v)
+        total = total + (u_pows[i] * v_pows[j]).scale(c)
+    return total
+
+
+def _dense_unitality(body):
+    """The first (i, 0) or (0, i), by i and x before y, where F(x, 0) or
+    F(0, y) differs from x, read from the two dense one-variable series."""
+    ring, n = body.ring, body.precision
+    x1 = TruncatedSeries1.x(ring, n)
+    fx0 = TruncatedSeries1(ring, [body.at(i, 0) for i in range(n + 1)], n)
+    f0y = TruncatedSeries1(ring, [body.at(0, i) for i in range(n + 1)], n)
     for i in range(n + 1):
-        want = ring.one() if i == 1 else ring.zero()
-        if body.at(i, 0) != want:
-            unit = (i, 0)
-            break
-        if body.at(0, i) != want:
-            unit = (0, i)
-            break
+        if fx0.coeffs[i] != x1.coeffs[i]:
+            return (i, 0)
+        if f0y.coeffs[i] != x1.coeffs[i]:
+            return (0, i)
+    return None
+
+
+def _expected_report(law):
+    """The AxiomReport computed directly: the unit laws on dense series, the
+    swap, and F(F(x,y),z) against F(x,F(y,z)) as sums of powers."""
+    ring, n, body = law.ring, law.precision, law.body
+    unit = _dense_unitality(body)
     swap = _first_difference(body, body.swap())
     x, y, z = (TruncatedSeriesN.variable(ring, 3, i, n) for i in range(3))
-    lhs = substitute_pair(body, substitute_pair(body, x, y), z)
-    rhs = substitute_pair(body, x, substitute_pair(body, y, z))
+    lhs = _sum_of_powers(body, _sum_of_powers(body, x, y), z)
+    rhs = _sum_of_powers(body, x, _sum_of_powers(body, y, z))
     assoc = _first_difference(lhs, rhs)
     checks = [
         AxiomCheck("unitality", unit is None, unit),
@@ -540,29 +566,113 @@ def _expected_report(law):
     return AxiomReport(checks)
 
 
-def test_associativity_verdict_matches_the_three_variable_oracle():
-    # universal laws, and copies with one symmetric pair a_ij = a_ji moved by
-    # a nonzero rational; some of those stay associative, most do not
+def _moved(law, i, j, r, symmetric):
+    """The law with r added to a_ij, and to a_ji too when symmetric."""
+    ring = law.ring
+    coeffs = dict(law.body.coeffs)
+    for key in {(i, j), (j, i)} if symmetric else {(i, j)}:
+        coeffs[key] = coeffs.get(key, ring.zero()) + r
+    return FormalGroupLaw(TruncatedSeries2(ring, 2, coeffs, law.precision), grading=law.grading)
+
+
+def test_associativity_verdict_matches_the_three_variable_oracle(monkeypatch):
+    # over Q[m_1..]: universal laws, and copies with one symmetric pair
+    # a_ij = a_ji moved by a nonzero rational.  Over Z[beta^±1], Z/8[beta^±1]
+    # and F_5[beta^±1]: dense laws, the multiplicative law after a seeded
+    # coordinate change, and copies moved at a symmetric pair (one
+    # substitution and its rotation) or at a single a_ij with i != j
+    # (symmetry fails: two substitutions).  Some moved laws stay associative,
+    # most do not, so the witnesses are compared too
     rng = random.Random(zlib.crc32(b"associativity oracle"))
-    verdicts = []
+    cases = []  # (law, whether it is symmetric)
     for n in range(4, 9):
         law = named_fgl("universal_rational", None, n)
         ring = law.ring
-        laws = [FormalGroupLaw(law.body, grading=law.grading)]
+        cases.append((FormalGroupLaw(law.body, grading=law.grading), True))
         for _ in range(3):
             i = rng.randint(1, n - 1)
             j = rng.randint(max(1, 3 - i), n - i)
             r = ring.from_fraction(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4)))
-            coeffs = dict(law.body.coeffs)
-            for key in {(i, j), (j, i)}:
-                coeffs[key] = coeffs.get(key, ring.zero()) + r
-            body = TruncatedSeries2(ring, 2, coeffs, n)
-            laws.append(FormalGroupLaw(body, grading=law.grading))
-        for candidate in laws:
-            expected = _expected_report(candidate)
-            assert check_axioms(candidate) == expected
-            verdicts.append(expected.checks[2].passed)
-    assert True in verdicts and False in verdicts
+            cases.append((_moved(law, i, j, r, True), True))
+    for base in (Z, IntegersMod(8), IntegersMod(5)):
+        ring = LaurentExtension(base, "beta", 1)
+        rng = random.Random(zlib.crc32(f"associativity oracle over {ring}".encode()))
+        for n in (4, 5, 6):
+            b = [ring.zero(), ring.one()]
+            b += [ring.from_int(rng.randint(-3, 3)) * ring.var(m) for m in range(1, n)]
+            mult = named_fgl("multiplicative", ring, n)
+            law = change_coordinates(mult, TruncatedSeries1(ring, b, n))
+            cases.append((FormalGroupLaw(law.body, grading=law.grading), True))
+            for symmetric in (True, False) * 3:
+                i = rng.randint(1, n - 1)
+                j = rng.randint(max(1, 3 - i), n - i)
+                if not symmetric and i == j:
+                    i, j = (i - 1, j) if i > 1 else (i, j + 1)
+                # mostly of the law's degree, sometimes not, so the grading fails
+                power = i + j - 1 + rng.choice([0, 0, 1])
+                r = ring.from_int(rng.choice([-2, -1, 1, 2, 3])) * ring.var(power)
+                cases.append((_moved(law, i, j, r, symmetric), symmetric))
+    calls = []
+    original = fgl_module.substitute_pair
+
+    def counted(body, u, v):
+        calls.append(body)
+        return original(body, u, v)
+
+    monkeypatch.setattr(fgl_module, "substitute_pair", counted)
+    verdicts = {(True, True): [], (False, True): [], (False, False): []}
+    for candidate, symmetric in cases:
+        expected = _expected_report(candidate)
+        calls.clear()
+        assert check_axioms(candidate) == expected
+        assert expected.checks[1].passed is symmetric
+        associative = expected.checks[2].passed
+        # the logarithm confirms an associative law over Q with none
+        if associative and candidate.ring.is_q_algebra():
+            assert calls == []
+        else:
+            assert len(calls) == (1 if symmetric else 2)
+        verdicts[candidate.ring.is_q_algebra(), symmetric].append(associative)
+    assert all(True in v and False in v for key, v in verdicts.items() if key != (False, False))
+    assert False in verdicts[False, False]
+
+
+def test_unitality_reads_the_axis_terms_as_the_dense_series_did():
+    # nonzero constant terms, missing or wrong linear terms and extra axis
+    # terms, alone and together, at precision 0, 1 and 6, over Z and over
+    # Z/4, where a coefficient 4 vanishes; and the zero ring, where 1 = 0
+    rng = random.Random(zlib.crc32(b"unitality on the axes"))
+    witnesses = set()
+    for ring in (Z, IntegersMod(4), IntegersMod(1)):
+        for n in (0, 1, 6):
+            for _ in range(40):
+                entries = {(1, 0): 1, (0, 1): 1, (1, 1): rng.randint(-2, 2)}
+                for _ in range(rng.randint(0, 3)):
+                    change = rng.choice(["constant", "missing", "wrong", "axis"])
+                    if change == "constant":
+                        entries[(0, 0)] = rng.choice([1, -1, 4])
+                    elif change == "missing":
+                        entries.pop(rng.choice([(1, 0), (0, 1)]), None)
+                    elif change == "wrong":
+                        entries[rng.choice([(1, 0), (0, 1)])] = rng.choice([-1, 2, 5])
+                    else:
+                        k = rng.randint(2, 7)
+                        entries[rng.choice([(k, 0), (0, k)])] = rng.choice([1, 4, -3])
+                body = TruncatedSeries2.from_entries(
+                    ring, [(i, j, ring.from_int(c)) for (i, j), c in entries.items()], n
+                )
+                expected = _dense_unitality(body)
+                witnesses.add(expected)
+                expected = AxiomCheck("unitality", expected is None, expected)
+                got = fgl_module._unitality_witness(body)
+                assert AxiomCheck("unitality", got is None, got) == expected, (entries, n)
+                # check_axioms raises NonzeroConstantTerm in the associativity
+                # check of a law with a constant term
+                if body.constant_term().is_zero():
+                    assert check_axioms(FormalGroupLaw(body)).checks[0] == expected
+    # every kind of witness occurs: none, constant, linear, extra on each axis
+    assert {None, (0, 0), (1, 0), (0, 1)} <= witnesses
+    assert any(w and w[0] >= 2 for w in witnesses) and any(w and w[1] >= 2 for w in witnesses)
 
 
 @pytest.mark.parametrize(

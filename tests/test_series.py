@@ -13,7 +13,16 @@ from fglforge.errors import (
     RingMismatch,
     Unsupported,
 )
-from fglforge.fgl import from_logarithm, logarithm, n_series, named_fgl
+from fglforge import series as series_module
+from fglforge.fgl import (
+    AxiomCheck,
+    FormalGroupLaw,
+    check_axioms,
+    from_logarithm,
+    logarithm,
+    n_series,
+    named_fgl,
+)
 from fglforge.gradedpoly import lazard_base_ring
 from fglforge.rings import (
     Integers,
@@ -246,7 +255,8 @@ def test_two_variable_series():
     assert F.at(1, 1) == Z.from_int(-2)
     assert F.at(2, 0).is_zero()
     assert F.swap() == F
-    assert F.eval_y0() == TruncatedSeries1.x(Z, 4)
+    # F(x, 0) = x and F(0, y) = y
+    assert check_axioms(FormalGroupLaw(F)).checks[0] == AxiomCheck("unitality", True, None)
     assert F.partial_y_at_zero() == s(Z, [1, -2], 3)
     G = F * F
     assert G.at(2, 0) == Z.one() and G.at(1, 1) == Z.from_int(2)
@@ -567,21 +577,39 @@ def test_substitute_pair_checks_rings_at_every_precision():
                 substitute_pair(body, u, v)
 
 
+def test_substitute_pair_refuses_mismatched_shapes():
+    # one variable against several, or different numbers of variables, at
+    # every precision; the body's coefficients are all 1, so no product or
+    # scaling would meet the mismatch first
+    body = TruncatedSeries2.from_entries(Z, [(1, 0, Z.one()), (0, 1, Z.one())], 4)
+    for n in (0, 3):
+        one = s(Z, [0, 1], n)
+        two = TruncatedSeriesN.variable(Z, 2, 0, n)
+        three = TruncatedSeriesN.variable(Z, 3, 0, n)
+        for u, v in ((one, three), (three, one), (one, two), (two, one), (two, three)):
+            with pytest.raises(RingMismatch):
+                substitute_pair(body, u, v)
+
+
 def test_substitute_pair_multiplies_only_mixed_terms(monkeypatch):
-    """x + y - beta xy costs one series product, x + y none, and [5](x) of
-    the multiplicative law three, one per double-and-add step."""
+    """x + y - beta xy costs one product, x + y none, and [5](x) of the
+    multiplicative law three, one per double-and-add step; F(F(x,y),z) in
+    three variables costs one.  Counted at the product loop of each shape,
+    which series * and the substitution core share."""
     mult = named_fgl("multiplicative", ZB, 8)
     add = named_fgl("additive", ZB, 8)
     calls = []
-    for cls in (TruncatedSeries1, TruncatedSeriesN):
-        original = cls.__mul__
+    for shape in (series_module._Dense, series_module._Sparse):
+        original = shape.product
 
-        def counted(self, other, original=original):
+        def counted(self, *args, original=original):
             calls.append(type(self))
-            return original(self, other)
+            return original(self, *args)
 
-        monkeypatch.setattr(cls, "__mul__", counted)
+        monkeypatch.setattr(shape, "product", counted)
     x = TruncatedSeries1.x(ZB, 8)
+    f_xy = embed2(mult.body, 3, (0, 1))
+    z = TruncatedSeriesN.variable(ZB, 3, 2, 8)
 
     def products(run):
         calls.clear()
@@ -591,6 +619,10 @@ def test_substitute_pair_multiplies_only_mixed_terms(monkeypatch):
     assert products(lambda: substitute_pair(mult.body, x, x)) == 1
     assert products(lambda: substitute_pair(add.body, x, x)) == 0
     assert products(lambda: n_series(mult, 5)) == 3
+    assert products(lambda: substitute_pair(mult.body, f_xy, z)) == 1
+    assert calls == [series_module._Sparse]
+    # series * goes through the same loops
+    assert products(lambda: x * x) == 1 and products(lambda: f_xy * z) == 1
 
 
 # -- an independent oracle for one-variable products, inverses and reversion --
