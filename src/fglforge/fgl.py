@@ -196,10 +196,10 @@ def _linearised_by_logarithm(fgl: FormalGroupLaw) -> bool:
     Cobordism and Stable Homotopy Groups of Spheres, App. A2).  False says
     nothing: outside a Q-algebra, below precision 1, when (dF/dy)(0, 0) is
     not a unit, or when the identity fails, the caller compares the two
-    three-variable substitutions instead.
+    three-variable substitutions instead.  The body has no constant term.
     """
     n, body = fgl.precision, fgl.body
-    if n < 1 or not fgl.ring.is_q_algebra() or not body.constant_term().is_zero():
+    if n < 1 or not fgl.ring.is_q_algebra():
         return False
     try:
         log = _invariant_logarithm(fgl)
@@ -213,7 +213,7 @@ def check_axioms(fgl: FormalGroupLaw) -> AxiomReport:
 
     Unitality is read off the body's terms on the axes: the first (i, 0) or
     (0, i), by i and x before y, where F(x, 0) or F(0, y) differs from x.
-    Symmetry is the first key where F and its swap differ.
+    Symmetry is the first key where F(x, y) and F(y, x) differ.
 
     Associativity is the first monomial where F(F(x,y),z) and F(x,F(y,z))
     differ.  Over a Q-algebra it is first tried through the logarithm, a
@@ -221,7 +221,9 @@ def check_axioms(fgl: FormalGroupLaw) -> AxiomReport:
     every law it cannot decide, goes through the three-variable comparison,
     which then sets the verdict and the witness.  That comparison computes
     F(F(x,y),z) once; when symmetry has passed, F(x,F(y,z)) is its rotation
-    (see _associativity_witness), else a second substitution.
+    (see _associativity_witness), else a second substitution.  When F(0, 0)
+    is not 0, F(F(x,y),z) is undefined: associativity fails with no witness,
+    as unitality has failed at (0, 0).
 
     The result is memoized on the law; a full pass marks it validated.
     """
@@ -233,12 +235,15 @@ def check_axioms(fgl: FormalGroupLaw) -> AxiomReport:
     witness = _unitality_witness(body)
     checks.append(AxiomCheck("unitality", witness is None, witness))
 
-    witness = _first_mismatch(body.coeffs, body.swap().coeffs)
+    witness = _first_mismatch(body.coeffs, {(j, i): c for (i, j), c in body.coeffs.items()})
     symmetric = witness is None
     checks.append(AxiomCheck("symmetry", symmetric, witness))
 
-    witness = None if _linearised_by_logarithm(fgl) else _associativity_witness(fgl, symmetric)
-    checks.append(AxiomCheck("associativity", witness is None, witness))
+    if body.constant_term().is_zero():
+        witness = None if _linearised_by_logarithm(fgl) else _associativity_witness(fgl, symmetric)
+        checks.append(AxiomCheck("associativity", witness is None, witness))
+    else:
+        checks.append(AxiomCheck("associativity", False, None))
 
     if fgl.grading is not None:
         ok = grade_check(fgl, fgl.grading)

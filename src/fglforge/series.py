@@ -11,11 +11,15 @@ interface (the closed coefficient-ring family or a graded polynomial ring).
 They are stored as RingElements, but the arithmetic reads their payloads and
 runs on the ring's payload hooks: _add, _neg and _mul, and the
 multiply-accumulate hooks _operand, _mul_add and _settle for sums of
-products.  Each output coefficient is boxed once, with no branch on the ring.
+products.  Sums, scaling, products, composition and substitution all run
+through the loops of one payload shape per kind of series: dense lists,
+sparse maps, and the i <= j half of a symmetric two-variable map.  Each
+output coefficient is boxed once, with no branch on the ring.
 """
 
 from __future__ import annotations
 
+import bisect
 import operator
 from fractions import Fraction
 
@@ -25,7 +29,7 @@ from .errors import (
     NonzeroConstantTerm,
     RingMismatch,
 )
-from .rings import RingElement, sparse_add
+from .rings import RingElement
 
 
 def _coerce_scalar(ring, c):
@@ -41,9 +45,10 @@ def _coerce_scalar(ring, c):
 # -- payload shapes -------------------------------------------------------------
 # A one-variable series on payloads is a list c_0..c_n with its zeros; a
 # multi-variable one is a map from exponent tuples to nonzero payloads.  Each
-# shape has one product loop, shared by the series' * and the substitution
-# core.  A product adds into accumulators (None for the empty sum), which
-# settle once; a right factor is prepared once, through the ring's _operand.
+# shape has one product loop, shared by the series' *, composition and the
+# substitution core.  A product adds into accumulators (None for the empty
+# sum), which settle once; a right factor is prepared once, through the
+# ring's _operand.
 
 
 class _Dense:
@@ -94,16 +99,21 @@ class _Sparse:
         operand = ring._operand
         return [(k, sum(k), operand(q)) for k, q in b.items()]
 
+    def pairs(self, a, right):
+        """Each term of a with the prepared right terms it is multiplied by."""
+        for k1, p in a.items():
+            yield k1, p, right
+
     def product(self, ring, out, a, right, n):
         """Add the products of the terms of a and b of total degree at most n
         into out; b is walked in its own order, which fixes the order of new
         keys."""
         mul_add, is_zero = ring._mul_add, ring._is_zero
-        for k1, p in a.items():
+        for k1, p, terms in self.pairs(a, right):
             room = n - sum(k1)
             if room < 0:
                 continue
-            for k2, d2, q in right:
+            for k2, d2, q in terms:
                 if d2 > room:
                     continue
                 k = tuple(map(operator.add, k1, k2))
@@ -139,7 +149,37 @@ class _Sparse:
         return {k: settle(acc) for k, acc in out.items()}
 
 
-_DENSE, _SPARSE = _Dense(), _Sparse()
+class _Symmetric(_Sparse):
+    """Two-variable maps that hold only the x^i y^j coefficients with i <= j
+    of a series symmetric in x <-> y, multiplied by a symmetric series.
+
+    Over a commutative ring the product is symmetric too, so only its i <= j
+    half is formed.  The left operand is the half with its mirror after it;
+    the right terms are sorted by their skew i2 - j2, and a left term
+    (i1, j1) lands on a key i <= j exactly with the right terms of skew at
+    most j1 - i1, a prefix of that order.
+    """
+
+    def prepare(self, ring, b):
+        right = sorted(super().prepare(ring, b), key=lambda t: t[0][0] - t[0][1])
+        return right, [k[0] - k[1] for k, _, _ in right]
+
+    def pairs(self, a, right):
+        right, skews = right
+        half = list(a.items())
+        for (i, j), p in half + [((j, i), p) for (i, j), p in half if i != j]:
+            yield (i, j), p, right[: bisect.bisect_right(skews, j - i)]
+
+    @staticmethod
+    def whole(half):
+        """The full map, x^j y^i sharing the value of x^i y^j."""
+        out = {}
+        for (i, j), v in half.items():
+            out[(i, j)] = out[(j, i)] = v
+        return out
+
+
+_DENSE, _SPARSE, _SYMMETRIC = _Dense(), _Sparse(), _Symmetric()
 
 
 class TruncatedSeries1:
@@ -197,19 +237,9 @@ class TruncatedSeries1:
     def constant_term(self):
         return self.coeffs[0]
 
-    def _set_constant(self, value):
-        return TruncatedSeries1(self.ring, (value,) + self.coeffs[1:], self.precision)
-
     def constant_like(self, value) -> "TruncatedSeries1":
         """The constant series value at this precision."""
         return TruncatedSeries1(self.ring, [value], self.precision)
-
-    def _zero_padded(self, precision: int) -> "TruncatedSeries1":
-        """These coefficients with zeros up to a higher precision.  The zeros
-        are not known coefficients: pad by one degree only before multiplying
-        by a series with zero constant term, whose product up to the padded
-        precision the zeros do not reach."""
-        return TruncatedSeries1(self.ring, self.coeffs, precision)
 
     def _check(self, other):
         if other.ring != self.ring:
@@ -225,20 +255,23 @@ class TruncatedSeries1:
         out.coeffs = tuple([RingElement(ring, p) for p in payloads])
         return out
 
+    def _payloads(self, n):
+        """The payloads of c_0..c_n."""
+        return [c.payload for c in self.coeffs[: n + 1]]
+
     # -- arithmetic ------------------------------------------------------
-    # on payloads, through the ring's hooks; each output coefficient is boxed
-    # once, in _from_payloads
+    # on payloads, through the ring's hooks and the dense shape; each output
+    # coefficient is boxed once, in _from_payloads
     def __add__(self, other):
         n = self._check(other)
-        add = self.ring._add
-        pairs = zip(self.coeffs[: n + 1], other.coeffs)
-        return self._from_payloads(self.ring, [add(a.payload, b.payload) for a, b in pairs], n)
+        out = _DENSE.add(self.ring, self._payloads(n), other._payloads(n))
+        return self._from_payloads(self.ring, out, n)
 
     def __sub__(self, other):
         n = self._check(other)
-        add, neg = self.ring._add, self.ring._neg
-        pairs = zip(self.coeffs[: n + 1], other.coeffs)
-        return self._from_payloads(self.ring, [add(a.payload, neg(b.payload)) for a, b in pairs], n)
+        neg = self.ring._neg
+        out = _DENSE.add(self.ring, self._payloads(n), [neg(q) for q in other._payloads(n)])
+        return self._from_payloads(self.ring, out, n)
 
     def __neg__(self):
         neg = self.ring._neg
@@ -248,9 +281,8 @@ class TruncatedSeries1:
         if isinstance(other, TruncatedSeries1):
             n = self._check(other)
             ring = self.ring
-            a = [c.payload for c in self.coeffs[: n + 1]]
-            right = _DENSE.prepare(ring, [c.payload for c in other.coeffs[: n + 1]])
-            accs = _DENSE.product(ring, _DENSE.accumulators(n), a, right, n)
+            right = _DENSE.prepare(ring, other._payloads(n))
+            accs = _DENSE.product(ring, _DENSE.accumulators(n), self._payloads(n), right, n)
             return self._from_payloads(ring, _DENSE.settle(ring, accs), n)
         return self.scale(other)
 
@@ -258,8 +290,8 @@ class TruncatedSeries1:
 
     def scale(self, c):
         x = _coerce_scalar(self.ring, c).payload
-        mul = self.ring._mul
-        return self._from_payloads(self.ring, [mul(x, a.payload) for a in self.coeffs], self.precision)
+        out = _DENSE.scale(self.ring, self._payloads(self.precision), x)
+        return self._from_payloads(self.ring, out, self.precision)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries1):
@@ -439,41 +471,39 @@ class TruncatedSeriesN:
         out.coeffs = {k: RingElement(ring, p) for k, p in payloads.items()}
         return out
 
+    def _payloads(self, n):
+        """The nonzero payloads of total degree at most n."""
+        return {k: c.payload for k, c in self.coeffs.items() if sum(k) <= n}
+
+    # -- arithmetic, on payloads through the sparse shape ------------------
     def __add__(self, other):
         n = self._check(other)
-        return type(self)(self.ring, self.nvars, sparse_add(self.coeffs, other.coeffs), n)
+        out = _SPARSE.add(self.ring, self._payloads(n), other._payloads(n))
+        return self._from_payloads(self.ring, self.nvars, out, n)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return type(self)(
-            self.ring,
-            self.nvars,
-            {k: -c for k, c in self.coeffs.items()},
-            self.precision,
-        )
+        neg = self.ring._neg
+        out = {k: neg(c.payload) for k, c in self.coeffs.items()}
+        return self._from_payloads(self.ring, self.nvars, out, self.precision)
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeriesN):
             n = self._check(other)
             ring = self.ring
-            a = {k: c.payload for k, c in self.coeffs.items()}
-            right = _SPARSE.prepare(ring, {k: c.payload for k, c in other.coeffs.items()})
-            out = _SPARSE.product(ring, _SPARSE.accumulators(n), a, right, n)
+            right = _SPARSE.prepare(ring, other._payloads(n))
+            out = _SPARSE.product(ring, _SPARSE.accumulators(n), self._payloads(n), right, n)
             return self._from_payloads(ring, self.nvars, _SPARSE.settle(ring, out), n)
         return self.scale(other)
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        c = _coerce_scalar(self.ring, c)
-        return type(self)(
-            self.ring,
-            self.nvars,
-            {k: c * v for k, v in self.coeffs.items()},
-            self.precision,
-        )
+        x = _coerce_scalar(self.ring, c).payload
+        out = _SPARSE.scale(self.ring, self._payloads(self.precision), x)
+        return self._from_payloads(self.ring, self.nvars, out, self.precision)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeriesN):
@@ -512,11 +542,6 @@ class TruncatedSeries2(TruncatedSeriesN):
     def at(self, i, j):
         return self.coefficient((i, j))
 
-    def swap(self) -> "TruncatedSeries2":
-        return TruncatedSeries2(
-            self.ring, 2, {(j, i): c for (i, j), c in self.coeffs.items()}, self.precision
-        )
-
     def partial_y_at_zero(self) -> TruncatedSeries1:
         """(dF/dy)(x, 0), at precision N-1."""
         out = [self.ring.zero()] * self.precision
@@ -540,75 +565,43 @@ def compose_series(outer: TruncatedSeries1, inner):
     only the zero constant term of inner, so the product is exact to
     precision n-k.
 
-    A one-variable inner goes through series products, padding acc_{k+1}
-    with a zero in degree n-k.  A multi-variable inner runs on payloads: its
-    terms are prepared once, each accumulator maps keys to payloads summed
-    through the ring's _mul_add and _settle, and each output coefficient is
-    boxed once.  When the inner series has two variables and is symmetric in
-    x <-> y, so is every accumulator (a polynomial in a symmetric series
-    over a commutative ring): only its x^i y^j coefficients with i <= j are
-    formed, and the result shares each one with x^j y^i.
+    Every inner shape runs in one loop on payloads, through the product loop
+    of its shape: the inner's terms are prepared once, each step's products
+    are summed through the ring's _mul_add and settled once, c_k goes in at
+    the origin, and each output coefficient is boxed once.  When the inner
+    series has two variables and is symmetric in x <-> y, so is every
+    accumulator (a polynomial in a symmetric series over a commutative
+    ring): the symmetric shape forms only its x^i y^j coefficients with
+    i <= j, and the result shares each one with x^j y^i.
     """
     if outer.ring != inner.ring:
         raise RingMismatch(f"{outer.ring} vs {inner.ring}")
     if not inner.constant_term().is_zero():
         raise NonzeroConstantTerm("inner series must vanish at the origin")
     n = min(outer.precision, inner.precision)
-    c = outer.coeffs
-    if isinstance(inner, TruncatedSeries1):
-        acc = inner.truncate(0).constant_like(c[n])
-        for k in range(n - 1, -1, -1):
-            acc = acc._zero_padded(n - k) * inner
-            acc = acc._set_constant(acc.constant_term() + c[k])
-        return acc
     ring = inner.ring
-    mul_add, settle, is_zero = ring._mul_add, ring._settle, ring._is_zero
-    terms = inner.coeffs
-    origin = (0,) * inner.nvars
-    # decided here, not taken from the caller: the associativity check also
-    # runs on a law that has failed its symmetry axiom
-    symmetric = inner.nvars == 2 and all(terms.get((j, i)) == v for (i, j), v in terms.items())
-    # right terms (k2, degree, skew, prepared payload).  When symmetric the
-    # skew is i2 - j2 and the terms are sorted by it: a left term (i1, j1)
-    # lands on a key i <= j exactly with the right terms of skew <= j1 - i1.
-    # Otherwise every skew and every bound is 0, and no term is cut.
-    right = [
-        (k2, sum(k2), k2[0] - k2[1] if symmetric else 0, ring._operand(v.payload))
-        for k2, v in terms.items()
-    ]
-    if symmetric:
-        right.sort(key=operator.itemgetter(2))
-    # acc maps each key (only i <= j when symmetric) to a settled payload
-    acc = {}
+    if isinstance(inner, TruncatedSeries1):
+        shape, origin, terms = _DENSE, 0, inner._payloads(n)
+    else:
+        shape, origin = _SPARSE, (0,) * inner.nvars
+        terms = {k: c.payload for k, c in inner.coeffs.items()}
+        # decided here, not taken from the caller: the associativity check
+        # also runs on a law that has failed its symmetry axiom
+        if inner.nvars == 2 and all(terms.get((j, i)) == p for (i, j), p in terms.items()):
+            shape = _SYMMETRIC
+    right = shape.prepare(ring, terms)
+    acc = shape.accumulators(-1)  # empty: the series of precision -1
     for k in range(n, -1, -1):
-        left = list(acc.items())
-        if symmetric:
-            left += [((j, i), a) for (i, j), a in left if i != j]
-        precision = n - k
-        out = {}
-        for k1, a in left:
-            room = precision - sum(k1)
-            bound = k1[1] - k1[0] if symmetric else 0
-            for k2, d2, skew, b in right:
-                if skew > bound:
-                    break
-                if d2 > room:
-                    continue
-                key = tuple(map(operator.add, k1, k2))
-                p = mul_add(out.get(key), a, b)
-                if is_zero(p):
-                    out.pop(key, None)
-                else:
-                    out[key] = p
-        acc = {key: settle(p) for key, p in out.items()}
-        if not is_zero(c[k].payload):
-            acc[origin] = c[k].payload
-    coeffs = {}
-    for key, p in acc.items():
-        coeffs[key] = RingElement(ring, p)
-        if symmetric and key[0] != key[1]:
-            coeffs[key[::-1]] = coeffs[key]
-    return type(inner)(ring, inner.nvars, coeffs, n)
+        acc = shape.settle(ring, shape.product(ring, shape.accumulators(n - k), acc, right, n - k))
+        c = outer.coeffs[k].payload
+        if not ring._is_zero(c):
+            acc[origin] = c
+    if shape is _DENSE:
+        return TruncatedSeries1._from_payloads(ring, acc, n)
+    out = type(inner)._from_payloads(ring, inner.nvars, acc, n)
+    if shape is _SYMMETRIC:
+        out.coeffs = shape.whole(out.coeffs)
+    return out
 
 
 def _substitution(body: TruncatedSeries2, n: int, nvars: int = 0):
@@ -688,12 +681,10 @@ def substitute_pair(body: TruncatedSeries2, u, v):
         raise NonzeroConstantTerm("substituted series must vanish at the origin")
     n = min(body.precision, u.precision, v.precision)
     if dense:
-        u, v = ([c.payload for c in w.coeffs[: n + 1]] for w in (u, v))
-        return TruncatedSeries1._from_payloads(ring, _substitution(body, n)(u, v), n)
-    nvars = u.nvars
-    cls = type(u)
-    u, v = ({k: c.payload for k, c in w.coeffs.items() if sum(k) <= n} for w in (u, v))
-    return cls._from_payloads(ring, nvars, _substitution(body, n, nvars)(u, v), n)
+        out = _substitution(body, n)(u._payloads(n), v._payloads(n))
+        return TruncatedSeries1._from_payloads(ring, out, n)
+    out = _substitution(body, n, u.nvars)(u._payloads(n), v._payloads(n))
+    return type(u)._from_payloads(ring, u.nvars, out, n)
 
 
 def embed2(body: TruncatedSeries2, nvars: int, positions) -> TruncatedSeriesN:

@@ -254,7 +254,6 @@ def test_two_variable_series():
     )
     assert F.at(1, 1) == Z.from_int(-2)
     assert F.at(2, 0).is_zero()
-    assert F.swap() == F
     # F(x, 0) = x and F(0, y) = y
     assert check_axioms(FormalGroupLaw(F)).checks[0] == AxiomCheck("unitality", True, None)
     assert F.partial_y_at_zero() == s(Z, [1, -2], 3)
@@ -392,11 +391,18 @@ def test_compose_series_matches_sympy(nvars):
 
 
 L5 = lazard_base_ring(5)
+Z12 = IntegersMod(12)
+Z12B = LaurentExtension(Z12, "beta", 1)
 
 
 def _small_coefficient(ring, rng):
     """A small fraction over Q; over L5 one times a monomial in m1..m3 of
-    degree at most 6 (those above 5 vanish), plus an integer."""
+    degree at most 6 (those above 5 vanish), plus an integer; over Z12B up
+    to two terms c beta^e, with zero divisors of Z/12 among the c, so that
+    products and sums vanish."""
+    if ring == Z12B:
+        terms = {rng.randint(-1, 1): Z12.from_int(rng.choice([1, 2, 3, 4, 6, 9])) for _ in range(2)}
+        return ring.element(terms)
     q = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
     if ring == Q:
         return Q.from_fraction(q)
@@ -436,7 +442,7 @@ def _composition_reference(outer, inner):
     return total
 
 
-@pytest.mark.parametrize("ring", [Q, L5], ids=["Q", "L5"])
+@pytest.mark.parametrize("ring", [Q, L5, Z12B], ids=["Q", "L5", "Z12B"])
 @pytest.mark.parametrize("nvars", [1, 2, 3])
 def test_compose_series_matches_sum_of_powers(nvars, ring):
     rng = random.Random(zlib.crc32(f"compose reference {nvars} {ring}".encode()))
@@ -468,6 +474,23 @@ def test_compose_series_matches_sum_of_powers(nvars, ring):
                     if kind == "symmetric":
                         # x^i y^j and x^j y^i share one boxed coefficient
                         assert all(got.coeffs[(j, i)] is c for (i, j), c in got.coeffs.items()), where
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_compose_series_makes_no_series_products(monkeypatch, nvars):
+    # every inner shape composes on payloads, with no series * on the way
+    calls = []
+    for cls in (TruncatedSeries1, TruncatedSeriesN):
+        mul = cls.__mul__
+        monkeypatch.setattr(cls, "__mul__", lambda a, b, mul=mul: calls.append(a) or mul(a, b))
+    rng = random.Random(zlib.crc32(f"compose without products {nvars}".encode()))
+    inner = _random_inner(Q, rng, nvars, 6, "dense")
+    outer = TruncatedSeries1(Q, [_small_coefficient(Q, rng) for _ in range(7)], 6)
+    for inner in [inner, _mirrored(inner)] if nvars == 2 else [inner]:
+        compose_series(outer, inner)
+        assert calls == []
+    inner * inner
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("nvars", [1, 2, 3])
