@@ -31,6 +31,10 @@ from .series import (
 )
 
 
+# the memo of F at beta = 1 before it is derived; None means no such law
+_UNSET = object()
+
+
 class FormalGroupLaw:
     """A bivariate truncated series with the formal-group-law axioms."""
 
@@ -42,6 +46,9 @@ class FormalGroupLaw:
         self.name = name
         self._axiom_report = None
         self._logarithm = None
+        self._beta_one = _UNSET
+        # k -> the most precise [k](x) that n_series has built
+        self._n_series = {}
 
     @property
     def validated(self) -> bool:
@@ -327,13 +334,16 @@ def formal_inverse(fgl: FormalGroupLaw) -> TruncatedSeries1:
     return TruncatedSeries1(ring, inv, n)
 
 
-def _at_beta_one(fgl: FormalGroupLaw, precision: int):
-    """F_1 = F at beta = 1, over the base ring and truncated to precision,
-    when F lives over base[beta^±1] and each coefficient of x^i y^j is one
-    term c_ij beta^(i+j-1); else None.  Decided on the coefficients alone,
-    not on the law's name or grading annotation.
+def _at_beta_one(fgl: FormalGroupLaw):
+    """F_1 = F at beta = 1, over the base ring at the law's precision, when F
+    lives over base[beta^±1] and each coefficient of x^i y^j is one term
+    c_ij beta^(i+j-1); else None.  Decided on the coefficients alone, not on
+    the law's name or grading annotation, and memoized on the law.
     """
+    if fgl._beta_one is not _UNSET:
+        return fgl._beta_one
     ring = fgl.ring
+    fgl._beta_one = None
     if not isinstance(ring, LaurentExtension):
         return None
     coeffs = {}
@@ -342,18 +352,26 @@ def _at_beta_one(fgl: FormalGroupLaw, precision: int):
         if len(terms) != 1 or i + j - 1 not in terms:
             return None
         coeffs[(i, j)] = terms[i + j - 1]
-    return TruncatedSeries2(ring.base, 2, coeffs, precision)
+    fgl._beta_one = TruncatedSeries2(ring.base, 2, coeffs, fgl.precision)
+    return fgl._beta_one
 
 
 def n_series(fgl: FormalGroupLaw, k: int, precision: int | None = None) -> NSeries:
     """[k](x) modulo x^(precision+1), by default at the law's precision.
 
-    For k > 0 by double-and-add, [2m] = F([m],[m]) and [m+1] = F(x,[m]): about
-    2 log2(k) substitutions, made by the substitution core on payload lists,
-    with one boxing of the result.  That is exact only for an associative
-    law, so the law is validated first and AxiomsFailed raised if it fails.
-    For k < 0, [k] = [-k] composed with the formal inverse, both at the
-    requested precision.
+    The x^m coefficient of [k](x) depends only on F modulo degree m+1, so
+    [k](x) at a lower precision is a truncation of [k](x) at a higher one.
+    The law keeps, for each k, the most precise [k](x) built for it, and a
+    request at or below that precision truncates it.  At precision <= 1 the
+    result is kx, as F(x, y) = x + y modulo degree 2, with no doubling.
+
+    Otherwise, for k > 0, by double-and-add, [2m] = F([m],[m]) and
+    [m+1] = F(x,[m]): about 2 log2(k) substitutions, made by the
+    substitution core on payload lists, with one boxing of the result.  That
+    is exact only for an associative law, so the law is validated first, on
+    every path but k = 0, and AxiomsFailed raised if it fails.  For k < 0,
+    [k] = [-k] composed with the formal inverse, both at the requested
+    precision.
 
     When the law lives over R[beta^±1] and each coefficient of x^i y^j is one
     term c_ij beta^(i+j-1), as for a graded law with |beta| = 1 over an
@@ -361,9 +379,10 @@ def n_series(fgl: FormalGroupLaw, k: int, precision: int | None = None) -> NSeri
     beta = 1, a law over R (Landweber, Amer. J. Math. 98 (1976)).  By
     induction on k, [k]_F(x) = beta^-1 [k]_{F_1}(beta x): the x^m
     coefficient of [k]_F is c_m beta^(m-1), where c_m is that of [k]_{F_1}.
-    So the doubling runs on F_1, over R, and its result is read back once.
-    F_1 is the image of the validated F under the ring map beta -> 1, so it
-    is a law too, and the formal inverse of F_1 serves a negative k.
+    So the doubling runs on F_1, derived once per law, over R, and its
+    result is read back once.  F_1 is the image of the validated F under the
+    ring map beta -> 1, so it is a law too, and the formal inverse of F_1
+    serves a negative k.
     """
     ring = fgl.ring
     n = fgl.precision if precision is None else precision
@@ -374,13 +393,18 @@ def n_series(fgl: FormalGroupLaw, k: int, precision: int | None = None) -> NSeri
     if k == 0:
         return NSeries(0, TruncatedSeries1.zero(ring, n))
     _require_axioms(fgl, repr(fgl))
-    body = _at_beta_one(fgl, n)
+    built = fgl._n_series.get(k)
+    if built is not None and built.precision >= n:
+        return NSeries(k, built.truncate(n))
+    if n <= 1:
+        return NSeries(k, TruncatedSeries1(ring, [ring.zero(), ring.from_int(k)], n))
+    body = _at_beta_one(fgl)
     graded = body is not None
     if not graded:
-        body = fgl.body.truncate(n)
-    # every step works modulo x^(n+1): the x^m coefficient of [k](x) depends
-    # only on F modulo degree m+1.  The doubling runs on payload lists
-    # through the substitution core, and the result is boxed once
+        body = fgl.body
+    # every step works modulo x^(n+1), reading only the body's terms within
+    # degree n.  The doubling runs on payload lists through the substitution
+    # core, and the result is boxed once
     substitute = _substitution(body, n)
     x1 = [c.payload for c in TruncatedSeries1.x(body.ring, n).coeffs]
     acc = x1
@@ -390,26 +414,46 @@ def n_series(fgl: FormalGroupLaw, k: int, precision: int | None = None) -> NSeri
             acc = substitute(x1, acc)
     acc = TruncatedSeries1._from_payloads(body.ring, acc, n)
     if k < 0:
-        acc = compose_series(acc, formal_inverse(FormalGroupLaw(body)))
+        acc = compose_series(acc, formal_inverse(FormalGroupLaw(body.truncate(n))))
     if graded:
         acc = TruncatedSeries1(ring, [ring.monomial(c, m - 1) for m, c in enumerate(acc.coeffs)])
+    fgl._n_series[k] = acc
     return NSeries(k, acc)
+
+
+def _power_beyond(p: int, n: int, precision: int) -> str | None:
+    """p^n as text when it exceeds precision >= 0, else None, for n >= 0.
+
+    p^n is formed only when |p| < 2 or n <= precision.bit_length(); past
+    that |p^n| >= 2^n > precision is certain, and the bound is written p^n,
+    since its decimal form may be too long to print.
+    """
+    if abs(p) < 2 or n <= precision.bit_length():
+        power = p**n
+        return str(power) if power > precision else None
+    if p < 0 and n % 2:
+        return None
+    return f"({p})^{n}" if p < 0 else f"{p}^{n}"
 
 
 def v_coefficient(fgl: FormalGroupLaw, p: int, n: int) -> RingElement:
     """The coefficient of x^(p^n) in the p-series; v_0 = p by construction.
 
-    Only [p](x) modulo x^(p^n + 1) is computed.
+    It is read from n_series(fgl, p, p^n): [p](x) modulo x^(p^n + 1), a
+    truncation of the law's most precise [p](x) when one was built, and px
+    for n = 0.  A p^n beyond the law's precision raises
+    InsufficientPrecision before the law is touched.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if n < 0:
         raise ValueError(f"the height n must be nonnegative, got {n}")
-    target = p**n
-    if target > fgl.precision:
+    beyond = _power_beyond(p, n, fgl.precision)
+    if beyond is not None:
         raise InsufficientPrecision(
-            f"need precision >= {target} for v_{n} at p = {p}, have {fgl.precision}"
+            f"need precision >= {beyond} for v_{n} at p = {p}, have {fgl.precision}"
         )
+    target = p**n
     return n_series(fgl, p, target).series.coefficient(target)
 
 

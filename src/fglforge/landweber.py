@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .errors import InsufficientPrecision
 from .expressions import element_to_expr
-from .fgl import FormalGroupLaw, _Record, v_coefficient
+from .fgl import FormalGroupLaw, _power_beyond, _Record, n_series, v_coefficient
 from .rings import (
     RingElement,
     _is_prime,
@@ -141,6 +141,18 @@ class LandweberReport(_Record):
         return f"fails at (p={p}, n={n}) with witness {w} ({scope})"
 
 
+def _top_power(p: int, max_height: int, precision: int) -> int:
+    """The largest p^n with n <= max_height and p^n <= precision, for a prime
+    p, found by multiplying up: p^max_height itself may be far too large to
+    form."""
+    power = 1
+    for _ in range(max_height):
+        if power * p > precision:
+            break
+        power *= p
+    return power
+
+
 def _check_one_prime(inp: LandweberInput, p: int) -> PrimeVerdict:
     fgl = inp.fgl
     chain = [fgl.ring]
@@ -152,6 +164,13 @@ def _check_one_prime(inp: LandweberInput, p: int) -> PrimeVerdict:
         if is_zero_ring(current):
             stages.append(StageRecord(n, "quotient_zero", repr(current)))
             return PrimeVerdict(p, stages, exact=True, height=n - 1)
+        if n == 1:
+            # [p](x) once, at the highest precision a stage can read; each
+            # stage's v_coefficient reads a truncation of it.  When p itself
+            # is beyond the precision, v_coefficient raises instead
+            top = _top_power(p, inp.max_height, fgl.precision)
+            if top >= p:
+                n_series(fgl, p, top)
         v = v_coefficient(fgl, p, n)
         image = v
         for ring in chain[1:]:
@@ -190,6 +209,11 @@ def landweber_check(inp: LandweberInput) -> LandweberReport:
     stages never reached (because the quotient died first) need none.
     Per-prime verdicts are independent; the report lists them in the
     requested order.
+
+    v_0 = p needs no p-series.  On reaching stage 1, [p](x) is built once,
+    modulo x^(p^n + 1) for the largest p^n within both the height bound and
+    the precision; every stage reads its v_n through v_coefficient from a
+    truncation of it.
     """
     report = LandweberReport(list(inp.primes), inp.max_height, inp.precision)
     for p in inp.primes:
@@ -212,16 +236,23 @@ def v_sequence_report(fgl: FormalGroupLaw, p: int, max_height: int):
 
     When the law carries a grading, each v_n is checked to be homogeneous of
     that degree; ungraded laws report None.  The law's precision must reach
-    x^(p^max_height).
+    x^(p^max_height).  [p](x) is built once, modulo x^(p^max_height + 1),
+    on reaching row 1; every row reads its v_n through v_coefficient from a
+    truncation of it.
     """
     if max_height < 0:
         raise ValueError("max_height must be nonnegative")
-    if fgl.precision < p**max_height:
+    beyond = _power_beyond(p, max_height, fgl.precision)
+    if beyond is not None:
         raise InsufficientPrecision(
-            f"need precision >= {p**max_height} for v_{max_height} at p = {p}"
+            f"need precision >= {beyond} for v_{max_height} at p = {p}"
         )
     rows = []
     for n in range(max_height + 1):
+        if n == 1:
+            # row 0 has checked that p is prime, so p^max_height is at most
+            # the precision
+            n_series(fgl, p, p**max_height)
         v = v_coefficient(fgl, p, n)
         degree = p**n - 1
         homogeneous = None

@@ -237,10 +237,6 @@ class TruncatedSeries1:
     def constant_term(self):
         return self.coeffs[0]
 
-    def constant_like(self, value) -> "TruncatedSeries1":
-        """The constant series value at this precision."""
-        return TruncatedSeries1(self.ring, [value], self.precision)
-
     def _check(self, other):
         if other.ring != self.ring:
             raise RingMismatch(f"{self.ring} vs {other.ring}")
@@ -450,10 +446,6 @@ class TruncatedSeriesN:
 
     def constant_term(self):
         return self.coeffs.get((0,) * self.nvars, self.ring.zero())
-
-    def constant_like(self, value):
-        """The constant series value in these variables at this precision."""
-        return type(self)(self.ring, self.nvars, {(0,) * self.nvars: value}, self.precision)
 
     def _check(self, other):
         if other.ring != self.ring or other.nvars != self.nvars:

@@ -481,6 +481,80 @@ def test_n_series_precision_keyword():
         n_series(mult, 2, 11)
 
 
+MEMO_LAWS = {
+    "multiplicative": lambda: named_fgl("multiplicative", ZB, 16),
+    "multiplicative_over_Z/12": lambda: named_fgl("multiplicative", LaurentExtension(IntegersMod(12)), 16),
+    "graded_conjugate_over_Z/12": lambda: _graded_conjugate(IntegersMod(12), 10),
+    "ungraded_conjugate": lambda: _ungraded_conjugate(10),
+    "additive": lambda: named_fgl("additive", Z, 16),
+    "honda_h1": lambda: named_fgl("honda_h1", IntegersMod(5), 16),
+}
+
+
+@pytest.mark.parametrize("make_law", MEMO_LAWS.values(), ids=MEMO_LAWS)
+def test_n_series_below_a_built_precision_is_a_fresh_build(make_law):
+    # the law keeps the most precise [k](x) built for it, and a request at or
+    # below that precision truncates it.  On the fresh law the precisions
+    # rise, so every request above 1 is a new build
+    law, fresh = make_law(), make_law()
+    for k in (-3, -1, 2, 5, 40):
+        n_series(law, k, law.precision - 3)
+        n_series(law, k)
+        assert law._n_series[k].precision == law.precision
+        for m in range(law.precision + 1):
+            assert n_series(law, k, m).series == n_series(fresh, k, m).series, (k, m)
+
+
+LOW_PRECISION_LAWS = {
+    "additive_over_Z/4": lambda: named_fgl("additive", IntegersMod(4), 4),
+    "multiplicative_over_Z/4": lambda: named_fgl("multiplicative", LaurentExtension(IntegersMod(4)), 4),
+    "multiplicative": lambda: named_fgl("multiplicative", ZB, 4),
+    "honda_h1_over_F2": lambda: named_fgl("honda_h1", IntegersMod(2), 4),
+    "ungraded_conjugate": lambda: _ungraded_conjugate(4),
+    "universal_rational": lambda: named_fgl("universal_rational", None, 4),
+}
+
+
+@pytest.mark.parametrize("make_law", LOW_PRECISION_LAWS.values(), ids=LOW_PRECISION_LAWS)
+def test_n_series_at_precision_at_most_one_equals_doubling(make_law):
+    # [k](x) = kx modulo x^2 is read off unitality, with no doubling; on a
+    # fresh law at precision 2 the doubling runs, and its truncation agrees,
+    # for k = 0 in Z/4 or F_2 and for negative k too
+    for k in (-8, -4, -3, -1, 1, 2, 4, 7, 8, 12):
+        doubled = n_series(make_law(), k, 2).series
+        for m in (0, 1):
+            assert n_series(make_law(), k, m).series == doubled.truncate(m), (k, m)
+
+
+def test_n_series_and_v_coefficient_refuse_before_any_build(monkeypatch):
+    builds = []
+    original = fgl_module._substitution
+    monkeypatch.setattr(fgl_module, "_substitution", lambda *a: builds.append(a) or original(*a))
+    mult = named_fgl("multiplicative", ZB, 16)
+    bad = _non_associative_law()
+    with pytest.raises(ValueError, match="4 is not prime"):
+        v_coefficient(mult, 4, 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        v_coefficient(mult, 2, -1)
+    for n in (0, 1, 2):
+        with pytest.raises(AxiomsFailed, match="associativity"):
+            v_coefficient(bad, 2, n)
+    with pytest.raises(AxiomsFailed, match="associativity"):
+        n_series(bad, 3, 1)
+    assert builds == []
+
+
+def test_v_coefficient_at_a_huge_height_raises_insufficient_precision():
+    # 3^10000 has more decimal digits than int-to-str conversion allows, so
+    # the bound is written as a power; a bound that is formed prints as before
+    law = named_fgl("multiplicative", ZB, 16)
+    with pytest.raises(InsufficientPrecision, match=r">= 3\^10000 for v_10000 at p = 3, have 16$"):
+        v_coefficient(law, 3, 10_000)
+    with pytest.raises(InsufficientPrecision, match=r">= 27 for v_3 at p = 3, have 16$"):
+        v_coefficient(law, 3, 3)
+    assert v_coefficient(law, 2, 4).is_zero()
+
+
 def test_n_series_rejects_a_non_associative_law():
     bad = _non_associative_law()
     report = check_axioms(bad)
@@ -530,12 +604,13 @@ def _first_difference(a, b):
 
 def _sum_of_powers(body, u, v):
     """body(u, v) as sum c u^i v^j with series * and +, each power multiplied
-    up from the constant series 1; no substitute_pair."""
+    up from the constant series 1; no substitute_pair.  u and v are series
+    in the same several variables."""
     n = min(body.precision, u.precision, v.precision)
     u, v = u.truncate(n), v.truncate(n)
-    one = u.constant_like(u.ring.one())
+    one = TruncatedSeriesN(u.ring, u.nvars, {(0,) * u.nvars: u.ring.one()}, n)
     u_pows, v_pows = [one], [one]
-    total = u.constant_like(u.ring.zero())
+    total = TruncatedSeriesN.zero(u.ring, u.nvars, n)
     for (i, j), c in body.coeffs.items():
         if i + j > n:
             continue

@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from fglforge.errors import InsufficientPrecision
+from fglforge import fgl as fgl_module
+from fglforge.errors import AxiomsFailed, InsufficientPrecision
 from fglforge.expressions import element_to_expr
-from fglforge.fgl import change_coordinates, named_fgl
+from fglforge.fgl import FormalGroupLaw, change_coordinates, named_fgl, v_coefficient
 from fglforge.landweber import LandweberInput, landweber_check, v_sequence_report
-from fglforge.rings import Integers, IntegersMod, LaurentExtension, Rationals
-from fglforge.series import TruncatedSeries1
+from fglforge.rings import Integers, IntegersMod, LaurentExtension, PLocalIntegers, Rationals
+from fglforge.series import TruncatedSeries1, TruncatedSeries2
 
 Z = Integers()
 Q = Rationals()
@@ -222,3 +223,161 @@ def test_v_sequence_report_needs_only_the_law_precision():
         v_sequence_report(named_fgl("multiplicative", ZB, 8), 3, 2)
     with pytest.raises(TypeError):
         v_sequence_report(mult, 3, 1, precision=3)
+
+
+# -- one p-series per prime ------------------------------------------------------
+
+Z12B = LaurentExtension(IntegersMod(12), "beta", 1)
+Z3B = LaurentExtension(PLocalIntegers(3), "beta", 1)
+F5B = LaurentExtension(IntegersMod(5), "beta", 1)
+
+# the law and ring families of the landweber benchmark: a law maker, a module
+# generator maker (or None) and the primes to check
+CHECK_FAMILIES = {
+    "multiplicative over Z": (lambda: named_fgl("multiplicative", ZB, 32), None, [2, 3, 5, 7]),
+    "multiplicative over Z, module 3 beta": (
+        lambda: named_fgl("multiplicative", ZB, 16),
+        lambda: ZB.from_int(3) * ZB.var(),
+        [2, 3, 5],
+    ),
+    "multiplicative over Z/12": (lambda: named_fgl("multiplicative", Z12B, 32), None, [2, 3, 5, 7]),
+    "multiplicative over Z_(3)": (lambda: named_fgl("multiplicative", Z3B, 32), None, [2, 3, 5, 7]),
+    "multiplicative over F_5": (lambda: named_fgl("multiplicative", F5B, 16), None, [2, 3, 5]),
+    "multiplicative over F_5, module beta - 1": (
+        lambda: named_fgl("multiplicative", F5B, 16),
+        lambda: F5B.var() - F5B.one(),
+        [5],
+    ),
+    "additive over Z/12": (lambda: named_fgl("additive", IntegersMod(12), 32), None, [2, 3, 5, 7]),
+    "additive over F_7": (lambda: named_fgl("additive", IntegersMod(7), 32), None, [2, 3, 7]),
+    "honda_h1 over F_5": (lambda: named_fgl("honda_h1", IntegersMod(5), 32), None, [5, 2, 3]),
+}
+
+
+def _check(family, max_height):
+    make_law, make_module, primes = CHECK_FAMILIES[family]
+    module = None if make_module is None else make_module()
+    return landweber_check(LandweberInput(make_law(), module, primes, max_height))
+
+
+@pytest.mark.parametrize("family", CHECK_FAMILIES)
+def test_stage_values_equal_v_coefficient_on_a_fresh_law(family):
+    make_law = CHECK_FAMILIES[family][0]
+    for verdict in _check(family, 3).per_prime:
+        p = verdict.prime
+        for stage in verdict.stages:
+            if stage.status != "quotient_zero":
+                expected = v_coefficient(make_law(), p, stage.n)
+                assert stage.v_value == element_to_expr(expected), (p, stage.n)
+                assert stage.v_degree == p**stage.n - 1
+
+
+VSEQ_FAMILIES = {
+    "multiplicative over Z": lambda: named_fgl("multiplicative", ZB, 32),
+    "multiplicative over Z/12": lambda: named_fgl("multiplicative", Z12B, 32),
+    "multiplicative over Z_(3)": lambda: named_fgl("multiplicative", Z3B, 32),
+    "multiplicative over F_5": lambda: named_fgl("multiplicative", F5B, 32),
+    "additive over Z/12": lambda: named_fgl("additive", IntegersMod(12), 32),
+    "honda_h1 over F_5": lambda: named_fgl("honda_h1", IntegersMod(5), 32),
+}
+
+
+@pytest.mark.parametrize("make_law", VSEQ_FAMILIES.values(), ids=VSEQ_FAMILIES)
+def test_v_rows_equal_v_coefficient_on_a_fresh_law(make_law):
+    for p, max_height in ((2, 5), (3, 3), (5, 2), (7, 1)):
+        rows = v_sequence_report(make_law(), p, max_height)
+        assert [r.n for r in rows] == list(range(max_height + 1))
+        for r in rows:
+            assert r.value == v_coefficient(make_law(), p, r.n), (p, r.n)
+            assert r.degree == p**r.n - 1
+
+
+def _counted_builds(monkeypatch):
+    """The precisions of the p-series n_series builds from now on: each build
+    makes one substitution core."""
+    builds = []
+    original = fgl_module._substitution
+
+    def counted(body, n, *rest):
+        builds.append(n)
+        return original(body, n, *rest)
+
+    monkeypatch.setattr(fgl_module, "_substitution", counted)
+    return builds
+
+
+def test_each_p_series_is_built_once(monkeypatch):
+    # v_0 = p needs no series; stage 1 builds [p](x) at the largest p^n a
+    # stage can read, and the later stages truncate it
+    law = named_fgl("multiplicative", ZB, 32)
+    builds = _counted_builds(monkeypatch)
+    report = landweber_check(LandweberInput(law, None, [2, 3, 5], 2))
+    assert builds == [4, 9, 25]
+    assert report.exact and [v.height for v in report.per_prime] == [1, 1, 1]
+    # the same law again reads every stage from the memo
+    landweber_check(LandweberInput(law, None, [2, 3, 5], 2))
+    assert builds == [4, 9, 25]
+    builds.clear()
+    rows = v_sequence_report(named_fgl("multiplicative", ZB, 32), 2, 5)
+    assert builds == [32]
+    assert [r.value for r in rows] == [ZB.from_int(2), -ZB.var()] + [ZB.zero()] * 4
+    # the top precision stops at the law's, below p^max_height
+    builds.clear()
+    landweber_check(LandweberInput(named_fgl("additive", Q, 10), None, [2, 3], 10**9))
+    assert builds == []
+    landweber_check(LandweberInput(named_fgl("additive", Z, 10), None, [2, 3], 10**9))
+    assert builds == [8, 9]
+
+
+def _non_associative_law():
+    # x + y + x^2 y^2 is unital and symmetric but not associative
+    body = TruncatedSeries2.from_entries(
+        Z, [(1, 0, Z.one()), (0, 1, Z.one()), (2, 2, Z.one())], 6
+    )
+    return FormalGroupLaw(body)
+
+
+def test_bad_inputs_raise_before_any_build(monkeypatch):
+    mult = named_fgl("multiplicative", ZB, 16)
+    bad = _non_associative_law()
+    builds = _counted_builds(monkeypatch)
+    # the precision is checked before the prime, as it always was
+    with pytest.raises(InsufficientPrecision, match=">= 64 for v_3 at p = 4$"):
+        v_sequence_report(mult, 4, 3)
+    with pytest.raises(ValueError, match="4 is not prime"):
+        v_sequence_report(mult, 4, 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        v_sequence_report(mult, 2, -1)
+    with pytest.raises(ValueError, match="4 is not prime"):
+        LandweberInput(mult, None, [2, 4], 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        LandweberInput(mult, None, [2], -1)
+    with pytest.raises(AxiomsFailed, match="associativity"):
+        v_sequence_report(bad, 2, 2)
+    with pytest.raises(AxiomsFailed, match="associativity"):
+        landweber_check(LandweberInput(bad, None, [2], 2))
+    assert builds == []
+
+
+def test_v_sequence_report_at_a_huge_height_raises_insufficient_precision():
+    # 3^10000 has more decimal digits than int-to-str conversion allows, so
+    # the bound is written as a power
+    law = named_fgl("multiplicative", ZB, 16)
+    with pytest.raises(InsufficientPrecision, match=r">= 3\^10000 for v_10000 at p = 3$"):
+        v_sequence_report(law, 3, 10_000)
+    with pytest.raises(InsufficientPrecision, match=">= 27 for v_3 at p = 3$"):
+        v_sequence_report(law, 3, 3)
+
+
+@pytest.mark.parametrize("family", CHECK_FAMILIES)
+def test_a_huge_height_bound_changes_no_verdict(family):
+    # every chain here dies or fails within height 6; the top precision of
+    # the p-series is found by multiplying up, never by forming p^(10^9)
+    assert _check(family, 10**9).per_prime == _check(family, 6).per_prime
+
+
+def test_a_huge_height_bound_runs_out_of_precision_alike():
+    law = named_fgl("multiplicative", ZB, 2)
+    for max_height in (6, 10**9):
+        with pytest.raises(InsufficientPrecision, match=">= 3 for v_1 at p = 3, have 2$"):
+            landweber_check(LandweberInput(law, None, [2, 3], max_height))

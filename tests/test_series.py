@@ -430,12 +430,20 @@ def _random_inner(ring, rng, nvars, precision, shape):
     return cls(ring, nvars, coeffs, precision)
 
 
+def _constant(like, value):
+    """The constant series value in the variables and at the precision of the
+    series like."""
+    if isinstance(like, TruncatedSeries1):
+        return TruncatedSeries1.constant(like.ring, value, like.precision)
+    return type(like)(like.ring, like.nvars, {(0,) * like.nvars: value}, like.precision)
+
+
 def _composition_reference(outer, inner):
     """sum_k c_k inner^k, every power a product at the full precision."""
     n = min(outer.precision, inner.precision)
     inner = inner.truncate(n)
-    power = inner.constant_like(inner.ring.one())
-    total = inner.constant_like(inner.ring.zero())
+    power = _constant(inner, inner.ring.one())
+    total = _constant(inner, inner.ring.zero())
     for c in outer.coeffs[: n + 1]:
         total = total + power.scale(c)
         power = power * inner
@@ -553,11 +561,11 @@ def _substitution_reference(body, u, v):
     multiplied up from the constant series 1."""
     n = min(body.precision, u.precision, v.precision)
     u, v = u.truncate(n), v.truncate(n)
-    total = u.constant_like(u.ring.zero())
+    total = _constant(u, u.ring.zero())
     for (i, j), c in body.coeffs.items():
         if i + j > n:
             continue
-        term = u.constant_like(u.ring.one())
+        term = _constant(u, u.ring.one())
         for _ in range(i):
             term = term * u
         for _ in range(j):
