@@ -356,6 +356,43 @@ def _at_beta_one(fgl: FormalGroupLaw):
     return fgl._beta_one
 
 
+def _product_law_coefficient(body: TruncatedSeries2, n: int):
+    """c when the body of a law that passes unitality is x + y + c xy modulo
+    degree n + 1, else None.
+
+    Unitality makes the terms on the axes x + y, so only the terms with both
+    exponents >= 1 within degree n are read: c is zero when (1, 1) lies
+    beyond n, and at n <= 2 every such law has this form.
+    """
+    mixed = {key: c for key, c in body.coeffs.items() if key[0] and key[1] and sum(key) <= n}
+    c = mixed.pop((1, 1), body.ring.zero())
+    return None if mixed else c
+
+
+def _product_law_n_series(ring, c: RingElement, k: int, n: int) -> list:
+    """The payloads of [k](x) = sum_{i=1..n} C(k, i) c^(i-1) x^i for the law
+    x + y + c xy, any k != 0, in O(n) ring operations.
+
+    1 + c F(x, y) = (1 + cx)(1 + cy), so 1 + c [k](x) = (1 + cx)^k.  The
+    identity of the coefficients holds over Z[c], a domain, so over any ring,
+    c a zero divisor or zero included.  C(k, i) = C(k, i-1) (k-i+1) / i is an
+    exact integer division, for negative k too.
+    """
+    out = [ring.zero().payload] * (n + 1)
+    c = c.payload
+    power = ring.one().payload  # c^(i-1)
+    binomial = 1
+    for i in range(1, n + 1):
+        binomial = binomial * (k - i + 1) // i
+        # for k > 0 every C(k, i) with i > k is 0, and a zero power of c
+        # stays zero
+        if binomial == 0 or ring._is_zero(power):
+            break
+        out[i] = ring._mul(ring.from_int(binomial).payload, power)
+        power = ring._mul(power, c)
+    return out
+
+
 def n_series(fgl: FormalGroupLaw, k: int, precision: int | None = None) -> NSeries:
     """[k](x) modulo x^(precision+1), by default at the law's precision.
 
@@ -363,15 +400,9 @@ def n_series(fgl: FormalGroupLaw, k: int, precision: int | None = None) -> NSeri
     [k](x) at a lower precision is a truncation of [k](x) at a higher one.
     The law keeps, for each k, the most precise [k](x) built for it, and a
     request at or below that precision truncates it.  At precision <= 1 the
-    result is kx, as F(x, y) = x + y modulo degree 2, with no doubling.
-
-    Otherwise, for k > 0, by double-and-add, [2m] = F([m],[m]) and
-    [m+1] = F(x,[m]): about 2 log2(k) substitutions, made by the
-    substitution core on payload lists, with one boxing of the result.  That
-    is exact only for an associative law, so the law is validated first, on
-    every path but k = 0, and AxiomsFailed raised if it fails.  For k < 0,
-    [k] = [-k] composed with the formal inverse, both at the requested
-    precision.
+    result is kx, as F(x, y) = x + y modulo degree 2, with nothing built.
+    Every path but k = 0 validates the law first and raises AxiomsFailed if
+    it fails: the methods below are exact only for an associative law.
 
     When the law lives over R[beta^±1] and each coefficient of x^i y^j is one
     term c_ij beta^(i+j-1), as for a graded law with |beta| = 1 over an
@@ -379,10 +410,19 @@ def n_series(fgl: FormalGroupLaw, k: int, precision: int | None = None) -> NSeri
     beta = 1, a law over R (Landweber, Amer. J. Math. 98 (1976)).  By
     induction on k, [k]_F(x) = beta^-1 [k]_{F_1}(beta x): the x^m
     coefficient of [k]_F is c_m beta^(m-1), where c_m is that of [k]_{F_1}.
-    So the doubling runs on F_1, derived once per law, over R, and its
-    result is read back once.  F_1 is the image of the validated F under the
-    ring map beta -> 1, so it is a law too, and the formal inverse of F_1
-    serves a negative k.
+    So [k] is built on F_1, derived once per law, over R, and its result is
+    read back once.  F_1 is the image of the validated F under the ring map
+    beta -> 1, so it is a law too.
+
+    The law [k] is built on, F_1 or else F, is read within degree precision.
+    When it is x + y + c xy there, decided on its terms and not on its name,
+    [k](x) is the closed form sum_{i>=1} C(k, i) c^(i-1) x^i for any k, in
+    O(precision) ring operations (see _product_law_n_series); at precision
+    2 every law has that form.  Otherwise, for k > 0, by double-and-add,
+    [2m] = F([m],[m]) and [m+1] = F(x,[m]): about 2 log2(k) substitutions,
+    made by the substitution core on payload lists, with one boxing of the
+    result.  For k < 0, [k] = [-k] composed with the formal inverse of the
+    same law, both at the requested precision.
     """
     ring = fgl.ring
     n = fgl.precision if precision is None else precision
@@ -402,18 +442,21 @@ def n_series(fgl: FormalGroupLaw, k: int, precision: int | None = None) -> NSeri
     graded = body is not None
     if not graded:
         body = fgl.body
-    # every step works modulo x^(n+1), reading only the body's terms within
-    # degree n.  The doubling runs on payload lists through the substitution
-    # core, and the result is boxed once
-    substitute = _substitution(body, n)
-    x1 = [c.payload for c in TruncatedSeries1.x(body.ring, n).coeffs]
-    acc = x1
-    for bit in bin(abs(k))[3:]:
-        acc = substitute(acc, acc)
-        if bit == "1":
-            acc = substitute(x1, acc)
+    c = _product_law_coefficient(body, n)
+    if c is not None:
+        acc = _product_law_n_series(body.ring, c, k, n)
+    else:
+        # every step works modulo x^(n+1), reading only the body's terms
+        # within degree n, on payload lists through the substitution core
+        substitute = _substitution(body, n)
+        x1 = [e.payload for e in TruncatedSeries1.x(body.ring, n).coeffs]
+        acc = x1
+        for bit in bin(abs(k))[3:]:
+            acc = substitute(acc, acc)
+            if bit == "1":
+                acc = substitute(x1, acc)
     acc = TruncatedSeries1._from_payloads(body.ring, acc, n)
-    if k < 0:
+    if k < 0 and c is None:
         acc = compose_series(acc, formal_inverse(FormalGroupLaw(body.truncate(n))))
     if graded:
         acc = TruncatedSeries1(ring, [ring.monomial(c, m - 1) for m, c in enumerate(acc.coeffs)])

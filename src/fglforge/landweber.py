@@ -48,6 +48,8 @@ class LandweberInput(_Record):
         for p in self.primes:
             if not _is_prime(p):
                 raise ValueError(f"{p} is not prime")
+        if len(set(self.primes)) != len(self.primes):
+            raise ValueError(f"repeated prime in {self.primes}")
         if self.max_height < 0:
             raise ValueError("max_height must be nonnegative")
         if self.module is not None and self.module.ring != self.fgl.ring:

@@ -17,18 +17,47 @@ from fractions import Fraction
 from .errors import Inconsistent, RingMismatch, Undecidable, Unsupported
 
 
+# The first 13 primes.  As Miller-Rabin bases they decide primality exactly
+# below _PRIME_BOUND (Sorenson and Webster, "Strong pseudoprimes to twelve
+# prime bases", Math. Comp. 86 (2017)).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin on the first 13 prime bases.
+
+    A multiple of a base is decided by division, at any size; any other n at
+    or above _PRIME_BOUND, where the bases are no longer known to suffice,
+    raises Unsupported.
+    """
     if n < 2:
         return False
-    if n < 4:
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    if n < 43 * 43:
+        # no prime factor up to 41, and any composite below 43^2 has one
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n >= _PRIME_BOUND:
+        # n itself may have too many digits to print
+        raise Unsupported(
+            f"no primality decision for a {n.bit_length()}-bit integer >= {_PRIME_BOUND}"
+        )
+    # n - 1 = d 2^s with d odd; n is a strong probable prime to base a when
+    # a^d = 1 or a^(d 2^r) = -1 mod n for some r < s
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -251,6 +251,8 @@ def test_input_errors_exit_2(capsys, tmp_path):
         assert code == 2 and "error:" in err and not out, argv
     code, out, err = run(capsys, "landweber", "check", "--fgl", "multiplicative", "--primes", "")
     assert code == 2 and "error:" in err and not out
+    code, out, err = run(capsys, "landweber", "check", "--fgl", "multiplicative", "--primes", "2,2")
+    assert code == 2 and "repeated prime" in err and not out
     code, out, err = run(capsys, "lazard", "hopf", "--degree", "11")
     assert code == 2 and "error:" in err and not out
     # files obey the precision and depth caps of the flags

@@ -400,7 +400,8 @@ def _ungraded_conjugate(precision):
 
 def _off_degree_law(precision):
     """x + y - beta^2 xy over Z[beta^±1]: a law whose coefficients are single
-    terms of the wrong power of beta, so n_series doubles over Z[beta^±1]."""
+    terms of the wrong power of beta, so n_series builds it over
+    Z[beta^±1]."""
     body = TruncatedSeries2.from_entries(
         ZB, [(1, 0, ZB.one()), (0, 1, ZB.one()), (1, 1, -ZB.var(2))], precision
     )
@@ -517,19 +518,84 @@ LOW_PRECISION_LAWS = {
 
 @pytest.mark.parametrize("make_law", LOW_PRECISION_LAWS.values(), ids=LOW_PRECISION_LAWS)
 def test_n_series_at_precision_at_most_one_equals_doubling(make_law):
-    # [k](x) = kx modulo x^2 is read off unitality, with no doubling; on a
-    # fresh law at precision 2 the doubling runs, and its truncation agrees,
-    # for k = 0 in Z/4 or F_2 and for negative k too
+    # [k](x) = kx modulo x^2 is read off unitality, with nothing built; on a
+    # fresh law at precision 2 the closed form of x + y + c xy runs, and its
+    # truncation agrees, for k = 0 in Z/4 or F_2 and for negative k too
     for k in (-8, -4, -3, -1, 1, 2, 4, 7, 8, 12):
         doubled = n_series(make_law(), k, 2).series
         for m in (0, 1):
             assert n_series(make_law(), k, m).series == doubled.truncate(m), (k, m)
 
 
+def _product_law(ring, c, precision):
+    """x + y + c xy over ring."""
+    entries = [(1, 0, ring.one()), (0, 1, ring.one()), (1, 1, c)]
+    return FormalGroupLaw(TruncatedSeries2.from_entries(ring, entries, precision))
+
+
+Z8B = LaurentExtension(IntegersMod(8), "beta", 1)
+PRODUCT_LAWS = {
+    "Z": partial(_product_law, Z, Z.from_int(3)),
+    "Q": partial(_product_law, Q, Q.from_fraction(Fraction(-2, 3))),
+    "F_5": partial(_product_law, IntegersMod(5), IntegersMod(5).from_int(2)),
+    "Z_(3)": partial(_product_law, PLocalIntegers(3), PLocalIntegers(3).from_fraction(Fraction(2, 5))),
+    # c = 2 is a zero divisor of Z/4
+    "Z/4": partial(_product_law, IntegersMod(4), IntegersMod(4).from_int(2)),
+    # one term c beta^(i+j-1): built on F_1 over Z/8
+    "Z/8[beta^±1]": partial(_product_law, Z8B, Z8B.from_int(2) * Z8B.var()),
+    # two powers of beta: built over Z[beta^±1] itself
+    "Z[beta^±1]": partial(_product_law, ZB, ZB.one() + ZB.var()),
+}
+
+
+@pytest.mark.parametrize("make_law", PRODUCT_LAWS.values(), ids=PRODUCT_LAWS)
+def test_closed_form_n_series_matches_the_defining_iteration(make_law, monkeypatch):
+    # [k] = F(x, [k-1]) from [0] = 0 for k >= 0, and F([k](x), [-k](x)) = 0
+    # for k < 0; n_series runs no substitution and no formal inverse
+    built = []
+    for name in ("_substitution", "formal_inverse"):
+        monkeypatch.setattr(fgl_module, name, lambda *a, name=name: built.append(name))
+    for n in range(1, 13):
+        law = make_law(n)
+        x1 = TruncatedSeries1.x(law.ring, n)
+        iterated = TruncatedSeries1.zero(law.ring, n)
+        for k in range(14):
+            assert n_series(law, k).series == iterated, (n, k)
+            iterated = substitute_pair(law.body, x1, iterated)
+        zero = TruncatedSeries1.zero(law.ring, n)
+        for k in range(-7, 0):
+            neg, pos = n_series(law, k).series, n_series(law, -k).series
+            assert substitute_pair(law.body, neg, pos) == zero, (n, k)
+    assert built == []
+
+
+def test_a_dense_law_takes_the_closed_form_only_at_precision_two(monkeypatch):
+    # modulo degree 3 every law is x + y + c xy; the multiplicative law after
+    # b(x) = x + 2x^2 has terms x^2 y and x y^2 beyond, so at precision 3 it
+    # doubles.  The law is built at precision 6, so only the terms within the
+    # requested precision may decide
+    substitutions = []
+    original = fgl_module._substitution
+
+    def counted(body, n, *rest):
+        substitutions.append(n)
+        return original(body, n, *rest)
+
+    monkeypatch.setattr(fgl_module, "_substitution", counted)
+    expected = _iterated_n_series(_ungraded_conjugate(6))
+    for n, doubled in ((2, False), (3, True)):
+        law = _ungraded_conjugate(6)
+        substitutions.clear()
+        for k in range(-5, 14):
+            assert n_series(law, k, n).series == expected[k].truncate(n), (n, k)
+        assert bool(substitutions) is doubled, n
+
+
 def test_n_series_and_v_coefficient_refuse_before_any_build(monkeypatch):
     builds = []
-    original = fgl_module._substitution
-    monkeypatch.setattr(fgl_module, "_substitution", lambda *a: builds.append(a) or original(*a))
+    for name in ("_substitution", "_product_law_n_series"):
+        original = getattr(fgl_module, name)
+        monkeypatch.setattr(fgl_module, name, lambda *a, f=original: builds.append(a) or f(*a))
     mult = named_fgl("multiplicative", ZB, 16)
     bad = _non_associative_law()
     with pytest.raises(ValueError, match="4 is not prime"):

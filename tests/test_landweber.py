@@ -293,40 +293,62 @@ def test_v_rows_equal_v_coefficient_on_a_fresh_law(make_law):
 
 
 def _counted_builds(monkeypatch):
-    """The precisions of the p-series n_series builds from now on: each build
-    makes one substitution core."""
+    """The p-series n_series builds from now on, as (method, precision): the
+    closed form of a law x + y + c xy, or doubling, which makes one
+    substitution core a build."""
     builds = []
-    original = fgl_module._substitution
+    closed_form = fgl_module._product_law_n_series
+    substitution = fgl_module._substitution
 
-    def counted(body, n, *rest):
-        builds.append(n)
-        return original(body, n, *rest)
+    def counted_closed_form(ring, c, k, n):
+        builds.append(("closed", n))
+        return closed_form(ring, c, k, n)
 
-    monkeypatch.setattr(fgl_module, "_substitution", counted)
+    def counted_substitution(body, n, *rest):
+        builds.append(("doubling", n))
+        return substitution(body, n, *rest)
+
+    monkeypatch.setattr(fgl_module, "_product_law_n_series", counted_closed_form)
+    monkeypatch.setattr(fgl_module, "_substitution", counted_substitution)
     return builds
 
 
 def test_each_p_series_is_built_once(monkeypatch):
     # v_0 = p needs no series; stage 1 builds [p](x) at the largest p^n a
-    # stage can read, and the later stages truncate it
+    # stage can read, and the later stages truncate it.  A law x + y + c xy
+    # takes the closed form and runs no substitution
     law = named_fgl("multiplicative", ZB, 32)
     builds = _counted_builds(monkeypatch)
     report = landweber_check(LandweberInput(law, None, [2, 3, 5], 2))
-    assert builds == [4, 9, 25]
+    assert builds == [("closed", 4), ("closed", 9), ("closed", 25)]
     assert report.exact and [v.height for v in report.per_prime] == [1, 1, 1]
     # the same law again reads every stage from the memo
     landweber_check(LandweberInput(law, None, [2, 3, 5], 2))
-    assert builds == [4, 9, 25]
+    assert builds == [("closed", 4), ("closed", 9), ("closed", 25)]
     builds.clear()
     rows = v_sequence_report(named_fgl("multiplicative", ZB, 32), 2, 5)
-    assert builds == [32]
+    assert builds == [("closed", 32)]
     assert [r.value for r in rows] == [ZB.from_int(2), -ZB.var()] + [ZB.zero()] * 4
     # the top precision stops at the law's, below p^max_height
     builds.clear()
     landweber_check(LandweberInput(named_fgl("additive", Q, 10), None, [2, 3], 10**9))
     assert builds == []
     landweber_check(LandweberInput(named_fgl("additive", Z, 10), None, [2, 3], 10**9))
-    assert builds == [8, 9]
+    assert builds == [("closed", 8), ("closed", 9)]
+    # the multiplicative law after b(x) = x + 2x^2 is no such law: it doubles,
+    # once per prime, one substitution core a build
+    conj = change_coordinates(
+        named_fgl("multiplicative", ZB, 12), TruncatedSeries1.from_ints(ZB, [0, 1, 2], 12)
+    )
+    builds.clear()
+    report = landweber_check(LandweberInput(conj, None, [2, 3, 5], 2))
+    assert builds == [("doubling", 4), ("doubling", 9), ("doubling", 5)]
+    assert report.exact and [v.height for v in report.per_prime] == [1, 1, 1]
+    landweber_check(LandweberInput(conj, None, [2, 3, 5], 2))
+    assert builds == [("doubling", 4), ("doubling", 9), ("doubling", 5)]
+    builds.clear()
+    v_sequence_report(conj, 2, 3)
+    assert builds == [("doubling", 8)]
 
 
 def _non_associative_law():
@@ -350,6 +372,8 @@ def test_bad_inputs_raise_before_any_build(monkeypatch):
         v_sequence_report(mult, 2, -1)
     with pytest.raises(ValueError, match="4 is not prime"):
         LandweberInput(mult, None, [2, 4], 2)
+    with pytest.raises(ValueError, match=r"repeated prime in \[3, 2, 3\]"):
+        LandweberInput(mult, None, [3, 2, 3], 2)
     with pytest.raises(ValueError, match="nonnegative"):
         LandweberInput(mult, None, [2], -1)
     with pytest.raises(AxiomsFailed, match="associativity"):

@@ -31,6 +31,31 @@ QB = LaurentExtension(Q, "beta", 1)
 F5B = LaurentExtension(IntegersMod(5), "beta", 1)
 
 
+def test_is_prime_matches_a_sieve_and_decides_large_n():
+    bound = 10**5
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\x00\x00"
+    for d in range(2, math.isqrt(bound) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = bytes(len(range(d * d, bound, d)))
+    assert [n for n in range(-3, bound) if rings._is_prime(n)] == [
+        n for n in range(bound) if sieve[n]
+    ]
+    assert rings._is_prime(2**61 - 1)
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to the first nine primes
+    assert not rings._is_prime(3215031751)
+    assert not rings._is_prime(3825123056546413051)
+    # past the bound of the 13 bases only a multiple of a base is decided
+    assert not rings._is_prime(rings._PRIME_BOUND + 1)
+    with pytest.raises(Unsupported):
+        rings._is_prime(rings._PRIME_BOUND)
+    with pytest.raises(Unsupported, match="89-bit"):
+        rings._is_prime(2**89 - 1)
+    # too many digits for int-to-str conversion
+    with pytest.raises(Unsupported, match="20000-bit"):
+        rings._is_prime(2**19999 + 3)
+
+
 def random_element(ring, rng):
     if ring == Z:
         return ring.from_int(rng.randint(-30, 30))

@@ -17,6 +17,7 @@ from fglforge import series as series_module
 from fglforge.fgl import (
     AxiomCheck,
     FormalGroupLaw,
+    change_coordinates,
     check_axioms,
     from_logarithm,
     logarithm,
@@ -623,12 +624,15 @@ def test_substitute_pair_refuses_mismatched_shapes():
 
 
 def test_substitute_pair_multiplies_only_mixed_terms(monkeypatch):
-    """x + y - beta xy costs one product, x + y none, and [5](x) of the
-    multiplicative law three, one per double-and-add step; F(F(x,y),z) in
-    three variables costs one.  Counted at the product loop of each shape,
-    which series * and the substitution core share."""
+    """x + y - beta xy costs one product, x + y none, and [5](x) of a law that
+    doubles three substitutions, one per double-and-add step, while n_series
+    on a law x + y + c xy runs none; F(F(x,y),z) in three variables costs
+    one.  Counted at the product loop of each shape, which series * and the
+    substitution core share."""
     mult = named_fgl("multiplicative", ZB, 8)
     add = named_fgl("additive", ZB, 8)
+    # the multiplicative law after b(x) = x + 2x^2 is not x + y + c xy
+    conj = change_coordinates(mult, TruncatedSeries1.from_ints(ZB, [0, 1, 2], 8))
     calls = []
     for shape in (series_module._Dense, series_module._Sparse):
         original = shape.product
@@ -649,7 +653,11 @@ def test_substitute_pair_multiplies_only_mixed_terms(monkeypatch):
 
     assert products(lambda: substitute_pair(mult.body, x, x)) == 1
     assert products(lambda: substitute_pair(add.body, x, x)) == 0
-    assert products(lambda: n_series(mult, 5)) == 3
+    one_substitution = products(lambda: substitute_pair(conj.body, x, x))
+    assert one_substitution > 1
+    assert products(lambda: n_series(conj, 5)) == 3 * one_substitution
+    assert products(lambda: n_series(mult, 5)) == 0
+    assert products(lambda: n_series(mult, -5)) == 0
     assert products(lambda: substitute_pair(mult.body, f_xy, z)) == 1
     assert calls == [series_module._Sparse]
     # series * goes through the same loops
