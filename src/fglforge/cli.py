@@ -431,8 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("classify", "rational classifying assignment"),
     ):
         q = fgl_sub.add_parser(name, help=extra)
-        q.add_argument("--fgl", default=None, help="law name[-over-RING] or JSON file")
-        q.add_argument("--name", default=None, help="alias for --fgl by name")
+        q.add_argument("--fgl", "--name", required=True, help="law name[-over-RING] or JSON file")
         q.add_argument("--precision", type=int)
         if name == "pseries":
             q.add_argument("--k", type=int, required=True)
@@ -496,10 +495,6 @@ def run_command(argv=None) -> int:
     except SystemExit as exc:  # argparse reports usage errors with code 2
         return 0 if exc.code in (0, None) else 2
     try:
-        if getattr(args, "fgl_command", None) is not None and args.fgl is None:
-            if args.name is None:
-                raise ValueError("one of --fgl or --name is required")
-            args.fgl = args.name
         # without --precision, FGLFORGE_PRECISION is read, and checked, here
         if getattr(args, "precision", 0) is None:
             args.precision = _default_precision()

@@ -352,7 +352,7 @@ def _at_beta_one(fgl: FormalGroupLaw):
         if len(terms) != 1 or i + j - 1 not in terms:
             return None
         coeffs[(i, j)] = terms[i + j - 1]
-    fgl._beta_one = TruncatedSeries2(ring.base, 2, coeffs, fgl.precision)
+    fgl._beta_one = TruncatedSeries2._from_payloads(ring.base, 2, coeffs, fgl.precision)
     return fgl._beta_one
 
 
@@ -455,11 +455,13 @@ def n_series(fgl: FormalGroupLaw, k: int, precision: int | None = None) -> NSeri
             acc = substitute(acc, acc)
             if bit == "1":
                 acc = substitute(x1, acc)
-    acc = TruncatedSeries1._from_payloads(body.ring, acc, n)
     if k < 0 and c is None:
-        acc = compose_series(acc, formal_inverse(FormalGroupLaw(body.truncate(n))))
+        inverse = formal_inverse(FormalGroupLaw(body.truncate(n)))
+        acc = compose_series(TruncatedSeries1._from_payloads(body.ring, acc, n), inverse)._payloads(n)
     if graded:
-        acc = TruncatedSeries1(ring, [ring.monomial(c, m - 1) for m, c in enumerate(acc.coeffs)])
+        # the payloads of c_m beta^(m-1) over R[beta^±1]
+        acc = [{} if body.ring._is_zero(p) else {m - 1: p} for m, p in enumerate(acc)]
+    acc = TruncatedSeries1._from_payloads(ring, acc, n)
     fgl._n_series[k] = acc
     return NSeries(k, acc)
 

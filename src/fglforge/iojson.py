@@ -25,10 +25,6 @@ from .rings import (
 from .series import TruncatedSeries1, TruncatedSeries2
 
 
-def ring_to_json(ring: CoefficientRing) -> dict:
-    return ring.to_json()
-
-
 def ring_from_json(data: dict) -> CoefficientRing:
     kind = data["kind"]
     if kind == "integers":
@@ -62,7 +58,7 @@ def ring_from_json(data: dict) -> CoefficientRing:
 
 def series1_to_json(f: TruncatedSeries1) -> dict:
     return {
-        "ring": ring_to_json(f.ring),
+        "ring": f.ring.to_json(),
         "precision": f.precision,
         "coeffs": [element_to_expr(c) for c in f.coeffs],
     }
@@ -104,7 +100,7 @@ def fgl_to_json(fgl) -> dict:
             continue
         entries.append({"i": i, "j": j, "value": element_to_expr(c)})
     data = {
-        "ring": ring_to_json(fgl.ring),
+        "ring": fgl.ring.to_json(),
         "precision": fgl.precision,
         "coefficients": entries,
     }
@@ -162,7 +158,7 @@ def sequence_from_json(data):
 def tower_to_json(tower) -> dict:
     ring = tower.levels[0].ring
     return {
-        "ring": ring_to_json(ring),
+        "ring": ring.to_json(),
         "precision": tower.precision,
         "depth": tower.depth,
         "levels": [[element_to_expr(c) for c in level.coeffs] for level in tower.levels],

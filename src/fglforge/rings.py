@@ -61,16 +61,17 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def sparse_add(a: dict, b: dict) -> dict:
-    """The sum of two sparse maps key -> nonzero RingElement, zeros dropped;
-    the keys of a keep their order and new keys of b follow."""
+def sparse_add(ring, a: dict, b: dict) -> dict:
+    """The sum of two sparse maps key -> nonzero payload of ring, zeros
+    dropped; the keys of a keep their order and new keys of b follow."""
+    add, is_zero = ring._add, ring._is_zero
     out = dict(a)
-    for k, c in b.items():
-        s = out[k] + c if k in out else c
-        if s.is_zero():
+    for k, q in b.items():
+        p = add(out[k], q) if k in out else q
+        if is_zero(p):
             out.pop(k, None)
         else:
-            out[k] = s
+            out[k] = p
     return out
 
 
@@ -636,7 +637,8 @@ def _prime_power_factors(m: int) -> list:
 class LaurentExtension(CoefficientRing):
     """base[v, v^-1] with the variable carrying an integer degree.
 
-    Payloads are maps exponent -> nonzero base element.
+    Payloads are maps exponent -> nonzero payload of the base, so a tower of
+    Laurent variables nests maps down to the payloads of its innermost ring.
     """
 
     kind = "laurent"
@@ -650,41 +652,41 @@ class LaurentExtension(CoefficientRing):
         self.degree = int(degree)
 
     def from_int(self, n):
-        c = self.base.from_int(n)
-        return RingElement(self, {} if c.is_zero() else {0: c})
+        return self.monomial(self.base.from_int(n), 0)
 
     def from_fraction(self, q):
-        c = self.base.from_fraction(q)
-        return RingElement(self, {} if c.is_zero() else {0: c})
+        return self.monomial(self.base.from_fraction(q), 0)
 
     def var(self, power: int = 1) -> RingElement:
-        return RingElement(self, {int(power): self.base.one()})
+        return RingElement(self, {int(power): self.base.one().payload})
 
     def monomial(self, coeff: RingElement, power: int) -> RingElement:
         if coeff.ring != self.base:
             raise RingMismatch("monomial coefficient must live in the base ring")
-        return RingElement(self, {} if coeff.is_zero() else {int(power): coeff})
+        return RingElement(self, {} if coeff.is_zero() else {int(power): coeff.payload})
 
     def _canonical(self, payload):
-        return {e: c for e, c in payload.items() if not c.is_zero()}
+        canonical, is_zero = self.base._canonical, self.base._is_zero
+        return {e: c for e, v in payload.items() if not is_zero(c := canonical(v))}
 
-    # the sparse Laurent kernels; _neg never reads self, so the polynomial
-    # helpers below call it on None
-    _add = staticmethod(sparse_add)
+    # the sparse Laurent kernels, on the base's payload hooks
+    def _add(self, a, b):
+        return sparse_add(self.base, a, b)
 
     def _neg(self, a):
-        return {e: -c for e, c in a.items()}
+        neg = self.base._neg
+        return {e: neg(c) for e, c in a.items()}
 
     def _mul(self, a, b):
         return self._settle(self._mul_add(None, a, self._operand(b)))
 
     # An accumulator maps an exponent to an accumulator of the base, filled
-    # through the base's own hooks, so a tower boxes each inner payload once,
-    # in _settle.  An exponent leaves as its sum cancels; a product that
-    # vanishes on an exponent not yet present leaves nothing.
+    # and settled through the base's own hooks.  An exponent leaves as its sum
+    # cancels; a product that vanishes on an exponent not yet present leaves
+    # nothing.
     def _operand(self, b):
         operand = self.base._operand
-        return [(e, operand(c.payload)) for e, c in b.items()]
+        return [(e, operand(c)) for e, c in b.items()]
 
     def _mul_add(self, acc, a, b_terms):
         if acc is None:
@@ -692,8 +694,7 @@ class LaurentExtension(CoefficientRing):
         base = self.base
         mul_add, is_zero = base._mul_add, base._is_zero
         get = acc.get
-        for e1, c1 in a.items():
-            x = c1.payload
+        for e1, x in a.items():
             for e2, y in b_terms:
                 e = e1 + e2
                 s = mul_add(get(e), x, y)
@@ -704,22 +705,27 @@ class LaurentExtension(CoefficientRing):
         return acc
 
     def _settle(self, acc):
-        base = self.base
-        settle = base._settle
-        return {e: RingElement(base, settle(s)) for e, s in acc.items()}
+        settle = self.base._settle
+        return {e: settle(s) for e, s in acc.items()}
 
     def _is_zero(self, a):
         return not a
 
     def _freeze(self, a):
-        return tuple(sorted((e, c.ring._freeze(c.payload)) for e, c in a.items()))
+        return tuple(sorted((e, self.base._freeze(c)) for e, c in a.items()))
 
     def to_expr(self, payload):
         terms = []
         for e in sorted(payload):
-            c = payload[e].ring.to_expr(payload[e].payload)
+            c = self.base.to_expr(payload[e])
             terms.append(c if e == 0 else _coeff_times(c, _power_str(self.variable, e)))
         return _join_terms(terms)
+
+    def _coefficients(self, elt: RingElement) -> dict:
+        """The coefficients of elt boxed over the base, for the decisions the
+        base makes on them."""
+        base = self.base
+        return {e: RingElement(base, c) for e, c in elt.payload.items()}
 
     def _components(self):
         """When the innermost coefficient ring is Z/m and m is not a prime
@@ -742,13 +748,6 @@ class LaurentExtension(CoefficientRing):
         base = self.base._over(inner) if isinstance(self.base, LaurentExtension) else inner
         return LaurentExtension(base, self.variable, self.degree)
 
-    def _lift(self, payload: dict) -> dict:
-        """A payload of this tower over Z/q, its residues read in Z/m."""
-        base = self.base
-        if isinstance(base, LaurentExtension):
-            return {e: RingElement(base, base._lift(c.payload)) for e, c in payload.items()}
-        return {e: base.from_int(c.payload) for e, c in payload.items()}
-
     def _unit_term(self, terms: dict):
         """The exponent of the one unit coefficient when all the others are
         nilpotent, which makes the element a unit; else None."""
@@ -758,7 +757,7 @@ class LaurentExtension(CoefficientRing):
         return None
 
     def is_unit(self, elt):
-        terms = elt.payload
+        terms = self._coefficients(elt)
         if not terms:
             return self.base.is_unit(self.base.zero())  # zero ring case
         if self._unit_term(terms) is not None:
@@ -775,30 +774,32 @@ class LaurentExtension(CoefficientRing):
         return all(ring.is_unit(project(elt, ring)) for _, ring in components)
 
     def invert(self, elt):
-        terms = elt.payload
         if not self.is_unit(elt):
             raise Unsupported("element is not a unit in the Laurent ring")
+        terms = self._coefficients(elt)
         if not terms:  # zero ring
             return elt
         e0 = self._unit_term(terms)
         if e0 is None:
-            # a unit over every Z/q: add up e * (the inverse over Z/q)
+            # a unit over every Z/q: add up e * (the inverse over Z/q), whose
+            # residues in [0, q) are already payloads over Z/m
             total = self.zero()
             for e, ring in self._components():
                 inv = ring.invert(project(elt, ring))
-                total = total + self.from_int(e) * RingElement(self, self._lift(inv.payload))
+                total = total + self.from_int(e) * RingElement(self, inv.payload)
             return total
-        lead = RingElement(self, {-e0: terms[e0].inverse()})
+        lead = RingElement(self, {-e0: terms[e0].inverse().payload})
         if len(terms) == 1:
             return lead
         # elt = u*v^e0 * (1 + n) with n nilpotent
         return lead * _geometric_inverse(lead * elt)
 
     def divide(self, elt, n):
-        return RingElement(self, {e: self.base.divide(c, n) for e, c in elt.payload.items()})
+        divide = self.base.divide
+        return RingElement(self, {e: divide(c, n).payload for e, c in self._coefficients(elt).items()})
 
     def is_nilpotent(self, elt):
-        return all(self.base.is_nilpotent(c) for c in elt.payload.values())
+        return all(self.base.is_nilpotent(c) for c in self._coefficients(elt).values())
 
     def is_q_algebra(self):
         return self.base.is_q_algebra()
@@ -812,7 +813,7 @@ class LaurentExtension(CoefficientRing):
     def generators(self):
         gens = {self.variable: self.var()}
         for name, g in self.base.generators().items():
-            gens[name] = RingElement(self, {0: g})
+            gens[name] = RingElement(self, {0: g.payload})
         return gens
 
     def generator_degrees(self):
@@ -824,8 +825,8 @@ class LaurentExtension(CoefficientRing):
         d_var = {**self.generator_degrees(), **degrees}[self.variable]
         return {
             dc + e * d_var
-            for e, c in elt.payload.items()
-            for dc in c.ring.element_degrees(c, degrees)
+            for e, c in self._coefficients(elt).items()
+            for dc in self.base.element_degrees(c, degrees)
         }
 
     def is_zero_ring(self):
@@ -837,13 +838,13 @@ class LaurentExtension(CoefficientRing):
         # McCoy: a polynomial over Z/m is a zero divisor iff a single nonzero
         # constant annihilates it; Laurent shifts do not change coefficients.
         m = self.base.modulus
-        need = math.lcm(*(m // math.gcd(c.payload, m) for c in r.payload.values()))
+        need = math.lcm(*(m // math.gcd(c, m) for c in r.payload.values()))
         return None if need >= m else self.from_int(need)
 
     def quotient_by_element(self, r):
         if len(r.payload) == 1:
             # (c * v^k) = (c) since v is invertible
-            (c,) = r.payload.values()
+            (c,) = self._coefficients(r).values()
             return LaurentExtension(quotient_by_element(self.base, c), self.variable, self.degree)
         if self.base.is_field():
             return QuotientByPrincipal(self, r)
@@ -854,7 +855,8 @@ class LaurentExtension(CoefficientRing):
 
     def project(self, elt, target):
         if isinstance(target, LaurentExtension) and target.variable == self.variable:
-            return target.element({e: project(c, target.base) for e, c in elt.payload.items()})
+            terms = self._coefficients(elt).items()
+            return target.element({e: project(c, target.base).payload for e, c in terms})
         if isinstance(target, QuotientByPrincipal) and target.base == self:
             return target.from_base(elt)
         return super().project(elt, target)
@@ -871,41 +873,32 @@ class LaurentExtension(CoefficientRing):
         return f"{self.base}[{self.variable}^±1]"
 
 
-# -- polynomial helpers over a field (payloads: dict exponent -> element) ----
+# -- polynomial helpers over a field K, on payloads of K[v^±1] ---------------
 
 
 def _poly_degree(a: dict) -> int:
     return max(a) if a else -1
 
 
-def _poly_scale(a: dict, c: RingElement) -> dict:
-    if c.is_zero():
-        return {}
-    return {e: x * c for e, x in a.items()}
+def _poly_monic(field: CoefficientRing, a: dict) -> dict:
+    lead_inv = RingElement(field, a[_poly_degree(a)]).inverse().payload
+    return {e: field._mul(x, lead_inv) for e, x in a.items()}
 
 
-def _poly_sub(a: dict, b: dict) -> dict:
-    return sparse_add(a, LaurentExtension._neg(None, b))
-
-
-def _poly_monic(a: dict) -> dict:
-    lead = a[_poly_degree(a)]
-    return _poly_scale(a, lead.inverse())
-
-
-def _poly_gcd(a: dict, b: dict) -> dict:
+def _poly_gcd(field: CoefficientRing, a: dict, b: dict) -> dict:
     """Monic gcd over a field; gcd(a, 0) = monic(a)."""
     while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    return _poly_monic(a) if a else {}
+        a, b = b, _poly_divmod(field, a, b)[1]
+    return _poly_monic(field, a) if a else {}
 
 
 class QuotientByPrincipal(CoefficientRing):
     """K[v^±1]/(f) for a Laurent ring over a field and f with unit constant term.
 
     The generator is normalized to a monic polynomial with f(0) != 0 and
-    degree >= 1; cosets are represented by polynomials of smaller degree.
-    The variable stays invertible in the quotient because f(0) is a unit.
+    degree >= 1; cosets are represented by polynomials of smaller degree,
+    whose payloads are those of the Laurent ring.  The variable stays
+    invertible in the quotient because f(0) is a unit.
     """
 
     kind = "quotient"
@@ -918,7 +911,8 @@ class QuotientByPrincipal(CoefficientRing):
             raise RingMismatch("generator must be an element of the base ring")
         if generator.is_zero():
             raise ValueError("generator must be nonzero")
-        poly = _strip_unit(generator.payload)
+        field = base.base
+        poly = _strip_unit(field, generator.payload)
         if _poly_degree(poly) < 1:
             raise ValueError("generator is a unit; the quotient is the zero ring")
         self.base = base
@@ -926,15 +920,16 @@ class QuotientByPrincipal(CoefficientRing):
         self._frozen_modulus = base._freeze(poly)
         self._deg = _poly_degree(poly)
         # v^-1 = -f(0)^-1 * (f - f(0))/v, reduced
-        c0inv = poly[0].inverse()
-        self._var_inv = {e - 1: -(c * c0inv) for e, c in poly.items() if e >= 1}
+        c0inv = RingElement(field, poly[0]).inverse().payload
+        self._var_inv = {e - 1: field._neg(field._mul(c, c0inv)) for e, c in poly.items() if e >= 1}
 
     def _reduce(self, payload: dict) -> dict:
+        field = self.base.base
         neg = -min((e for e in payload if e < 0), default=0)
         poly = {e + neg: c for e, c in payload.items()}
-        poly = _poly_divmod_monic(poly, self.modulus)[1]
+        poly = _poly_divmod_monic(field, poly, self.modulus)[1]
         for _ in range(neg):
-            poly = _poly_divmod_monic(self.base._mul(poly, self._var_inv), self.modulus)[1]
+            poly = _poly_divmod_monic(field, self.base._mul(poly, self._var_inv), self.modulus)[1]
         return poly
 
     # a constant has degree 0 < deg f, so it is already reduced
@@ -950,7 +945,7 @@ class QuotientByPrincipal(CoefficientRing):
         return RingElement(self, self._reduce(elt.payload))
 
     def _canonical(self, payload):
-        return self._reduce({e: c for e, c in payload.items() if not c.is_zero()})
+        return self._reduce(self.base._canonical(payload))
 
     def _add(self, a, b):
         return self.base._add(a, b)
@@ -973,20 +968,21 @@ class QuotientByPrincipal(CoefficientRing):
     def is_unit(self, elt):
         if not elt.payload:
             return False
-        return _poly_degree(_poly_gcd(elt.payload, self.modulus)) == 0
+        return _poly_degree(_poly_gcd(self.base.base, elt.payload, self.modulus)) == 0
 
     def invert(self, elt):
         # extended Euclid over the coefficient field
-        r0, r1 = dict(self.modulus), dict(elt.payload)
-        s0, s1 = {}, {0: self.base.base.one()}
+        laurent, field = self.base, self.base.base
+        r0, r1 = self.modulus, elt.payload
+        s0, s1 = {}, {0: field.one().payload}
         while r1:
-            q, r = _poly_divmod(r0, r1)
+            q, r = _poly_divmod(field, r0, r1)
             r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, self.base._mul(q, s1))
+            s0, s1 = s1, laurent._add(s0, laurent._neg(laurent._mul(q, s1)))
         if _poly_degree(r0) != 0:
             raise Unsupported("element is not a unit in the quotient ring")
-        lead_inv = r0[0].inverse()
-        return RingElement(self, self._reduce(_poly_scale(s0, lead_inv)))
+        lead_inv = RingElement(field, r0[0]).inverse().payload
+        return RingElement(self, self._reduce({e: field._mul(x, lead_inv) for e, x in s0.items()}))
 
     def is_q_algebra(self):
         return self.base.base.is_q_algebra()
@@ -1001,14 +997,15 @@ class QuotientByPrincipal(CoefficientRing):
         return self.base.element_degrees(RingElement(self.base, elt.payload), degrees)
 
     def zero_divisor_witness(self, r):
-        g = _poly_gcd(r.payload, self.modulus)
-        cofactor, rem = _poly_divmod(self.modulus, g)
+        field = self.base.base
+        g = _poly_gcd(field, r.payload, self.modulus)
+        cofactor, rem = _poly_divmod(field, self.modulus, g)
         if rem:
             raise Inconsistent("the gcd with the modulus does not divide the modulus")
         return RingElement(self, self._reduce(cofactor))
 
     def quotient_by_element(self, r):
-        g = _poly_gcd(r.payload, self.modulus)
+        g = _poly_gcd(self.base.base, r.payload, self.modulus)
         return QuotientByPrincipal(self.base, RingElement(self.base, g))
 
     def project(self, elt, target):
@@ -1024,32 +1021,31 @@ class QuotientByPrincipal(CoefficientRing):
         return f"{self.base}/(f), deg f = {self._deg}"
 
 
-def _poly_divmod(a: dict, b: dict):
+def _poly_divmod(field: CoefficientRing, a: dict, b: dict):
     """Quotient and remainder over a field (b nonzero)."""
-    lead_inv = b[_poly_degree(b)].inverse()
-    q, r = _poly_divmod_monic(a, _poly_scale(b, lead_inv))
-    return _poly_scale(q, lead_inv), r
+    lead_inv, mul = RingElement(field, b[_poly_degree(b)]).inverse().payload, field._mul
+    q, r = _poly_divmod_monic(field, a, {e: mul(x, lead_inv) for e, x in b.items()})
+    return {e: mul(x, lead_inv) for e, x in q.items()}, r
 
 
-def _poly_divmod_monic(a: dict, b: dict):
+def _poly_divmod_monic(ring: CoefficientRing, a: dict, b: dict):
     """Quotient and remainder by a monic b, over any ring: nothing is inverted."""
+    mul, neg = ring._mul, ring._neg
     d = _poly_degree(b)
     q = {}
-    a = dict(a)
     while a and _poly_degree(a) >= d:
         da = _poly_degree(a)
         c = a[da]
         q[da - d] = c
-        a = _poly_sub(a, {da - d + e: x * c for e, x in b.items()})
+        a = sparse_add(ring, a, {da - d + e: neg(mul(x, c)) for e, x in b.items()})
     return q, a
 
 
-def _strip_unit(payload: dict) -> dict:
+def _strip_unit(field: CoefficientRing, payload: dict) -> dict:
     """Normalize a nonzero Laurent element over a field to a monic polynomial
     with nonzero constant term generating the same ideal."""
     low = min(payload)
-    poly = {e - low: c for e, c in payload.items()}
-    return _poly_monic(poly)
+    return _poly_monic(field, {e - low: c for e, c in payload.items()})
 
 
 ZERO_RING = IntegersMod(1)

@@ -29,7 +29,7 @@ from .errors import (
     NonzeroConstantTerm,
     RingMismatch,
 )
-from .rings import RingElement
+from .rings import RingElement, sparse_add
 
 
 def _coerce_scalar(ring, c):
@@ -124,16 +124,7 @@ class _Sparse:
                     out[k] = acc
         return out
 
-    def add(self, ring, a, b):
-        add, is_zero = ring._add, ring._is_zero
-        out = dict(a)
-        for k, q in b.items():
-            p = add(out[k], q) if k in out else q
-            if is_zero(p):
-                out.pop(k, None)
-            else:
-                out[k] = p
-        return out
+    add = staticmethod(sparse_add)
 
     def scale(self, ring, a, c):
         mul, is_zero = ring._mul, ring._is_zero

@@ -21,7 +21,6 @@ from fglforge.iojson import (
     fgl_from_json,
     fgl_to_json,
     ring_from_json,
-    ring_to_json,
     series1_from_json,
     series1_to_json,
     twisted_from_json,
@@ -234,6 +233,10 @@ def test_lazard_commands(capsys):
 def test_input_errors_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "landweber", "check", "--fgl", "unknown-law")
     assert code == 2 and "error:" in err
+    # --fgl and --name are one option, which every fgl subcommand requires
+    for argv in (["pseries", "--k", "2"], ["axioms"], ["log"], ["classify", "--precision", "4"]):
+        code, out, err = run(capsys, "fgl", *argv)
+        assert code == 2 and "--fgl/--name" in err and not out, argv
     code, _, err = run(capsys, "fgl", "pseries", "--name", "additive", "--k", "2", "--precision", "900")
     assert code == 2
     code, _, err = run(capsys, "landweber", "check", "--fgl", "additive", "--primes", "101")
@@ -449,7 +452,7 @@ RING_DESCRIPTORS = [
 @pytest.mark.parametrize("make_ring, expected", RING_DESCRIPTORS)
 def test_ring_json_round_trip(make_ring, expected):
     ring = make_ring()
-    data = ring_to_json(ring)
+    data = ring.to_json()
     assert json.dumps(data, sort_keys=True) == expected
     assert data["kind"] == json.loads(expected)["kind"] == ring.kind
     assert ring_from_json(data) == ring

@@ -188,7 +188,7 @@ def test_eta_r_of_constants():
         assert eta_r(c) == from_table == ({} if c.is_zero() else {0: c})
     for a in constants:
         for b in constants + [m1, m2 * m1 + m1]:
-            assert eta_r(a + b) == sparse_add(eta_r(a), eta_r(b))
+            assert eta_r(a + b) == boxed(sparse_add(H.base, H.eta_r(a.payload), H.eta_r(b.payload)))
             assert eta_r(a * b) == scale(eta_r(b), a)
 
 

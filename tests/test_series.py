@@ -402,7 +402,7 @@ def _small_coefficient(ring, rng):
     to two terms c beta^e, with zero divisors of Z/12 among the c, so that
     products and sums vanish."""
     if ring == Z12B:
-        terms = {rng.randint(-1, 1): Z12.from_int(rng.choice([1, 2, 3, 4, 6, 9])) for _ in range(2)}
+        terms = {rng.randint(-1, 1): rng.choice([1, 2, 3, 4, 6, 9]) for _ in range(2)}
         return ring.element(terms)
     q = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
     if ring == Q:
