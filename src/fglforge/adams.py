@@ -192,9 +192,8 @@ def adams_transform(f: TruncatedSeries1) -> AdamsSequence:
     """
     if f.ring not in (_Z, _Q):
         raise RingMismatch("composition series live over Z or Q")
-    coeffs = [c.payload for c in f.coeffs]
     fwd = _forward_matrix(f.precision)
-    return AdamsSequence(0, [sum(map(operator.mul, row, coeffs)) for row in fwd])
+    return AdamsSequence(0, [sum(map(operator.mul, row, f.payloads)) for row in fwd])
 
 
 def adams_transform_inv(seq: AdamsSequence) -> TruncatedSeries1:
@@ -219,7 +218,7 @@ def circ_compose(f: TruncatedSeries1, g: TruncatedSeries1) -> TruncatedSeries1:
     product = adams_transform(f.truncate(n)) * adams_transform(g.truncate(n))
     result = adams_transform_inv(product)
     if f.ring == _Z and g.ring == _Z:
-        values = [c.payload for c in result.coeffs]
+        values = result.payloads
         if any(v.denominator != 1 for v in values):
             raise IntegralityViolation(
                 "integral composition series produced a non-integral coefficient"
@@ -486,7 +485,7 @@ def tower_to_sequence(element: TwistedLaurent) -> TwistedLaurent:
     for j, tower in element.terms.items():
         head = adams_transform(tower.level(0))
         # a_0 = f(0): index -k is the constant term of level k
-        negative = [tower.level(k).coeffs[0].payload for k in range(tower.depth, 0, -1)]
+        negative = [tower.level(k).payloads[0] for k in range(tower.depth, 0, -1)]
         terms[j] = AdamsSequence(-tower.depth, negative + list(head.values))
     return TwistedLaurent("sequence", terms)
 

@@ -387,11 +387,11 @@ def _detect_geometric(series):
     # deferred so that `import fglforge.cli` does not load adams
     from .adams import geometric_power
 
-    if series.coeffs[0] != series.ring.one():
+    if series.payloads[0] != series.ring.one().payload:
         return None
     if series.precision < 1:
         return None
-    c1 = Fraction(series.coeffs[1].payload)
+    c1 = Fraction(series.payloads[1])
     if c1.denominator != 1:
         return None
     # (1-x)^g starts 1 - g*x, so the geom() exponent is -c1

@@ -153,12 +153,12 @@ def _associativity_witness(fgl: FormalGroupLaw, symmetric: bool):
     ring, n, body = fgl.ring, fgl.precision, fgl.body
     f_xy = embed2(body, 3, (0, 1))
     var_z = TruncatedSeriesN.variable(ring, 3, 2, n)
-    lhs = substitute_pair(body, f_xy, var_z).coeffs
+    lhs = substitute_pair(body, f_xy, var_z).payloads
     if symmetric:
         rhs = {(r, p, q): c for (p, q, r), c in lhs.items()}
     else:
         var_x = TruncatedSeriesN.variable(ring, 3, 0, n)
-        rhs = substitute_pair(body, var_x, embed2(body, 3, (1, 2))).coeffs
+        rhs = substitute_pair(body, var_x, embed2(body, 3, (1, 2))).payloads
     return _first_mismatch(lhs, rhs)
 
 
@@ -167,8 +167,8 @@ def _unitality_witness(body: TruncatedSeries2):
     F(0, y) differs from x, read off the body's terms on the axes; or None.
     Only an axis term or a missing linear term can differ, and only up to
     the precision."""
-    ring, coeffs = body.ring, body.coeffs
-    one, zero = ring.one(), ring.zero()
+    ring, coeffs = body.ring, body.payloads
+    one, zero = ring.one().payload, ring.zero().payload
     keys = {k for k in coeffs if 0 in k}
     if body.precision >= 1:
         keys |= {(1, 0), (0, 1)}
@@ -186,13 +186,12 @@ def _invariant_logarithm(fgl: FormalGroupLaw) -> TruncatedSeries1:
 
 def _sum_of_logs(log: TruncatedSeries1, precision: int) -> TruncatedSeries2:
     """l(x) + l(y) modulo degree precision+1, for l with l(0) = 0."""
-    entries = []
+    terms = {}
     for m in range(1, precision + 1):
-        c = log.coeffs[m]
-        if not c.is_zero():
-            entries.append((m, 0, c))
-            entries.append((0, m, c))
-    return TruncatedSeries2.from_entries(log.ring, entries, precision)
+        c = log.payloads[m]
+        if not log.ring._is_zero(c):
+            terms[(m, 0)] = terms[(0, m)] = c
+    return TruncatedSeries2._from_payloads(log.ring, 2, terms, precision)
 
 
 def _linearised_by_logarithm(fgl: FormalGroupLaw) -> bool:
@@ -242,7 +241,7 @@ def check_axioms(fgl: FormalGroupLaw) -> AxiomReport:
     witness = _unitality_witness(body)
     checks.append(AxiomCheck("unitality", witness is None, witness))
 
-    witness = _first_mismatch(body.coeffs, {(j, i): c for (i, j), c in body.coeffs.items()})
+    witness = _first_mismatch(body.payloads, {(j, i): c for (i, j), c in body.payloads.items()})
     symmetric = witness is None
     checks.append(AxiomCheck("symmetry", symmetric, witness))
 
@@ -323,15 +322,15 @@ def formal_inverse(fgl: FormalGroupLaw) -> TruncatedSeries1:
     """The series i(x) with F(x, i(x)) = 0, found by a triangular solve."""
     ring = fgl.ring
     n = fgl.precision
-    inv = [ring.zero()] * (n + 1)
+    inv = [ring.zero().payload] * (n + 1)
     if n >= 1:
-        inv[1] = -ring.one()
+        inv[1] = ring._neg(ring.one().payload)
     x1 = TruncatedSeries1.x(ring, n)
     for m in range(2, n + 1):
-        partial = TruncatedSeries1(ring, inv, m)
-        err = substitute_pair(fgl.body, x1.truncate(m), partial).coeffs[m]
-        inv[m] = -err
-    return TruncatedSeries1(ring, inv, n)
+        partial = TruncatedSeries1._from_payloads(ring, inv[: m + 1], m)
+        err = substitute_pair(fgl.body, x1.truncate(m), partial).payloads[m]
+        inv[m] = ring._neg(err)
+    return TruncatedSeries1._from_payloads(ring, inv, n)
 
 
 def _at_beta_one(fgl: FormalGroupLaw):
@@ -347,8 +346,7 @@ def _at_beta_one(fgl: FormalGroupLaw):
     if not isinstance(ring, LaurentExtension):
         return None
     coeffs = {}
-    for (i, j), c in fgl.body.coeffs.items():
-        terms = c.payload
+    for (i, j), terms in fgl.body.payloads.items():
         if len(terms) != 1 or i + j - 1 not in terms:
             return None
         coeffs[(i, j)] = terms[i + j - 1]
@@ -362,24 +360,23 @@ def _product_law_coefficient(body: TruncatedSeries2, n: int):
 
     Unitality makes the terms on the axes x + y, so only the terms with both
     exponents >= 1 within degree n are read: c is zero when (1, 1) lies
-    beyond n, and at n <= 2 every such law has this form.
+    beyond n, and at n <= 2 every such law has this form.  c is a payload.
     """
-    mixed = {key: c for key, c in body.coeffs.items() if key[0] and key[1] and sum(key) <= n}
-    c = mixed.pop((1, 1), body.ring.zero())
+    mixed = {key: c for key, c in body.payloads.items() if key[0] and key[1] and sum(key) <= n}
+    c = mixed.pop((1, 1), body.ring.zero().payload)
     return None if mixed else c
 
 
-def _product_law_n_series(ring, c: RingElement, k: int, n: int) -> list:
+def _product_law_n_series(ring, c, k: int, n: int) -> list:
     """The payloads of [k](x) = sum_{i=1..n} C(k, i) c^(i-1) x^i for the law
     x + y + c xy, any k != 0, in O(n) ring operations.
 
     1 + c F(x, y) = (1 + cx)(1 + cy), so 1 + c [k](x) = (1 + cx)^k.  The
     identity of the coefficients holds over Z[c], a domain, so over any ring,
     c a zero divisor or zero included.  C(k, i) = C(k, i-1) (k-i+1) / i is an
-    exact integer division, for negative k too.
+    exact integer division, for negative k too.  c is a payload.
     """
     out = [ring.zero().payload] * (n + 1)
-    c = c.payload
     power = ring.one().payload  # c^(i-1)
     binomial = 1
     for i in range(1, n + 1):
@@ -420,9 +417,9 @@ def n_series(fgl: FormalGroupLaw, k: int, precision: int | None = None) -> NSeri
     O(precision) ring operations (see _product_law_n_series); at precision
     2 every law has that form.  Otherwise, for k > 0, by double-and-add,
     [2m] = F([m],[m]) and [m+1] = F(x,[m]): about 2 log2(k) substitutions,
-    made by the substitution core on payload lists, with one boxing of the
-    result.  For k < 0, [k] = [-k] composed with the formal inverse of the
-    same law, both at the requested precision.
+    made by the substitution core on payload lists.  For k < 0, [k] = [-k]
+    composed with the formal inverse of the same law, both at the requested
+    precision.
     """
     ring = fgl.ring
     n = fgl.precision if precision is None else precision
@@ -449,7 +446,7 @@ def n_series(fgl: FormalGroupLaw, k: int, precision: int | None = None) -> NSeri
         # every step works modulo x^(n+1), reading only the body's terms
         # within degree n, on payload lists through the substitution core
         substitute = _substitution(body, n)
-        x1 = [e.payload for e in TruncatedSeries1.x(body.ring, n).coeffs]
+        x1 = TruncatedSeries1.x(body.ring, n).payloads
         acc = x1
         for bit in bin(abs(k))[3:]:
             acc = substitute(acc, acc)
@@ -522,7 +519,7 @@ def from_logarithm(
         raise BadLogShape("logarithm lives in a different ring")
     if precision > log.precision:
         raise InsufficientPrecision("logarithm is less precise than requested")
-    if not log.coeffs[0].is_zero() or log.precision < 1 or log.coeffs[1] != ring.one():
+    if not log.coefficient(0).is_zero() or log.precision < 1 or log.coefficient(1) != ring.one():
         raise BadLogShape("need l(0) = 0 and l'(0) = 1")
     body = compose_series(log.revert(), _sum_of_logs(log, precision))
     fgl = FormalGroupLaw(body, grading=grading, name=name)
@@ -539,16 +536,13 @@ def change_coordinates(fgl: FormalGroupLaw, b: TruncatedSeries1) -> FormalGroupL
     ring = fgl.ring
     if b.ring != ring:
         raise BadCoordinate("coordinate change lives in a different ring")
-    if not b.coeffs[0].is_zero() or b.precision < 1 or b.coeffs[1] != ring.one():
+    if not b.coefficient(0).is_zero() or b.precision < 1 or b.coefficient(1) != ring.one():
         raise BadCoordinate("need b(0) = 0 and b'(0) = 1")
     n = min(fgl.precision, b.precision)
     b_inv = b.truncate(n).revert()
-    u = TruncatedSeries2.from_entries(
-        ring, [(m, 0, c) for m, c in enumerate(b_inv.coeffs) if not c.is_zero()], n
-    )
-    v = TruncatedSeries2.from_entries(
-        ring, [(0, m, c) for m, c in enumerate(b_inv.coeffs) if not c.is_zero()], n
-    )
+    terms = [(m, c) for m, c in enumerate(b_inv.payloads) if not ring._is_zero(c)]
+    u = TruncatedSeries2._from_payloads(ring, 2, {(m, 0): c for m, c in terms}, n)
+    v = TruncatedSeries2._from_payloads(ring, 2, {(0, m): c for m, c in terms}, n)
     inner = substitute_pair(fgl.body, u, v)
     body = compose_series(b.truncate(n), inner)
     out = FormalGroupLaw(body)

@@ -89,12 +89,9 @@ def specialize(fgl: FormalGroupLaw, assignment: dict, target: CoefficientRing) -
     ring = fgl.ring
     if not isinstance(ring, GradedPolynomialRing):
         raise Unsupported("specialization applies to laws over polynomial rings")
-    body_entries = []
-    for (i, j), c in fgl.body.coeffs.items():
-        value = ring.evaluate(c, assignment, target)
-        if not value.is_zero():
-            body_entries.append((i, j, value))
-    body = TruncatedSeries2.from_entries(target, body_entries, fgl.precision)
+    # the series drops the coefficients that evaluate to zero
+    values = {k: ring.evaluate(c, assignment, target) for k, c in fgl.body.coeffs.items()}
+    body = TruncatedSeries2(target, 2, values, fgl.precision)
     out = FormalGroupLaw(body)
     _require_axioms(out, "the specialized law")
     return out
@@ -230,7 +227,7 @@ class LazardAlgebroid(HopfAlgebroidTrunc):
         composite = second.compose(first)
         self._pair_ring = pair_ring
         self._delta_gen_payloads = {
-            i: composite.coefficient(i + 1).payload for i in range(1, n + 1)
+            i: composite.payloads[i + 1] for i in range(1, n + 1)
         }
         # eta_R on m-generators: the log of the conjugated universal law is
         # log o b^{-1}; unit tests cross-check against the classify route.
@@ -241,7 +238,7 @@ class LazardAlgebroid(HopfAlgebroidTrunc):
         change = _generic_series(combined, "b", n)
         conjugated_log = log.compose(change.revert())
         self._etar_gen = {
-            i: split_payload(combined, conjugated_log.coefficient(i + 1).payload, n)
+            i: split_payload(combined, conjugated_log.payloads[i + 1], n)
             for i in range(1, n + 1)
         }
 

@@ -8,13 +8,14 @@ the operand precisions and the derivative drops one order.
 
 Coefficients can live in any ring object following the RingElement
 interface (the closed coefficient-ring family or a graded polynomial ring).
-They are stored as RingElements, but the arithmetic reads their payloads and
-runs on the ring's payload hooks: _add, _neg and _mul, and the
+A series stores the canonical payloads of its coefficients, and its
+arithmetic runs on the ring's payload hooks: _add, _neg and _mul, and the
 multiply-accumulate hooks _operand, _mul_add and _settle for sums of
 products.  Sums, scaling, products, composition and substitution all run
 through the loops of one payload shape per kind of series: dense lists,
-sparse maps, and the i <= j half of a symmetric two-variable map.  Each
-output coefficient is boxed once, with no branch on the ring.
+sparse maps, and the i <= j half of a symmetric two-variable map, with no
+branch on the ring.  The public constructors unbox the ring elements they
+are given; coefficient() and the coeffs view box what they read.
 """
 
 from __future__ import annotations
@@ -174,21 +175,21 @@ _DENSE, _SPARSE, _SYMMETRIC = _Dense(), _Sparse(), _Symmetric()
 
 
 class TruncatedSeries1:
-    """A power series in one variable, exact modulo x^{N+1}."""
+    """A power series in one variable, exact modulo x^{N+1}: payloads holds
+    the canonical payloads of c_0..c_N."""
 
-    __slots__ = ("ring", "precision", "coeffs")
+    __slots__ = ("ring", "precision", "payloads")
 
     def __init__(self, ring, coeffs, precision=None):
         if precision is None:
             precision = len(coeffs) - 1
         if precision < 0:
             raise ValueError("precision must be nonnegative")
-        zero = ring.zero()
-        coeffs = list(coeffs[: precision + 1])
-        coeffs += [zero] * (precision + 1 - len(coeffs))
+        payloads = [_coerce_scalar(ring, c).payload for c in coeffs[: precision + 1]]
+        payloads += [ring.zero().payload] * (precision + 1 - len(payloads))
         self.ring = ring
         self.precision = precision
-        self.coeffs = tuple(coeffs)
+        self.payloads = tuple(payloads)
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -205,28 +206,33 @@ class TruncatedSeries1:
 
     @classmethod
     def from_ints(cls, ring, ints, precision=None):
-        return cls(ring, [ring.from_int(n) for n in ints], precision)
+        return cls(ring, list(ints), precision)
 
     @classmethod
     def from_fractions(cls, ring, values, precision=None):
-        return cls(ring, [ring.from_fraction(Fraction(v)) for v in values], precision)
+        return cls(ring, [Fraction(v) for v in values], precision)
 
     # -- basic access -----------------------------------------------------
+    @property
+    def coeffs(self) -> tuple:
+        """c_0..c_N as ring elements."""
+        return tuple([RingElement(self.ring, p) for p in self.payloads])
+
     def coefficient(self, n: int):
-        if n > self.precision:
-            raise IndexError(f"coefficient {n} beyond precision {self.precision}")
-        return self.coeffs[n]
+        if not 0 <= n <= self.precision:
+            raise IndexError(f"coefficient {n} outside 0..{self.precision}")
+        return RingElement(self.ring, self.payloads[n])
 
     def truncate(self, precision: int) -> "TruncatedSeries1":
-        if precision > self.precision:
-            raise ValueError("cannot raise precision")
-        return TruncatedSeries1(self.ring, self.coeffs, precision)
+        if not 0 <= precision <= self.precision:
+            raise ValueError(f"cannot truncate precision {self.precision} to {precision}")
+        return self._from_payloads(self.ring, self.payloads[: precision + 1], precision)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return all(map(self.ring._is_zero, self.payloads))
 
     def constant_term(self):
-        return self.coeffs[0]
+        return self.coefficient(0)
 
     def _check(self, other):
         if other.ring != self.ring:
@@ -239,16 +245,15 @@ class TruncatedSeries1:
         out = object.__new__(cls)
         out.ring = ring
         out.precision = precision
-        out.coeffs = tuple([RingElement(ring, p) for p in payloads])
+        out.payloads = tuple(payloads)
         return out
 
     def _payloads(self, n):
         """The payloads of c_0..c_n."""
-        return [c.payload for c in self.coeffs[: n + 1]]
+        return self.payloads[: n + 1]
 
     # -- arithmetic ------------------------------------------------------
-    # on payloads, through the ring's hooks and the dense shape; each output
-    # coefficient is boxed once, in _from_payloads
+    # on payloads, through the ring's hooks and the dense shape
     def __add__(self, other):
         n = self._check(other)
         out = _DENSE.add(self.ring, self._payloads(n), other._payloads(n))
@@ -262,7 +267,7 @@ class TruncatedSeries1:
 
     def __neg__(self):
         neg = self.ring._neg
-        return self._from_payloads(self.ring, [neg(c.payload) for c in self.coeffs], self.precision)
+        return self._from_payloads(self.ring, [neg(p) for p in self.payloads], self.precision)
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries1):
@@ -286,7 +291,7 @@ class TruncatedSeries1:
         return (
             self.ring == other.ring
             and self.precision == other.precision
-            and self.coeffs == other.coeffs
+            and self.payloads == other.payloads
         )
 
     def __hash__(self):
@@ -299,17 +304,18 @@ class TruncatedSeries1:
             raise InsufficientPrecision(
                 "the derivative of a precision-0 series carries no information"
             )
-        out = [self.coeffs[n + 1] * (n + 1) for n in range(self.precision)]
-        return TruncatedSeries1(self.ring, out, self.precision - 1)
+        ring = self.ring
+        out = [ring._mul(p, ring.from_int(n).payload) for n, p in enumerate(self.payloads) if n]
+        return self._from_payloads(ring, out, self.precision - 1)
 
     def integrate(self) -> "TruncatedSeries1":
         """Antiderivative with zero constant term, at precision N+1; raises
         when a coefficient has no unique quotient by its new exponent."""
         divide = self.ring.divide
-        out = [self.ring.zero()]
+        out = [self.ring.zero().payload]
         for n, c in enumerate(self.coeffs):
-            out.append(divide(c, n + 1))
-        return TruncatedSeries1(self.ring, out, self.precision + 1)
+            out.append(divide(c, n + 1).payload)
+        return self._from_payloads(self.ring, out, self.precision + 1)
 
     # -- composition and friends ---------------------------------------
     def compose(self, inner) -> "TruncatedSeries1":
@@ -318,13 +324,13 @@ class TruncatedSeries1:
 
     def inverse(self) -> "TruncatedSeries1":
         """Multiplicative inverse 1/f for f with unit constant term."""
-        c0 = self.coeffs[0]
+        c0 = self.coefficient(0)
         if not c0.is_unit():
             raise NonUnitLinearCoefficient("constant term is not a unit")
         ring = self.ring
         mul_add, settle, is_zero = ring._mul_add, ring._settle, ring._is_zero
         operand, mul, neg = ring._operand, ring._mul, ring._neg
-        f = [(k, c.payload) for k, c in enumerate(self.coeffs) if k and not is_zero(c.payload)]
+        f = [(k, p) for k, p in enumerate(self.payloads) if k and not is_zero(p)]
         c0i = c0.inverse().payload
         zero = ring.zero().payload
         out = [c0i]
@@ -353,15 +359,15 @@ class TruncatedSeries1:
         coefficient is inverted, so this works over any commutative ring
         where it is a unit.
         """
-        if not self.coeffs[0].is_zero():
-            raise NonzeroConstantTerm("reversion needs f(0) = 0")
-        if self.precision < 1 or not self.coeffs[1].is_unit():
-            raise NonUnitLinearCoefficient("reversion needs f'(0) to be a unit")
         ring = self.ring
         mul_add, settle, is_zero = ring._mul_add, ring._settle, ring._is_zero
         operand, mul, neg = ring._operand, ring._mul, ring._neg
-        f = [c.payload for c in self.coeffs]
-        f1_inv = self.coeffs[1].inverse().payload
+        f = self.payloads
+        if not is_zero(f[0]):
+            raise NonzeroConstantTerm("reversion needs f(0) = 0")
+        if self.precision < 1 or not self.coefficient(1).is_unit():
+            raise NonUnitLinearCoefficient("reversion needs f'(0) to be a unit")
+        f1_inv = self.coefficient(1).inverse().payload
         n = self.precision
         zero = ring.zero().payload
         g = [zero, f1_inv]
@@ -398,18 +404,18 @@ class TruncatedSeries1:
 
 
 class TruncatedSeriesN:
-    """A sparse series in several variables, exact modulo total degree > N."""
+    """A sparse series in several variables, exact modulo total degree > N:
+    payloads maps exponent tuples to the nonzero canonical payloads."""
 
-    __slots__ = ("ring", "nvars", "precision", "coeffs")
+    __slots__ = ("ring", "nvars", "precision", "payloads")
 
     def __init__(self, ring, nvars, coeffs, precision):
         self.ring = ring
         self.nvars = nvars
         self.precision = precision
-        self.coeffs = {
-            tuple(k): c
-            for k, c in coeffs.items()
-            if sum(k) <= precision and not c.is_zero()
+        payloads = {tuple(k): _coerce_scalar(ring, c).payload for k, c in coeffs.items()}
+        self.payloads = {
+            k: p for k, p in payloads.items() if sum(k) <= precision and not ring._is_zero(p)
         }
 
     @classmethod
@@ -421,22 +427,27 @@ class TruncatedSeriesN:
         key = tuple(1 if i == index else 0 for i in range(nvars))
         return cls(ring, nvars, {key: ring.one()}, precision)
 
+    @property
+    def coeffs(self) -> dict:
+        """The nonzero coefficients as ring elements, keyed by exponent tuples."""
+        return {k: RingElement(self.ring, p) for k, p in self.payloads.items()}
+
     def coefficient(self, key):
         key = tuple(key)
-        if sum(key) > self.precision:
-            raise IndexError(f"degree {sum(key)} beyond precision {self.precision}")
-        return self.coeffs.get(key, self.ring.zero())
+        if min(key, default=0) < 0 or sum(key) > self.precision:
+            raise IndexError(f"{key} is not a monomial of degree 0..{self.precision}")
+        return RingElement(self.ring, self.payloads.get(key, self.ring.zero().payload))
 
     def truncate(self, precision):
         if precision > self.precision:
             raise ValueError("cannot raise precision")
-        return type(self)(self.ring, self.nvars, self.coeffs, precision)
+        return self._from_payloads(self.ring, self.nvars, self._payloads(precision), precision)
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.payloads
 
     def constant_term(self):
-        return self.coeffs.get((0,) * self.nvars, self.ring.zero())
+        return self.coefficient((0,) * self.nvars)
 
     def _check(self, other):
         if other.ring != self.ring or other.nvars != self.nvars:
@@ -451,12 +462,12 @@ class TruncatedSeriesN:
         out.ring = ring
         out.nvars = nvars
         out.precision = precision
-        out.coeffs = {k: RingElement(ring, p) for k, p in payloads.items()}
+        out.payloads = payloads
         return out
 
     def _payloads(self, n):
         """The nonzero payloads of total degree at most n."""
-        return {k: c.payload for k, c in self.coeffs.items() if sum(k) <= n}
+        return {k: p for k, p in self.payloads.items() if sum(k) <= n}
 
     # -- arithmetic, on payloads through the sparse shape ------------------
     def __add__(self, other):
@@ -469,7 +480,7 @@ class TruncatedSeriesN:
 
     def __neg__(self):
         neg = self.ring._neg
-        out = {k: neg(c.payload) for k, c in self.coeffs.items()}
+        out = {k: neg(p) for k, p in self.payloads.items()}
         return self._from_payloads(self.ring, self.nvars, out, self.precision)
 
     def __mul__(self, other):
@@ -495,14 +506,14 @@ class TruncatedSeriesN:
             self.ring == other.ring
             and self.nvars == other.nvars
             and self.precision == other.precision
-            and self.coeffs == other.coeffs
+            and self.payloads == other.payloads
         )
 
     def __hash__(self):
-        return hash((self.ring, self.nvars, self.precision, len(self.coeffs)))
+        return hash((self.ring, self.nvars, self.precision, len(self.payloads)))
 
     def __repr__(self):
-        terms = len(self.coeffs)
+        terms = len(self.payloads)
         return f"<series in {self.nvars} vars, {terms} terms, prec {self.precision}>"
 
 
@@ -527,11 +538,13 @@ class TruncatedSeries2(TruncatedSeriesN):
 
     def partial_y_at_zero(self) -> TruncatedSeries1:
         """(dF/dy)(x, 0), at precision N-1."""
-        out = [self.ring.zero()] * self.precision
-        for (i, j), c in self.coeffs.items():
+        if self.precision < 1:
+            raise ValueError("precision must be nonnegative")
+        out = [self.ring.zero().payload] * self.precision
+        for (i, j), p in self.payloads.items():
             if j == 1 and i <= self.precision - 1:
-                out[i] = c
-        return TruncatedSeries1(self.ring, out, self.precision - 1)
+                out[i] = p
+        return TruncatedSeries1._from_payloads(self.ring, out, self.precision - 1)
 
 
 # -- substitution -------------------------------------------------------------
@@ -550,12 +563,12 @@ def compose_series(outer: TruncatedSeries1, inner):
 
     Every inner shape runs in one loop on payloads, through the product loop
     of its shape: the inner's terms are prepared once, each step's products
-    are summed through the ring's _mul_add and settled once, c_k goes in at
-    the origin, and each output coefficient is boxed once.  When the inner
-    series has two variables and is symmetric in x <-> y, so is every
-    accumulator (a polynomial in a symmetric series over a commutative
-    ring): the symmetric shape forms only its x^i y^j coefficients with
-    i <= j, and the result shares each one with x^j y^i.
+    are summed through the ring's _mul_add and settled once, and c_k goes in
+    at the origin.  When the inner series has two variables and is symmetric
+    in x <-> y, so is every accumulator (a polynomial in a symmetric series
+    over a commutative ring): the symmetric shape forms only its x^i y^j
+    coefficients with i <= j, and the result shares each payload with
+    x^j y^i.
     """
     if outer.ring != inner.ring:
         raise RingMismatch(f"{outer.ring} vs {inner.ring}")
@@ -567,7 +580,7 @@ def compose_series(outer: TruncatedSeries1, inner):
         shape, origin, terms = _DENSE, 0, inner._payloads(n)
     else:
         shape, origin = _SPARSE, (0,) * inner.nvars
-        terms = {k: c.payload for k, c in inner.coeffs.items()}
+        terms = inner.payloads
         # decided here, not taken from the caller: the associativity check
         # also runs on a law that has failed its symmetry axiom
         if inner.nvars == 2 and all(terms.get((j, i)) == p for (i, j), p in terms.items()):
@@ -576,15 +589,14 @@ def compose_series(outer: TruncatedSeries1, inner):
     acc = shape.accumulators(-1)  # empty: the series of precision -1
     for k in range(n, -1, -1):
         acc = shape.settle(ring, shape.product(ring, shape.accumulators(n - k), acc, right, n - k))
-        c = outer.coeffs[k].payload
+        c = outer.payloads[k]
         if not ring._is_zero(c):
             acc[origin] = c
     if shape is _DENSE:
         return TruncatedSeries1._from_payloads(ring, acc, n)
-    out = type(inner)._from_payloads(ring, inner.nvars, acc, n)
     if shape is _SYMMETRIC:
-        out.coeffs = shape.whole(out.coeffs)
-    return out
+        acc = shape.whole(acc)
+    return type(inner)._from_payloads(ring, inner.nvars, acc, n)
 
 
 def _substitution(body: TruncatedSeries2, n: int, nvars: int = 0):
@@ -603,7 +615,7 @@ def _substitution(body: TruncatedSeries2, n: int, nvars: int = 0):
     """
     ring = body.ring
     shape = _SPARSE if nvars else _DENSE
-    terms = [(i, j, c.payload) for (i, j), c in sorted(body.coeffs.items()) if i + j <= n]
+    terms = [(i, j, c) for (i, j), c in sorted(body.payloads.items()) if i + j <= n]
     one = ring.one().payload
     # the constant series 1, for a constant term of the body
     if not nvars:
@@ -651,8 +663,7 @@ def substitute_pair(body: TruncatedSeries2, u, v):
     u and v are both one-variable series, or both series in the same number
     of variables, over the body's ring; anything else raises RingMismatch.
     The result has the shape of u, at the least of the three precisions.  It
-    is computed on payloads by the substitution core (_substitution) and
-    boxed once.
+    is computed on payloads by the substitution core (_substitution).
     """
     ring = body.ring
     if u.ring != ring or v.ring != ring:
@@ -674,9 +685,9 @@ def embed2(body: TruncatedSeries2, nvars: int, positions) -> TruncatedSeriesN:
     """View a two-variable series inside an nvars-variable series ring."""
     p0, p1 = positions
     out = {}
-    for (i, j), c in body.coeffs.items():
+    for (i, j), c in body.payloads.items():
         key = [0] * nvars
         key[p0] = i
         key[p1] = j
         out[tuple(key)] = c
-    return TruncatedSeriesN(body.ring, nvars, out, body.precision)
+    return TruncatedSeriesN._from_payloads(body.ring, nvars, out, body.precision)

@@ -73,10 +73,13 @@ def test_criterion_9_hopf_suite():
 
 
 def test_criterion_10_cli_selftest_byte_identical():
+    # the subprocess runs under this interpreter's -O and -X dev, so that a
+    # test run under those flags checks the pinned bytes under them too
+    flags = ["-O"] * sys.flags.optimize + (["-X", "dev"] if sys.flags.dev_mode else [])
     runs = []
     for _ in range(2):
         proc = subprocess.run(
-            [sys.executable, "-m", "fglforge.cli", "selftest"],
+            [sys.executable, *flags, "-m", "fglforge.cli", "selftest"],
             capture_output=True,
             timeout=600,
         )

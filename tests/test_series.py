@@ -30,7 +30,9 @@ from fglforge.rings import (
     IntegersMod,
     LaurentExtension,
     PLocalIntegers,
+    QuotientByPrincipal,
     Rationals,
+    RingElement,
     quotient_by_element,
 )
 from fglforge.series import (
@@ -481,8 +483,8 @@ def test_compose_series_matches_sum_of_powers(nvars, ring):
                     assert got.precision == min(outer_precision, n)
                     assert got == _composition_reference(outer, inner), where
                     if kind == "symmetric":
-                        # x^i y^j and x^j y^i share one boxed coefficient
-                        assert all(got.coeffs[(j, i)] is c for (i, j), c in got.coeffs.items()), where
+                        # x^i y^j and x^j y^i share one stored payload
+                        assert all(got.payloads[(j, i)] is c for (i, j), c in got.payloads.items()), where
 
 
 @pytest.mark.parametrize("nvars", [1, 2, 3])
@@ -707,3 +709,124 @@ def test_logarithm_of_from_logarithm_is_the_identity():
         tail = _random_shaped(rng, 1, n, vanish=False).coeffs[2:]
         log = TruncatedSeries1(Q, [Q.zero(), Q.one(), *tail], n)
         assert logarithm(from_logarithm(log, Q, n)) == log
+
+
+# -- what a series stores ---------------------------------------------------
+
+
+def test_constructors_check_their_coefficients():
+    F5 = IntegersMod(5)
+    seven = Z.from_int(7)
+    with pytest.raises(RingMismatch):
+        TruncatedSeries1(F5, [Z.zero(), seven, Z.from_int(12)])
+    # every value is checked, one the truncation drops included
+    for coeffs in ({(1, 0): seven}, {(4, 0): seven}):
+        with pytest.raises(RingMismatch):
+            TruncatedSeriesN(F5, 2, coeffs, 3)
+        with pytest.raises(RingMismatch):
+            TruncatedSeries2(F5, 2, coeffs, 3)
+    # ints and Fractions are coerced into the ring
+    half_x = TruncatedSeries1(Q, [0, Fraction(1, 2)], 2)
+    assert half_x * half_x == TruncatedSeries1.from_fractions(Q, [0, 0, Fraction(1, 4)])
+    assert TruncatedSeriesN(F5, 2, {(1, 0): 7, (0, 1): 5}, 3) == TruncatedSeriesN(
+        F5, 2, {(1, 0): F5.from_int(2)}, 3
+    )
+
+
+def test_coefficient_refuses_negative_exponents():
+    f = s(Z, [0, 1, 2, 3])
+    with pytest.raises(IndexError):
+        f.coefficient(-1)
+    law = named_fgl("multiplicative", ZB, 4)
+    for i, j in ((-1, 2), (2, -1), (-1, 0)):
+        with pytest.raises(IndexError):
+            law.coefficient(i, j)
+    assert f.coefficient(3) == Z.from_int(3) and law.coefficient(1, 1) == -ZB.var()
+
+
+F5B = LaurentExtension(IntegersMod(5), "beta", 1)
+RAW_RINGS = {
+    "Z": (Z, [1]),
+    "Q": (Q, [1, 2, 3]),
+    "Z/6": (IntegersMod(6), [1]),
+    "Z_(3)": (PLocalIntegers(3), [1, 2]),
+    "Z/6[beta]": (LaurentExtension(IntegersMod(6), "beta", 1), [1]),
+    "F5[beta]/(beta-1)": (quotient_by_element(F5B, F5B.var() - 1), [1]),
+    "L3": (lazard_base_ring(3), [1, 2]),
+}
+
+
+def _raw_ring_coefficient(ring, rng, denominators):
+    """A small fraction; times beta^-1, 1 or beta over a Laurent ring or its
+    quotient, and plus a monomial in m1..m3 over the graded ring."""
+    c = ring.from_fraction(Fraction(rng.randint(-3, 3), rng.choice(denominators)))
+    if isinstance(ring, LaurentExtension):
+        return c * ring.var() ** rng.randint(-1, 1)
+    if isinstance(ring, QuotientByPrincipal):
+        return c * ring.from_base(ring.base.var() ** rng.randint(-1, 1))
+    if ring == RAW_RINGS["L3"][0]:
+        return c + ring.monomial([rng.randint(0, 1) for _ in range(3)])
+    return c
+
+
+def _holds_no_element(payload):
+    if isinstance(payload, RingElement):
+        return False
+    if isinstance(payload, dict):
+        return all(map(_holds_no_element, payload.values()))
+    if isinstance(payload, (tuple, list)):
+        return all(map(_holds_no_element, payload))
+    return True
+
+
+def _assert_stores_raw_payloads(series):
+    """payloads holds canonical payloads and no boxed element, and coeffs and
+    coefficient() box the same values."""
+    ring, boxed = series.ring, series.coeffs
+    if isinstance(series, TruncatedSeries1):
+        assert type(series.payloads) is tuple and len(series.payloads) == series.precision + 1
+        stored = enumerate(series.payloads)
+    else:
+        assert type(series.payloads) is dict
+        stored = series.payloads.items()
+    for key, p in stored:
+        assert _holds_no_element(p), key
+        assert ring._canonical(p) == p, key
+        assert boxed[key].ring is ring and boxed[key].payload is p
+        assert series.coefficient(key) == boxed[key]
+        if not isinstance(series, TruncatedSeries1):
+            assert not ring._is_zero(p), key
+
+
+@pytest.mark.parametrize("name", sorted(RAW_RINGS))
+def test_series_store_raw_payloads(name):
+    ring, denominators = RAW_RINGS[name]
+    rng = random.Random(zlib.crc32(f"raw payloads {name}".encode()))
+
+    def coefficient():
+        return _raw_ring_coefficient(ring, rng, denominators)
+
+    for n in (1, 2, 5):
+        f, g = (TruncatedSeries1(ring, [coefficient() for _ in range(n + 1)]) for _ in range(2))
+        unit = TruncatedSeries1(ring, [ring.one(), *f.coeffs[1:]])
+        revertible = TruncatedSeries1(ring, [ring.zero(), ring.one(), *g.coeffs[2:]])
+        keys = _exponents(2, n)
+        body = TruncatedSeries2(ring, 2, {k: coefficient() for k in keys}, n)
+        vanishing = TruncatedSeries2(ring, 2, {k: coefficient() for k in keys if sum(k)}, n)
+        z = TruncatedSeriesN.variable(ring, 3, 2, n)
+        results = [
+            f, f + g, f - g, -f, f * g, f.scale(coefficient()), f.truncate(n - 1),
+            f.derive(), unit.inverse(), revertible.revert(),
+            compose_series(f, revertible), substitute_pair(body, revertible, f * revertible),
+            body, body + vanishing, body - vanishing, body * vanishing,
+            body.scale(coefficient()), body.truncate(n - 1), body.partial_y_at_zero(),
+            compose_series(f, vanishing), compose_series(f, _mirrored(vanishing)),
+            embed2(body, 3, (0, 2)), substitute_pair(body, embed2(vanishing, 3, (0, 1)), z),
+        ]
+        if ring.is_q_algebra():
+            results.append(f.integrate())
+        for i, series in enumerate(results):
+            try:
+                _assert_stores_raw_payloads(series)
+            except AssertionError as error:
+                raise AssertionError(f"result {i} at precision {n}") from error
