@@ -222,9 +222,17 @@ def check_axioms(fgl: FormalGroupLaw) -> AxiomReport:
     Symmetry is the first key where F(x, y) and F(y, x) differ.
 
     Associativity is the first monomial where F(F(x,y),z) and F(x,F(y,z))
-    differ.  Over a Q-algebra it is first tried through the logarithm, a
-    two-variable identity that can only confirm a pass; every failure, and
-    every law it cannot decide, goes through the three-variable comparison,
+    differ.  A unital law whose body is x + y + c xy within its precision,
+    read off its terms (see _product_law_coefficient), passes with no
+    substitution and no witness: 1 + c F(x, y) = (1 + cx)(1 + cy), so
+    F(F(x,y),z) = x + y + z + c(xy + yz + zx) + c^2 xyz, an identity of
+    polynomials over Z[c] and so over any commutative ring.  It is symmetric
+    in x, y, z, so it equals F(F(y,z),x) = F(x,F(y,z)), modulo degree N+1
+    too (Landweber, Amer. J. Math. 98 (1976); Ravenel, Complex Cobordism
+    and Stable Homotopy Groups of Spheres, App. A2).  For every other law,
+    over a Q-algebra it is first tried through the logarithm, a two-variable
+    identity that can only confirm a pass; every failure, and every law it
+    cannot decide, goes through the three-variable comparison,
     which then sets the verdict and the witness.  That comparison computes
     F(F(x,y),z) once; when symmetry has passed, F(x,F(y,z)) is its rotation
     (see _associativity_witness), else a second substitution.  When F(0, 0)
@@ -239,14 +247,19 @@ def check_axioms(fgl: FormalGroupLaw) -> AxiomReport:
     checks = []
 
     witness = _unitality_witness(body)
-    checks.append(AxiomCheck("unitality", witness is None, witness))
+    unital = witness is None
+    checks.append(AxiomCheck("unitality", unital, witness))
 
     witness = _first_mismatch(body.payloads, {(j, i): c for (i, j), c in body.payloads.items()})
     symmetric = witness is None
     checks.append(AxiomCheck("symmetry", symmetric, witness))
 
     if body.constant_term().is_zero():
-        witness = None if _linearised_by_logarithm(fgl) else _associativity_witness(fgl, symmetric)
+        product_law = unital and _product_law_coefficient(body, fgl.precision) is not None
+        if product_law or _linearised_by_logarithm(fgl):
+            witness = None
+        else:
+            witness = _associativity_witness(fgl, symmetric)
         checks.append(AxiomCheck("associativity", witness is None, witness))
     else:
         checks.append(AxiomCheck("associativity", False, None))
@@ -261,12 +274,13 @@ def check_axioms(fgl: FormalGroupLaw) -> AxiomReport:
     return report
 
 
-def _require_axioms(fgl: FormalGroupLaw, what: str) -> None:
-    """Raise AxiomsFailed, naming the failed axioms, unless the law validates."""
+def _require_axioms(fgl: FormalGroupLaw, what: str | None = None) -> None:
+    """Raise AxiomsFailed, naming the failed axioms, unless the law validates;
+    the law is named by what, else by its repr, formed only to raise."""
     report = check_axioms(fgl)
     if not report.passed:
         failed = ", ".join(c.axiom for c in report.failures())
-        raise AxiomsFailed(f"{what} fails its axioms: {failed}")
+        raise AxiomsFailed(f"{what or repr(fgl)} fails its axioms: {failed}")
 
 
 def named_fgl(name: str, ring, precision: int) -> FormalGroupLaw:
@@ -429,7 +443,7 @@ def n_series(fgl: FormalGroupLaw, k: int, precision: int | None = None) -> NSeri
         )
     if k == 0:
         return NSeries(0, TruncatedSeries1.zero(ring, n))
-    _require_axioms(fgl, repr(fgl))
+    _require_axioms(fgl)
     built = fgl._n_series.get(k)
     if built is not None and built.precision >= n:
         return NSeries(k, built.truncate(n))
@@ -502,10 +516,13 @@ def v_coefficient(fgl: FormalGroupLaw, p: int, n: int) -> RingElement:
 def logarithm(fgl: FormalGroupLaw) -> TruncatedSeries1:
     """The unique l with l(0) = 0, l'(0) = 1 and l(F(x,y)) = l(x) + l(y).
 
-    Integrates the invariant differential: l'(x) * (dF/dy)(x, 0) = 1.
+    Integrates the invariant differential: l'(x) * (dF/dy)(x, 0) = 1, so
+    a law at precision 0, which has no dF/dy, raises InsufficientPrecision.
     """
     if not fgl.ring.is_q_algebra():
         raise NotQAlgebra(f"{fgl.ring} is not a Q-algebra")
+    if fgl.precision < 1:
+        raise InsufficientPrecision(f"need precision >= 1 for the logarithm, have {fgl.precision}")
     return _invariant_logarithm(fgl)
 
 

@@ -218,6 +218,14 @@ def test_logarithm():
         logarithm(named_fgl("additive", Z, 6))
 
 
+def test_logarithm_at_precision_zero_names_the_law_precision():
+    # a law at precision 0 has no dF/dy to integrate; the error names the
+    # law's precision, not one the caller never passed
+    for law in (named_fgl("additive", Q, 0), named_fgl("multiplicative", QB, 0)):
+        with pytest.raises(InsufficientPrecision, match=r"need precision >= 1 for the logarithm, have 0$"):
+            logarithm(law)
+
+
 def test_log_of_n_series_is_multiplication_by_k():
     mult = named_fgl("multiplicative", QB, 10)
     log = logarithm(mult)
@@ -635,6 +643,21 @@ def test_n_series_rejects_a_non_associative_law():
         v_coefficient(bad, 3, 2)
 
 
+def test_n_series_names_the_law_only_when_it_fails(monkeypatch):
+    # the failure message keeps the law's repr; a passing law is not formatted
+    bad = _non_associative_law()
+    with pytest.raises(AxiomsFailed, match=r"^<fgl over Z at precision 6> fails its axioms: associativity$"):
+        n_series(bad, 2)
+
+    def unformattable(law):
+        raise AssertionError("a law that validates was formatted")
+
+    law = named_fgl("multiplicative", ZB, 8)
+    monkeypatch.setattr(FormalGroupLaw, "__repr__", unformattable)
+    for k in (2, 3, 2, -1):
+        n_series(law, k)
+
+
 def test_change_coordinates_rejects_a_non_associative_law():
     bad = _non_associative_law()
     b = TruncatedSeries1.from_ints(Z, [0, 1, 1], 6)
@@ -850,13 +873,17 @@ def test_associativity_without_a_logarithm_uses_three_variables(ring, a01):
 
 def test_rational_laws_confirm_associativity_through_the_logarithm(monkeypatch):
     # over a Q-algebra an associative law is confirmed by the two-variable
-    # identity l(F(x,y)) = l(x) + l(y), with no three-variable substitution
+    # identity l(F(x,y)) = l(x) + l(y), with no three-variable substitution.
+    # None of these laws is x + y + c xy, which would pass in closed form: the
+    # multiplicative law over Q[beta^±1] after b(x) = x + 2x^2 stands for it
     monkeypatch.setattr(fgl_module, "_associativity_witness", None)
+    b = TruncatedSeries1.from_ints(QB, [0, 1, 2], 9)
     for law in (
         named_fgl("universal_rational", None, 7),
-        named_fgl("multiplicative", QB, 9),
+        change_coordinates(named_fgl("multiplicative", QB, 9), b),
         from_logarithm(TruncatedSeries1.from_fractions(Q, [0, 1, 3, Fraction(-1, 2)], 6), Q, 6),
     ):
+        assert fgl_module._product_law_coefficient(law.body, law.precision) is None
         assert check_axioms(law).passed
 
 
@@ -877,3 +904,95 @@ def test_the_invariant_logarithm_is_computed_once_per_law(monkeypatch):
     assert len(calls) == 1
     assert logarithm(law) is log
     assert [assignment[f"m{i}"] for i in range(1, 8)] == [log.coefficient(i + 1) for i in range(1, 8)]
+
+
+# -- associativity of x + y + c xy in closed form ------------------------------
+
+
+Z8 = IntegersMod(8)
+CLOSED_FORM_LAWS = {
+    "Z": (Z, Z.from_int(-3)),
+    # c = 0 (the additive law), a zero divisor and a unit of Z/8
+    "Z/8, c = 0": (Z8, Z8.zero()),
+    "Z/8, c = 4": (Z8, Z8.from_int(4)),
+    "Z/8, c = 3": (Z8, Z8.from_int(3)),
+    "F_5": (IntegersMod(5), IntegersMod(5).from_int(2)),
+    "Z_(3)": (PLocalIntegers(3), PLocalIntegers(3).from_fraction(Fraction(2, 5))),
+    "Q[beta^±1]": (QB, -QB.var()),
+    "Z[beta^±1]": (ZB, ZB.one() + ZB.var()),
+    "Z/8[beta^±1]": (Z8B, Z8B.from_int(2) * Z8B.var() - Z8B.var(3)),
+}
+
+
+def _raise(*args):
+    raise AssertionError("a product law took the general path")
+
+
+@pytest.mark.parametrize("ring, c", CLOSED_FORM_LAWS.values(), ids=CLOSED_FORM_LAWS)
+def test_product_laws_match_the_three_variable_oracle(ring, c):
+    # x + y + c xy at every precision 0..8, the xy term beyond it at 0 and 1
+    for n in range(9):
+        law = _product_law(ring, c, n)
+        report = check_axioms(law)
+        assert report == _expected_report(law), n
+        assert report.passed
+
+
+@pytest.mark.parametrize("ring, c", CLOSED_FORM_LAWS.values(), ids=CLOSED_FORM_LAWS)
+def test_product_laws_pass_associativity_with_no_substitution(ring, c, monkeypatch):
+    # at precision 64 the rule alone decides: no logarithm, no three-variable
+    # check, no substitution
+    for name in ("_linearised_by_logarithm", "_associativity_witness", "substitute_pair"):
+        monkeypatch.setattr(fgl_module, name, _raise)
+    law = _product_law(ring, c, 64)
+    assert check_axioms(law) == AxiomReport(
+        [AxiomCheck(axiom, True, None) for axiom in ("unitality", "symmetry", "associativity")]
+    )
+    # the rule reads the body, not the name or the grading
+    if ring is QB:
+        assert check_axioms(named_fgl("multiplicative", QB, 64)).passed
+
+
+def _near_miss(ring, c, n, change):
+    """x + y + c xy with one change that takes it off the product form."""
+    entries = {(1, 0): ring.one(), (0, 1): ring.one(), (1, 1): c}
+    if change == "x^2 y":
+        entries[(2, 1)] = ring.one()
+    elif change == "x^2 y^2":
+        entries[(2, 2)] = ring.one()
+    elif change == "axis":
+        entries[(1, 0)] = ring.from_int(2)
+    elif change == "constant":
+        entries[(0, 0)] = ring.one()
+    body = TruncatedSeries2.from_entries(ring, [(i, j, v) for (i, j), v in entries.items()], n)
+    return FormalGroupLaw(body)
+
+
+@pytest.mark.parametrize("change", ["x^2 y", "x^2 y^2", "axis", "constant"])
+def test_near_product_laws_take_the_general_path(change, monkeypatch):
+    # an extra mixed term, a wrong linear term or a constant term: the rule
+    # does not apply, and the verdict and witness are the oracle's.  A
+    # constant term leaves F(F(x,y),z) undefined: associativity fails with
+    # no witness and no three-variable check, and only the other checks are
+    # the oracle's
+    witnesses = []
+    original = fgl_module._associativity_witness
+
+    def counted(law, symmetric):
+        witnesses.append(law)
+        return original(law, symmetric)
+
+    monkeypatch.setattr(fgl_module, "_associativity_witness", counted)
+    for name in ("Z", "Z/8, c = 4", "F_5", "Q[beta^±1]", "Z[beta^±1]"):
+        ring, c = CLOSED_FORM_LAWS[name]
+        for n in (4, 5, 6):
+            law = _near_miss(ring, c, n, change)
+            witnesses.clear()
+            report, expected = check_axioms(law), _expected_report(law)
+            if change == "constant":
+                expected.checks[2] = AxiomCheck("associativity", False, None)
+            assert report == expected, (name, n)
+            assert not report.checks[2].passed, (name, n)
+            # over Q[beta^±1] the logarithm cannot confirm a failure, so every
+            # law but the one with a constant term reaches the witness
+            assert len(witnesses) == (change != "constant"), (name, n)
