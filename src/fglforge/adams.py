@@ -14,9 +14,11 @@ The Adams transform (a_n) -> sum a_n/n! (-log(1-x))^n is an isomorphism
 between the models carrying sigma to omega; the k-th Adams operation is the
 tower (k^-n (1-x)^-k)_n, equivalently the sequence (k^n)_n.
 
-The composition product is always evaluated through the transform; when both
-factors are integral the result is checked to be integral (closure of Z[[x]]
-under o is a theorem being monitored, not assumed).
+The composition product is evaluated through the transform in integers: the
+operands' numerators go through the forward and inverse integer tables, with
+one divmod by m! per coefficient.  When both factors are integral that
+remainder is checked to be zero (closure of Z[[x]] under o is a theorem being
+monitored, not assumed).
 """
 
 from __future__ import annotations
@@ -112,6 +114,8 @@ class AdamsSequence:
     def __init__(self, lo: int, values):
         self.lo = lo
         self.values = tuple(Fraction(v) for v in values)
+        if not self.values:
+            raise WindowMiss(f"the window [{lo}, {lo - 1}] is empty")
 
     @property
     def hi(self) -> int:
@@ -208,23 +212,46 @@ def adams_transform_inv(seq: AdamsSequence) -> TruncatedSeries1:
     return TruncatedSeries1.from_fractions(_Q, coeffs, precision)
 
 
-def circ_compose(f: TruncatedSeries1, g: TruncatedSeries1) -> TruncatedSeries1:
-    """The composition product, evaluated through the Adams transform.
+def _numerators(f: TruncatedSeries1, n: int):
+    """c_0..c_n of f as integers over d, the lcm of their denominators."""
+    payloads = f.payloads[: n + 1]
+    if f.ring == _Z:
+        return payloads, 1
+    d = math.lcm(*(q.denominator for q in payloads))
+    return [q.numerator * (d // q.denominator) for q in payloads], d
 
-    Integral inputs must produce integral output; a violation signals an
-    implementation bug, not a property of the inputs.
+
+def circ_compose(f: TruncatedSeries1, g: TruncatedSeries1) -> TruncatedSeries1:
+    """The composition product, through the Adams transform in integers.
+
+    The operands' numerators over their common denominators go through both
+    tables; coefficient m is the inverse sum over m! and the denominators.
+    Integral inputs must give integral output: a nonzero remainder of the
+    divmod by m! signals an implementation bug, not a property of the inputs.
     """
+    if f.ring not in (_Z, _Q) or g.ring not in (_Z, _Q):
+        raise RingMismatch("composition series live over Z or Q")
     n = min(f.precision, g.precision)
-    product = adams_transform(f.truncate(n)) * adams_transform(g.truncate(n))
-    result = adams_transform_inv(product)
+    a, d_f = _numerators(f, n)
+    b, d_g = _numerators(g, n)
+    product = [
+        sum(map(operator.mul, row, a)) * sum(map(operator.mul, row, b))
+        for row in _forward_matrix(n)
+    ]
+    sums = [sum(map(operator.mul, row, product)) for row in _inverse_matrix(n)]
     if f.ring == _Z and g.ring == _Z:
-        values = result.payloads
-        if any(v.denominator != 1 for v in values):
-            raise IntegralityViolation(
-                "integral composition series produced a non-integral coefficient"
-            )
-        return TruncatedSeries1.from_ints(_Z, [v.numerator for v in values], n)
-    return result
+        coeffs = []
+        for m, s in enumerate(sums):
+            c, remainder = divmod(s, math.factorial(m))
+            if remainder:
+                raise IntegralityViolation(
+                    "integral composition series produced a non-integral coefficient"
+                )
+            coeffs.append(c)
+        return TruncatedSeries1._from_payloads(_Z, coeffs, n)
+    d = d_f * d_g
+    coeffs = [Fraction(s, math.factorial(m) * d) for m, s in enumerate(sums)]
+    return TruncatedSeries1._from_payloads(_Q, coeffs, n)
 
 
 # -- towers ---------------------------------------------------------------------

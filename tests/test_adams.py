@@ -2,6 +2,7 @@
 
 import math
 import random
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -36,7 +37,7 @@ from fglforge.errors import (
     RingMismatch,
     WindowMiss,
 )
-from fglforge.rings import Integers, LaurentExtension, PLocalIntegers, Rationals
+from fglforge.rings import Integers, IntegersMod, LaurentExtension, PLocalIntegers, Rationals
 from fglforge.series import TruncatedSeries1
 
 Z = Integers()
@@ -226,7 +227,57 @@ def test_circ_compose_checks_integrality(monkeypatch):
         circ_compose(x, x)
 
 
+def _random_series(rng, ring, precision):
+    if ring == Z:
+        return zser([rng.randint(-9, 9) for _ in range(precision + 1)], precision)
+    values = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(precision + 1)]
+    return TruncatedSeries1.from_fractions(Q, values, precision)
+
+
+@pytest.mark.parametrize("rings", ["ZZ", "QQ", "ZQ", "QZ"])
+def test_circ_compose_matches_the_transform_path(rings):
+    # the integer kernel against the transform path in Fractions: transform
+    # both operands, multiply pointwise, transform back
+    lhs_ring, rhs_ring = (Z if r == "Z" else Q for r in rings)
+    rng = random.Random(zlib.crc32(f"circ_compose oracle {rings}".encode()))
+    sizes = [(64, 64), (0, 0), (0, 5)]
+    sizes += [(rng.randint(0, 64), rng.randint(0, 64)) for _ in range(9)]
+    for p, q in sizes:
+        f, g = _random_series(rng, lhs_ring, p), _random_series(rng, rhs_ring, q)
+        n = min(p, q)
+        expected = adams_transform_inv(
+            adams_transform(f.truncate(n)) * adams_transform(g.truncate(n))
+        )
+        result = circ_compose(f, g)
+        assert result.precision == n
+        assert result.payloads == expected.payloads
+        if rings == "ZZ":
+            assert result.ring == Z and all(type(c) is int for c in result.payloads)
+        else:
+            assert result.ring == Q and all(type(c) is Fraction for c in result.payloads)
+
+
+def test_circ_compose_refuses_other_rings():
+    f = TruncatedSeries1.x(IntegersMod(5), 4)
+    for lhs, rhs in ((f, zser([0, 1], 4)), (zser([0, 1], 4), f), (f, f)):
+        with pytest.raises(RingMismatch, match="composition series live over Z or Q"):
+            circ_compose(lhs, rhs)
+
+
 # -- sequences ------------------------------------------------------------------------
+
+
+def test_empty_windows_are_refused():
+    # a sequence with no values would count as zero, so an empty window must
+    # fail rather than give the zero element
+    for build in (
+        lambda: adams_operation_sequence(2, (3, 1)),
+        lambda: unit_sequence((2, 1)),
+        lambda: beta_power_sequence(1, (2, 1)),
+        lambda: AdamsSequence(0, []),
+    ):
+        with pytest.raises(WindowMiss, match="empty"):
+            build()
 
 
 def test_sequence_windows():

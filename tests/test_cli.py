@@ -289,6 +289,16 @@ def test_input_errors_exit_2(capsys, tmp_path):
         assert code == 2 and "error:" in err and not out, argv
 
 
+def test_ops_iso_refuses_an_empty_window(capsys, tmp_path):
+    # the window [3, 2] holds no index: an input error, not an empty tower
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"model": "sequence", "terms": [
+        {"beta": 0, "sequence": {"window": [3, 2], "values": []}},
+    ]}))
+    code, out, err = run(capsys, "ops", "iso", "--input", str(path), "--direction", "add2mult")
+    assert code == 2 and "window [3, 2] is empty" in err and not out
+
+
 # what every CLI process loads: the modules `fgl pseries` runs on
 CLI_CORE = {"cli", "errors", "expressions", "fgl", "iojson", "rings", "series"}
 LAZARD = CLI_CORE | {"gradedpoly", "hopf"}
