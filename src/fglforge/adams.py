@@ -18,7 +18,8 @@ The composition product is evaluated through the transform in integers: the
 operands' numerators go through the forward and inverse integer tables, with
 one divmod by m! per coefficient.  When both factors are integral that
 remainder is checked to be zero (closure of Z[[x]] under o is a theorem being
-monitored, not assumed).
+monitored, not assumed).  The forward transform, omega and the tower relation
+run on numerators too, so towers and omega live over Z, Q and Z_(p).
 """
 
 from __future__ import annotations
@@ -29,13 +30,14 @@ from fractions import Fraction
 
 from .errors import (
     InsufficientDepth,
+    InsufficientPrecision,
     IntegralityViolation,
     ModelMismatch,
     NonInvertibleK,
     RingMismatch,
     WindowMiss,
 )
-from .rings import Integers, Rationals
+from .rings import Integers, Rationals, _NumberRing
 from .series import TruncatedSeries1
 
 _Z = Integers()
@@ -55,10 +57,19 @@ def geometric_power(k: int, precision: int, ring=_Z) -> TruncatedSeries1:
 
 
 def omega(f: TruncatedSeries1) -> TruncatedSeries1:
-    """(1-x) * df/dx, at precision N-1."""
-    df = f.derive()
-    one_minus_x = TruncatedSeries1(f.ring, [f.ring.one(), -f.ring.one()], df.precision)
-    return one_minus_x * df
+    """(1-x) * df/dx at precision N-1, over Z, Q or Z_(p): coefficient m is
+    (m+1) c_(m+1) - m c_m on the numerators of f, each boxed once."""
+    if f.precision == 0:
+        raise InsufficientPrecision("omega of a precision-0 series carries no information")
+    c, d = _numerators(f, f.precision)
+    box = f.ring._canonical
+    payloads = [box(s if d == 1 else Fraction(s, d)) for s in _omega_numerators(c)]
+    return TruncatedSeries1._from_payloads(f.ring, payloads, f.precision - 1)
+
+
+def _omega_numerators(c):
+    """The numerators of omega(f) over d from those of f: (m+1) c_(m+1) - m c_m."""
+    return [(m + 1) * c[m + 1] - m * c[m] for m in range(len(c) - 1)]
 
 
 # -- the Adams transform -------------------------------------------------------
@@ -196,8 +207,9 @@ def adams_transform(f: TruncatedSeries1) -> AdamsSequence:
     """
     if f.ring not in (_Z, _Q):
         raise RingMismatch("composition series live over Z or Q")
-    fwd = _forward_matrix(f.precision)
-    return AdamsSequence(0, [sum(map(operator.mul, row, f.payloads)) for row in fwd])
+    a, d = _numerators(f, f.precision)
+    sums = _forward_sums(a, f.precision)
+    return AdamsSequence(0, sums if d == 1 else [Fraction(s, d) for s in sums])
 
 
 def adams_transform_inv(seq: AdamsSequence) -> TruncatedSeries1:
@@ -214,11 +226,18 @@ def adams_transform_inv(seq: AdamsSequence) -> TruncatedSeries1:
 
 def _numerators(f: TruncatedSeries1, n: int):
     """c_0..c_n of f as integers over d, the lcm of their denominators."""
+    if not isinstance(f.ring, _NumberRing):
+        raise RingMismatch("omega and towers live over Z, Q or Z_(p)")
     payloads = f.payloads[: n + 1]
     if f.ring == _Z:
         return payloads, 1
     d = math.lcm(*(q.denominator for q in payloads))
     return [q.numerator * (d // q.denominator) for q in payloads], d
+
+
+def _forward_sums(a, n: int):
+    """sum_k fwd[m][k] a_k for m = 0..n: the forward transform, times d."""
+    return [sum(map(operator.mul, row, a)) for row in _forward_matrix(n)]
 
 
 def circ_compose(f: TruncatedSeries1, g: TruncatedSeries1) -> TruncatedSeries1:
@@ -234,10 +253,7 @@ def circ_compose(f: TruncatedSeries1, g: TruncatedSeries1) -> TruncatedSeries1:
     n = min(f.precision, g.precision)
     a, d_f = _numerators(f, n)
     b, d_g = _numerators(g, n)
-    product = [
-        sum(map(operator.mul, row, a)) * sum(map(operator.mul, row, b))
-        for row in _forward_matrix(n)
-    ]
+    product = list(map(operator.mul, _forward_sums(a, n), _forward_sums(b, n)))
     sums = [sum(map(operator.mul, row, product)) for row in _inverse_matrix(n)]
     if f.ring == _Z and g.ring == _Z:
         coeffs = []
@@ -258,10 +274,11 @@ def circ_compose(f: TruncatedSeries1, g: TruncatedSeries1) -> TruncatedSeries1:
 
 
 class OmegaTower:
-    """Levels f_0..f_D at a common precision with omega(f_{j+1}) = f_j.
+    """Levels f_0..f_D over Z, Q or Z_(p), at one precision, with omega(f_{j+1}) = f_j.
 
     The tower relation is verified through coefficient index N-1 (the
-    derivative inside omega drops one order of information).
+    derivative inside omega drops one order of information), on numerators:
+    omega(f_{j+1}) = u / d_g and f_j = v / d_f agree when d_f u = d_g v.
     """
 
     __slots__ = ("levels", "precision")
@@ -272,10 +289,12 @@ class OmegaTower:
             raise ValueError("a tower needs at least one level")
         precision = min(f.precision for f in levels)
         levels = [f.truncate(precision) for f in levels]
+        numerators = [_numerators(f, precision) for f in levels]
         if precision >= 1:  # at precision 0 the relation carries no content
-            for j in range(len(levels) - 1):
-                lhs = omega(levels[j + 1])
-                if lhs != levels[j].truncate(precision - 1):
+            for j, ((t, d_f), (s, d_g)) in enumerate(zip(numerators, numerators[1:])):
+                if levels[j].ring != levels[j + 1].ring or any(
+                    d_f * u != d_g * v for u, v in zip(_omega_numerators(s), t)
+                ):
                     raise ValueError(f"omega(level {j + 1}) != level {j}")
         self.levels = tuple(levels)
         self.precision = precision

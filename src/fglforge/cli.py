@@ -97,6 +97,14 @@ def ring_from_spec(spec: str):
     raise ValueError(f"unknown ring spec {spec!r}")
 
 
+def _load_within_precision(path: str) -> dict:
+    """A law or series file, its precision checked before anything is built."""
+    with open(path) as handle:
+        data = json.load(handle)
+    _check_precision(int(data["precision"]))
+    return data
+
+
 _DEFAULT_RINGS = {
     "additive": "Z",
     "multiplicative": "Z[beta]",
@@ -108,9 +116,7 @@ _DEFAULT_RINGS = {
 def fgl_from_spec(spec: str, precision: int):
     """A law: either a JSON file path or name[-over-RING]."""
     if os.path.exists(spec):
-        with open(spec) as handle:
-            fgl = fgl_from_json(json.load(handle))
-        _check_precision(fgl.precision)
+        fgl = fgl_from_json(_load_within_precision(spec))
         _require_axioms(fgl, f"law in {spec}")
         return fgl
     name, sep, ring_spec = spec.partition("-over-")
@@ -131,10 +137,7 @@ def series_from_spec(spec: str, precision: int):
         n = int(spec[5:-1])
         return geometric_power(-n, precision)
     if os.path.exists(spec):
-        with open(spec) as handle:
-            series = series1_from_json(json.load(handle))
-        _check_precision(series.precision)
-        return series
+        return series1_from_json(_load_within_precision(spec))
     raise ValueError(f"unknown series spec {spec!r}")
 
 
@@ -361,21 +364,25 @@ def _cmd_ops(args) -> int:
         return 0
     if args.ops_command == "iso":
         with open(args.input) as handle:
-            element = twisted_from_json(json.load(handle))
+            data = json.load(handle)
         expected = "tower" if args.direction == "mult2add" else "sequence"
-        if element.model != expected:
+        if data["model"] != expected:
             raise ValueError(
                 f"direction {args.direction} expects a {expected}-model input"
             )
-        # a tower keeps its depth and precision; a sequence on [lo, hi]
-        # becomes a tower of precision hi and depth -lo unless --depth is given
-        for component in element.terms.values():
-            if element.model == "tower":
-                _check_depth(component.depth)
-                _check_precision(component.precision)
+        # the caps are checked on the parsed file, before any level is built:
+        # a tower keeps its depth (its number of levels, less one) and
+        # precision; a sequence on [lo, hi] becomes a tower of precision hi
+        # and depth -lo unless --depth is given
+        for entry in data["terms"]:
+            if expected == "tower":
+                _check_depth(len(entry["tower"]["levels"]) - 1)
+                _check_precision(int(entry["tower"]["precision"]))
             else:
-                _check_depth(max(-component.lo, 0) if args.depth is None else args.depth)
-                _check_precision(component.hi)
+                lo, hi = (int(v) for v in entry["sequence"]["window"])
+                _check_depth(max(-lo, 0) if args.depth is None else args.depth)
+                _check_precision(hi)
+        element = twisted_from_json(data)
         converted = mult_add_iso(element, args.depth)
         _emit("ops iso", twisted_to_json(converted))
         return 0

@@ -31,6 +31,7 @@ from fglforge.adams import (
 )
 from fglforge.errors import (
     InsufficientDepth,
+    InsufficientPrecision,
     IntegralityViolation,
     ModelMismatch,
     NonInvertibleK,
@@ -42,6 +43,7 @@ from fglforge.series import TruncatedSeries1
 
 Z = Integers()
 Q = Rationals()
+Z5 = PLocalIntegers(5)
 
 
 def zser(ints, precision=None):
@@ -230,8 +232,13 @@ def test_circ_compose_checks_integrality(monkeypatch):
 def _random_series(rng, ring, precision):
     if ring == Z:
         return zser([rng.randint(-9, 9) for _ in range(precision + 1)], precision)
-    values = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(precision + 1)]
-    return TruncatedSeries1.from_fractions(Q, values, precision)
+    if ring == Q:
+        values = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(precision + 1)]
+        return TruncatedSeries1.from_fractions(Q, values, precision)
+    # Z_(p): denominators prime to p
+    dens = [d for d in range(1, 13) if d % ring.p]
+    values = [Fraction(rng.randint(-9, 9), rng.choice(dens)) for _ in range(precision + 1)]
+    return TruncatedSeries1.from_fractions(ring, values, precision)
 
 
 @pytest.mark.parametrize("rings", ["ZZ", "QQ", "ZQ", "QZ"])
@@ -262,6 +269,77 @@ def test_circ_compose_refuses_other_rings():
     for lhs, rhs in ((f, zser([0, 1], 4)), (zser([0, 1], 4), f), (f, f)):
         with pytest.raises(RingMismatch, match="composition series live over Z or Q"):
             circ_compose(lhs, rhs)
+
+
+# -- the integer transform, omega and tower relation against Fractions ----------------
+
+
+def _oracle_omega(f):
+    """(1 - x) f', with the series layer's derivative and product."""
+    df = f.derive()
+    return TruncatedSeries1(f.ring, [f.ring.one(), -f.ring.one()], df.precision) * df
+
+
+def _oracle_tower(rng, ring, depth, precision):
+    """Levels omega^depth(g), ..., omega(g), g of a random g, by the oracle."""
+    levels = [_random_series(rng, ring, precision + depth)]
+    for _ in range(depth):
+        levels.insert(0, _oracle_omega(levels[0]))
+    return [f.truncate(precision) for f in levels]
+
+
+@pytest.mark.parametrize("ring", [Z, Q, Z5], ids=["Z", "Q", "Z_(5)"])
+def test_transform_and_omega_match_the_fraction_path(ring):
+    rng = random.Random(zlib.crc32(f"transform and omega oracle {ring}".encode()))
+    for n in [64, 0, 1] + [rng.randint(0, 64) for _ in range(9)]:
+        f = _random_series(rng, ring, n)
+        if ring == Z5:
+            with pytest.raises(RingMismatch, match="Z or Q"):
+                adams_transform(f)
+        else:
+            expected = [
+                sum((Fraction(w) * c for w, c in zip(row, f.payloads)), Fraction(0))
+                for row in adams._forward_matrix(n)
+            ]
+            assert adams_transform(f).values == tuple(expected)
+        if n == 0:
+            with pytest.raises(InsufficientPrecision):
+                omega(f)
+            continue
+        got, expected = omega(f), _oracle_omega(f)
+        assert got == expected
+        assert [type(c) for c in got.payloads] == [type(c) for c in expected.payloads]
+
+
+@pytest.mark.parametrize("ring", [Q, Z5], ids=["Q", "Z_(5)"])
+def test_tower_relation_catches_a_corrupted_level(ring):
+    # adding 1/d to coefficient m < N of level j < D breaks the relation with
+    # level j + 1, and with level j - 1 first when j, m >= 1 (omega(f_j) has
+    # m c_m at index m - 1); it raises also under -O
+    rng = random.Random(zlib.crc32(f"tower relation oracle {ring}".encode()))
+    for _ in range(12):
+        depth, n = rng.randint(1, 6), rng.randint(1, 64)
+        levels = _oracle_tower(rng, ring, depth, n)
+        assert OmegaTower(levels).levels == tuple(levels)
+        j, m = rng.randrange(depth), rng.randrange(n)
+        d = rng.choice([d for d in range(1, 13) if ring == Q or d % 5])
+        bump = [0] * m + [Fraction(1, d)]
+        levels[j] = levels[j] + TruncatedSeries1.from_fractions(ring, bump, n)
+        first = j - 1 if j and m else j
+        with pytest.raises(ValueError, match=f"omega\\(level {first + 1}\\) != level {first}$"):
+            OmegaTower(levels)
+
+
+def test_omega_and_towers_refuse_other_rings():
+    f5 = TruncatedSeries1.from_ints(IntegersMod(5), [1] * 9, 8)
+    with pytest.raises(RingMismatch, match="Z, Q or Z_\\(p\\)"):
+        omega(f5)
+    for levels in ([f5], [f5, f5], [f5.truncate(0)] * 2):
+        with pytest.raises(RingMismatch, match="Z, Q or Z_\\(p\\)"):
+            OmegaTower(levels)
+    # equal numerators over two rings are still two different levels
+    with pytest.raises(ValueError):
+        OmegaTower([geometric_power(1, 8), geometric_power(1, 8, Q)])
 
 
 # -- sequences ------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from fglforge.cli import (
     run_command,
     series_from_spec,
 )
+from fglforge.errors import RingMismatch
 from fglforge.gradedpoly import lazard_base_ring
 from fglforge.iojson import (
     fgl_from_json,
@@ -34,6 +35,7 @@ from fglforge.rings import (
     Rationals,
     quotient_by_element,
 )
+from fglforge.series import TruncatedSeries1, TruncatedSeries2
 
 Z = Integers()
 
@@ -287,6 +289,69 @@ def test_input_errors_exit_2(capsys, tmp_path):
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and "error:" in err and not out, argv
+
+
+def test_file_caps_are_checked_before_anything_is_built(capsys, tmp_path, monkeypatch):
+    # a file past a cap is refused from its parsed JSON: built first, a law,
+    # series or tower costs time and memory in proportion to its declared
+    # precision, and a tower one series for each of its levels
+    built = []
+    for cls in (TruncatedSeries1, TruncatedSeries2):
+        def record(self, *args, _init=cls.__init__, **kwargs):
+            _init(self, *args, **kwargs)
+            built.append(self.precision)
+
+        monkeypatch.setattr(cls, "__init__", record)
+
+    def tower(precision, levels):
+        return {"model": "tower", "terms": [{"beta": 0, "tower": {
+            "ring": {"kind": "integers"}, "precision": precision, "depth": len(levels) - 1,
+            "levels": levels,
+        }}]}
+
+    files = {
+        "law.json": {"ring": {"kind": "integers"}, "precision": 65, "coefficients": []},
+        "series.json": {"ring": {"kind": "integers"}, "precision": 65, "coeffs": ["1", "-1"]},
+        "tower.json": tower(65, [["1"], ["1"]]),
+        "deep.json": tower(8, [["1"]] * 18),
+        "unit.json": tower(8, [["1"] * 9] * 3),
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    law, series, high, deep, unit = (str(tmp_path / name) for name in files)
+    for argv in (
+        ["fgl", "axioms", "--fgl", law],
+        ["ops", "compose", "--lhs", series, "--rhs", "geom(1)", "--precision", "8"],
+        ["ops", "compose", "--lhs", "geom(1)", "--rhs", series, "--precision", "8"],
+        ["ops", "iso", "--input", high, "--direction", "mult2add"],
+        ["ops", "iso", "--input", deep, "--direction", "mult2add"],
+    ):
+        built.clear()
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and "error:" in err and not out, argv
+        assert all(precision <= 64 for precision in built), (argv, built)
+        if "iso" in argv:
+            assert built == [], argv
+    # the wrappers see what a file within the caps builds: the (1-x)^-1 tower
+    built.clear()
+    code, out, _ = run(capsys, "ops", "iso", "--input", unit, "--direction", "mult2add")
+    assert code == 0 and built == [8, 8, 8]
+    assert result_of(out)["terms"][0]["sequence"]["values"] == ["1"] * 11
+
+
+def test_a_tower_over_another_ring_is_refused_when_loaded(capsys, tmp_path):
+    # towers live over Z, Q and Z_(p); one over Z/5 is refused as the file is
+    # read, even at depth 0, where no relation is checked
+    data = {"model": "tower", "terms": [{"beta": 0, "tower": {
+        "ring": {"kind": "integers_mod", "modulus": 5}, "precision": 4, "depth": 0,
+        "levels": [["1"] * 5],
+    }}]}
+    with pytest.raises(RingMismatch, match="Z, Q or Z_\\(p\\)"):
+        twisted_from_json(data)
+    path = tmp_path / "tower-mod-5.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "ops", "iso", "--input", str(path), "--direction", "mult2add")
+    assert code == 2 and "Z, Q or Z_(p)" in err and not out
 
 
 def test_ops_iso_refuses_an_empty_window(capsys, tmp_path):
