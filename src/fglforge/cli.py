@@ -48,6 +48,8 @@ MAX_DEPTH = 16
 # the Hopf check grows about 2.4x a degree; degree 10 already takes over a second
 MAX_HOPF_DEGREE = 10
 MAX_PRIME = 97
+# |k| of fgl pseries and ops adams: the coefficients grow with k^precision
+MAX_K = 2**16
 EXIT_BROKEN_PIPE = 141
 
 
@@ -71,6 +73,17 @@ def _check_precision(n: int):
 def _check_depth(n: int):
     if not 0 <= n <= MAX_DEPTH:
         raise ValueError(f"depth must lie in [0, {MAX_DEPTH}]")
+
+
+def _capped_k(text: str) -> int:
+    """--k as an int, refused by argparse (exit 2) when |k| > MAX_K."""
+    try:
+        k = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if abs(k) > MAX_K:
+        raise argparse.ArgumentTypeError(f"|k| is capped at {MAX_K}")
+    return k
 
 
 def ring_from_spec(spec: str):
@@ -441,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--fgl", "--name", required=True, help="law name[-over-RING] or JSON file")
         q.add_argument("--precision", type=int)
         if name == "pseries":
-            q.add_argument("--k", type=int, required=True)
+            q.add_argument("--k", type=_capped_k, required=True)
     p_fgl.set_defaults(func=_cmd_fgl)
 
     p_land = sub.add_parser("landweber", help="Landweber exactness checking")
@@ -470,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ops = sub.add_parser("ops", help="K-theory operation algebra")
     ops_sub = p_ops.add_subparsers(dest="ops_command", required=True)
     q = ops_sub.add_parser("adams", help="the k-th Adams operation")
-    q.add_argument("--k", type=int, required=True)
+    q.add_argument("--k", type=_capped_k, required=True)
     q.add_argument("--model", choices=("tower", "sequence"), default="sequence")
     q.add_argument("--depth", type=int, default=3)
     q.add_argument("--precision", type=int)

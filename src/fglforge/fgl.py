@@ -16,7 +16,6 @@ from .errors import (
     BadLogShape,
     IncompatibleRing,
     InsufficientPrecision,
-    NonUnitLinearCoefficient,
     NotQAlgebra,
 )
 from .rings import IntegersMod, LaurentExtension, RingElement, _is_prime
@@ -184,34 +183,70 @@ def _invariant_logarithm(fgl: FormalGroupLaw) -> TruncatedSeries1:
     return fgl._logarithm
 
 
-def _sum_of_logs(log: TruncatedSeries1, precision: int) -> TruncatedSeries2:
-    """l(x) + l(y) modulo degree precision+1, for l with l(0) = 0."""
-    terms = {}
-    for m in range(1, precision + 1):
-        c = log.payloads[m]
-        if not log.ring._is_zero(c):
-            terms[(m, 0)] = terms[(0, m)] = c
-    return TruncatedSeries2._from_payloads(log.ring, 2, terms, precision)
-
-
 def _linearised_by_logarithm(fgl: FormalGroupLaw) -> bool:
-    """True when the law's logarithm l satisfies l(F(x,y)) = l(x) + l(y).
-
-    Then F = l^{-1}(l(x) + l(y)) modulo degree N+1, and that law is
-    associative, so F is associative to its precision (Ravenel, Complex
-    Cobordism and Stable Homotopy Groups of Spheres, App. A2).  False says
-    nothing: outside a Q-algebra, below precision 1, when (dF/dy)(0, 0) is
-    not a unit, or when the identity fails, the caller compares the two
-    three-variable substitutions instead.  The body has no constant term.
+    """True when F is unital, l = int 1/(dF/dy)(x, 0) exists and l'(y) F_x =
+    l'(x) F_y modulo degree N.  G = l(F) - l(x) - l(y) has l'(y) G_x - l'(x) G_y
+    = l'(F) (l'(y) F_x - l'(x) F_y), l'(F) a unit, so the lowest part G_s of a
+    nonzero G, s <= N, has dG_s/dx = dG_s/dy: over a Q-algebra G_s = c (x+y)^s,
+    and G(x, 0) = 0 forces c = 0.  So l(F) = l(x) + l(y) modulo degree N+1, and
+    F is associative (Ravenel, Complex Cobordism and Stable Homotopy Groups of
+    Spheres, App. A2); conversely, that identity differentiates to this one.
+    For a symmetric F, l'(x) F_y is the mirror of l'(y) F_x: one product.
+    False says nothing: the caller compares three-variable substitutions.
     """
-    n, body = fgl.precision, fgl.body
-    if n < 1 or not fgl.ring.is_q_algebra():
+    n, body, ring = fgl.precision, fgl.body, fgl.ring
+    if n < 1 or not ring.is_q_algebra() or _unitality_witness(body) is not None:
         return False
-    try:
-        log = _invariant_logarithm(fgl)
-    except NonUnitLinearCoefficient:
-        return False
-    return compose_series(log, body) == _sum_of_logs(log, n)
+    dlog = enumerate(_invariant_logarithm(fgl).derive().payloads)
+    dlog_y = {(0, k): c for k, c in dlog if not ring._is_zero(c)}
+    dlog_y = TruncatedSeries2._from_payloads(ring, 2, dlog_y, n - 1)
+
+    def times_dlog_y(terms):  # l'(y) F_x modulo degree N, for F with these payloads
+        f_x = {(a - 1, b): ring._mul(c, ring.from_int(a).payload) for (a, b), c in terms.items() if a}
+        return (TruncatedSeries2._from_payloads(ring, 2, f_x, n - 1) * dlog_y).payloads
+
+    mirror = {(j, i): c for (i, j), c in body.payloads.items()}
+    p = times_dlog_y(body.payloads)
+    q = p if mirror == body.payloads else times_dlog_y(mirror)
+    return p == {(j, i): c for (i, j), c in q.items()}
+
+
+def _law_of_logarithm(log: TruncatedSeries1, n: int) -> TruncatedSeries2:
+    """l^{-1}(l(x) + l(y)) modulo degree n+1 over a Q-algebra, l(0) = 0 and
+    l'(0) = 1, from the invariant differential (Hazewinkel, Formal Groups and
+    Applications, 1978): l'(F) F_x = l'(x) and l'(F) F_y = l'(y), so l'(y) F_x
+    = l'(x) F_y.  With lambda_k = (k+1) l_{k+1}, h_ab = b f_ab and a f_ab =
+    h_ba (F is symmetric), its x^i y^j coefficient reads, as lambda_0 = 1,
+
+        h_{i,j+1} = sum_{k=0..j} lambda_k h_{j-k,i+1} - sum_{k=1..i} lambda_k h_{i-k,j+1}.
+
+    From F(x, 0) = x, each antidiagonal s = i + j + 1 = 2..n is solved on its
+    half i > j by increasing j, on the ring's payload hooks, and mirrored.
+    """
+    ring = log.ring
+    mul, mul_add, settle, is_zero = ring._mul, ring._mul_add, ring._settle, ring._is_zero
+    one = ring.one().payload
+    f = {(1, 0): one, (0, 1): one} if n else {}
+    # h[b][a] = h_ab, None when zero, from h_01 = 1; lambda_k and -lambda_k
+    # as right factors
+    h = [[None] * (n + 2) for _ in range(n + 2)]
+    h[1][0] = one
+    lam = log.truncate(n).derive().payloads if n >= 2 else ()
+    plus = [None if is_zero(c) else ring._operand(c) for c in lam]
+    minus = [None if is_zero(c) else ring._operand(ring._neg(c)) for c in lam]
+    for s in range(2, n + 1):
+        for j in range(s // 2):
+            i, acc = s - 1 - j, None
+            terms = h[i + 1][j::-1] + h[j + 1][i - 1 :: -1]
+            for a, c in zip(terms, plus[: j + 1] + minus[1 : i + 1]):
+                if a is not None and c is not None:
+                    acc = mul_add(acc, a, c)
+            if acc is None or is_zero(acc := settle(acc)):
+                continue
+            value = ring.divide(RingElement(ring, acc), j + 1).payload
+            h[j + 1][i], h[i][j + 1] = acc, mul(value, ring.from_int(i).payload)
+            f[(i, j + 1)] = f[(j + 1, i)] = value
+    return TruncatedSeries2._from_payloads(ring, 2, f, n)
 
 
 def check_axioms(fgl: FormalGroupLaw) -> AxiomReport:
@@ -230,14 +265,14 @@ def check_axioms(fgl: FormalGroupLaw) -> AxiomReport:
     in x, y, z, so it equals F(F(y,z),x) = F(x,F(y,z)), modulo degree N+1
     too (Landweber, Amer. J. Math. 98 (1976); Ravenel, Complex Cobordism
     and Stable Homotopy Groups of Spheres, App. A2).  For every other law,
-    over a Q-algebra it is first tried through the logarithm, a two-variable
-    identity that can only confirm a pass; every failure, and every law it
-    cannot decide, goes through the three-variable comparison,
-    which then sets the verdict and the witness.  That comparison computes
-    F(F(x,y),z) once; when symmetry has passed, F(x,F(y,z)) is its rotation
-    (see _associativity_witness), else a second substitution.  When F(0, 0)
-    is not 0, F(F(x,y),z) is undefined: associativity fails with no witness,
-    as unitality has failed at (0, 0).
+    over a Q-algebra it is first tried through the logarithm l, as the
+    two-variable identity l'(y) F_x = l'(x) F_y, which can only confirm a
+    pass; every failure, and every law it cannot decide, goes through the
+    three-variable comparison, which then sets the verdict and the witness.
+    That comparison computes F(F(x,y),z) once; when symmetry has passed,
+    F(x,F(y,z)) is its rotation (see _associativity_witness), else a second
+    substitution.  When F(0, 0) is not 0, F(F(x,y),z) is undefined:
+    associativity fails with no witness, as unitality has failed at (0, 0).
 
     The result is memoized on the law; a full pass marks it validated.
     """
@@ -529,7 +564,8 @@ def logarithm(fgl: FormalGroupLaw) -> TruncatedSeries1:
 def from_logarithm(
     log: TruncatedSeries1, ring, precision: int, grading=None, name=None
 ) -> FormalGroupLaw:
-    """The law l^{-1}(l(x) + l(y)) determined by a logarithm, validated."""
+    """The law l^{-1}(l(x) + l(y)) determined by a logarithm, validated; built
+    and checked through l'(y) F_x = l'(x) F_y, with no composition."""
     if not ring.is_q_algebra():
         raise NotQAlgebra(f"{ring} is not a Q-algebra")
     if log.ring != ring:
@@ -538,8 +574,7 @@ def from_logarithm(
         raise InsufficientPrecision("logarithm is less precise than requested")
     if not log.coefficient(0).is_zero() or log.precision < 1 or log.coefficient(1) != ring.one():
         raise BadLogShape("need l(0) = 0 and l'(0) = 1")
-    body = compose_series(log.revert(), _sum_of_logs(log, precision))
-    fgl = FormalGroupLaw(body, grading=grading, name=name)
+    fgl = FormalGroupLaw(_law_of_logarithm(log, precision), grading=grading, name=name)
     _require_axioms(fgl, "the law of a logarithm")
     return fgl
 
@@ -574,8 +609,8 @@ def change_coordinates(fgl: FormalGroupLaw, b: TruncatedSeries1) -> FormalGroupL
 def grade_check(fgl: FormalGroupLaw, degrees: dict) -> bool:
     """True iff every coefficient a_ij is homogeneous of degree i+j-1
     (x and y carrying degree -1)."""
-    for (i, j), c in fgl.body.coeffs.items():
-        present = c.ring.element_degrees(c, degrees)
+    for (i, j), p in fgl.body.payloads.items():
+        present = fgl.ring.element_degrees(RingElement(fgl.ring, p), degrees)
         if present and present != {i + j - 1}:
             return False
     return True

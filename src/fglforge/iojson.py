@@ -171,6 +171,8 @@ def tower_from_json(data):
 
     ring = ring_from_json(data["ring"])
     precision = int(data["precision"])
+    if "depth" in data and int(data["depth"]) != len(data["levels"]) - 1:
+        raise ValueError("tower depth does not match the number of levels")
     levels = [
         TruncatedSeries1(ring, [parse_expression(c, ring) for c in level], precision)
         for level in data["levels"]

@@ -11,6 +11,7 @@ import pytest
 import fglforge
 from fglforge.cli import (
     EXIT_BROKEN_PIPE,
+    MAX_K,
     fgl_from_spec,
     ring_from_spec,
     run_command,
@@ -24,6 +25,7 @@ from fglforge.iojson import (
     ring_from_json,
     series1_from_json,
     series1_to_json,
+    tower_from_json,
     twisted_from_json,
     twisted_to_json,
 )
@@ -352,6 +354,54 @@ def test_a_tower_over_another_ring_is_refused_when_loaded(capsys, tmp_path):
     path.write_text(json.dumps(data))
     code, out, err = run(capsys, "ops", "iso", "--input", str(path), "--direction", "mult2add")
     assert code == 2 and "Z, Q or Z_(p)" in err and not out
+
+
+def test_a_tower_whose_depth_disagrees_with_its_levels_is_refused(capsys, tmp_path):
+    # a declared depth is the number of levels less one; a file that says
+    # otherwise is refused as it is read, not taken at its number of levels.
+    # Both levels are (1 - x)^-1, which omega fixes
+    def tower(depth):
+        return {"ring": {"kind": "rationals"}, "precision": 4, "depth": depth, "levels": [["1"] * 5] * 2}
+
+    assert tower_from_json(tower(1)).depth == 1
+    for depth in (0, 2, 9):
+        with pytest.raises(ValueError, match="depth does not match"):
+            tower_from_json(tower(depth))
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps({"model": "tower", "terms": [{"beta": 0, "tower": tower(9)}]}))
+    code, out, err = run(capsys, "ops", "iso", "--input", str(path), "--direction", "mult2add")
+    assert code == 2 and "depth does not match" in err and not out
+
+
+def test_k_is_capped_before_anything_is_built(capsys, monkeypatch):
+    # |k| up to the cap runs; one past it is an argparse error, exit 2, before
+    # any law or series is built
+    built = []
+    for cls in (TruncatedSeries1, TruncatedSeries2):
+        def record(self, *args, _init=cls.__init__, **kwargs):
+            _init(self, *args, **kwargs)
+            built.append(self.precision)
+
+        monkeypatch.setattr(cls, "__init__", record)
+
+    def commands(k):
+        return (
+            ["fgl", "pseries", "--fgl", "multiplicative-over-Z[beta]", "--k", str(k), "--precision", "8"],
+            ["ops", "adams", "--k", str(k), "--model", "tower", "--depth", "2", "--precision", "8"],
+            ["ops", "adams", "--k", str(k), "--window=-2:2"],
+        )
+
+    for k in (MAX_K, -MAX_K):
+        for argv in commands(k):
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and not err, argv
+            assert str(k) in out, argv
+    for k in (MAX_K + 1, -MAX_K - 1, 10**300):
+        for argv in commands(k):
+            built.clear()
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and f"|k| is capped at {MAX_K}" in err and not out, argv
+            assert built == [], argv
 
 
 def test_ops_iso_refuses_an_empty_window(capsys, tmp_path):

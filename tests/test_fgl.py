@@ -873,7 +873,8 @@ def test_associativity_without_a_logarithm_uses_three_variables(ring, a01):
 
 def test_rational_laws_confirm_associativity_through_the_logarithm(monkeypatch):
     # over a Q-algebra an associative law is confirmed by the two-variable
-    # identity l(F(x,y)) = l(x) + l(y), with no three-variable substitution.
+    # identity l'(y) F_x = l'(x) F_y of its logarithm l, with no
+    # three-variable substitution.
     # None of these laws is x + y + c xy, which would pass in closed form: the
     # multiplicative law over Q[beta^±1] after b(x) = x + 2x^2 stands for it
     monkeypatch.setattr(fgl_module, "_associativity_witness", None)
@@ -996,3 +997,107 @@ def test_near_product_laws_take_the_general_path(change, monkeypatch):
             # over Q[beta^±1] the logarithm cannot confirm a failure, so every
             # law but the one with a constant term reaches the witness
             assert len(witnesses) == (change != "constant"), (name, n)
+
+
+# -- the law of a logarithm and its check, against composition -----------------
+
+
+def _sum_of_logs(log, n):
+    terms = {}
+    for m in range(1, n + 1):
+        terms[(m, 0)] = terms[(0, m)] = log.coefficient(m)
+    return TruncatedSeries2(log.ring, 2, terms, n)
+
+
+def _random_log(rng, ring, n):
+    """t + l_2 t^2 + ... + l_n t^n, about a third of the l_m zero; over
+    Q[beta^±1] each l_m has one or two terms, of any power of beta."""
+    coeffs = [ring.zero(), ring.one()]
+    for _ in range(2, n + 1):
+        c = ring.zero()
+        if rng.random() > 0.3:
+            for _ in range(rng.randint(1, 2) if ring is QB else 1):
+                term = ring.from_fraction(Fraction(rng.randint(-6, 6), rng.randint(1, 5)))
+                c = c + (term * ring.var(rng.randint(-2, 3)) if ring is QB else term)
+        coeffs.append(c)
+    return TruncatedSeries1(ring, coeffs, max(n, 1))
+
+
+def test_the_law_of_a_logarithm_equals_the_composed_law():
+    # l^{-1}(l(x) + l(y)) solved from the invariant differential equals the
+    # reversion of l composed with l(x) + l(y): universal laws at N <= 12, and
+    # seeded random logs over Q and Q[beta^±1] at N <= 16, at precision 0
+    # and 1 too
+    for n in range(2, 13):
+        law = named_fgl("universal_rational", None, n)
+        ring = law.ring
+        log = TruncatedSeries1(
+            ring, [ring.zero(), ring.one()] + [ring.generator(f"m{i}") for i in range(1, n)]
+        )
+        assert law.body == compose_series(log.revert(), _sum_of_logs(log, n)), n
+    for ring in (Q, QB):
+        rng = random.Random(zlib.crc32(f"the law of a logarithm over {ring}".encode()))
+        for n in [0, 1, 2, 3] + [rng.randint(4, 16) for _ in range(6)] + [16]:
+            log = _random_log(rng, ring, n)
+            for m in {0, 1, n}:
+                expected = compose_series(log.revert(), _sum_of_logs(log, m))
+                assert from_logarithm(log, ring, m).body == expected, (ring, n, m)
+
+
+def _verdict_by_composition(law):
+    """l(F(x,y)) = l(x) + l(y) by composition, for l = int 1/(dF/dy)(x, 0);
+    False when there is no such l."""
+    ring, n, body = law.ring, law.precision, law.body
+    if n < 1 or not body.at(0, 1).is_unit():
+        return False
+    dlog = TruncatedSeries1(ring, [body.at(i, 1) for i in range(n)], n - 1).inverse()
+    log = dlog.integrate()
+    return compose_series(log, body) == _sum_of_logs(log, n)
+
+
+def test_the_differential_check_agrees_with_composition():
+    # universal laws and laws of seeded logs over Q, their conjugates, and
+    # copies moved at a symmetric pair, at a single a_ij (not symmetric), on an
+    # axis pair or at one linear term (not unital), or with a_01 = 0 (no
+    # logarithm)
+    rng = random.Random(zlib.crc32(b"the differential check"))
+    laws = [named_fgl("universal_rational", None, n) for n in range(3, 8)]
+    for n in range(3, 11):
+        law = from_logarithm(_random_log(rng, Q, n), Q, n)
+        b = TruncatedSeries1(Q, [0, 1] + [rng.randint(-3, 3) for _ in range(n - 1)], n)
+        laws += [law, change_coordinates(law, b)]
+    cases = []
+    for law in laws:
+        ring, n = law.ring, law.precision
+        cases.append(law.body.coeffs)
+        for change in ("pair", "single", "axis", "linear", "no log") * 2:
+            coeffs = dict(law.body.coeffs)
+            i = rng.randint(1, n - 1)
+            j = rng.randint(1, n - i)
+            r = ring.from_fraction(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)))
+            if change == "pair":
+                keys = {(i, j), (j, i)}
+            elif change == "single":
+                keys = {(i, j + 1) if i == j and i + j < n else (i, j)}
+            elif change == "axis":
+                keys = {(i + j, 0), (0, i + j)}
+            elif change == "linear":
+                keys = {rng.choice([(1, 0), (0, 1)])}
+            else:
+                keys, r = {(0, 1)}, -ring.one()
+            for key in keys:
+                coeffs[key] = coeffs.get(key, ring.zero()) + r
+            cases.append(coeffs)
+    verdicts = {}
+    for coeffs in cases:
+        ring = next(iter(coeffs.values())).ring
+        n = max(sum(k) for k in coeffs)
+        for m in {n, n - 1}:
+            law = FormalGroupLaw(TruncatedSeries2(ring, 2, coeffs, m))
+            expected = _verdict_by_composition(law)
+            assert fgl_module._linearised_by_logarithm(law) is expected, (coeffs, m)
+            symmetric = law.body.payloads == {(j, i): c for (i, j), c in law.body.payloads.items()}
+            unital = fgl_module._unitality_witness(law.body) is None
+            verdicts.setdefault((symmetric, unital), set()).add(expected)
+    assert verdicts[True, True] == {True, False}
+    assert verdicts[False, True] == verdicts[True, False] == verdicts[False, False] == {False}

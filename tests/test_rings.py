@@ -634,3 +634,41 @@ def test_domain_mod_nilpotents():
     assert LaurentExtension(LaurentExtension(IntegersMod(9), "a", 1), "b", 1).is_domain_mod_nilpotents()
     undecided = [IntegersMod(1), IntegersMod(6), LaurentExtension(IntegersMod(6)), FunctionRing(2)]
     assert not any(ring.is_domain_mod_nilpotents() for ring in undecided)
+
+
+def test_nilpotents_of_z_mod_m_match_brute_force():
+    # a is nilpotent in Z/m iff a^k = 0 for some k; k = m always suffices.
+    # In particular 1 is nilpotent only in the zero ring Z/1
+    for m in range(1, 200):
+        ring = IntegersMod(m)
+        for a in range(m):
+            assert ring.is_nilpotent(ring.from_int(a)) == (pow(a, m, m) == 0), (m, a)
+
+
+def test_division_in_z_mod_m_matches_brute_force():
+    # n x = a in Z/m: no solution raises Inconsistent, one is returned, and
+    # several raise Unsupported naming how many there are
+    for m in range(1, 25):
+        ring = IntegersMod(m)
+        for n in range(1, 2 * m + 2):
+            for a in range(m):
+                solutions = [x for x in range(m) if (n * x - a) % m == 0]
+                if not solutions:
+                    with pytest.raises(Inconsistent):
+                        ring.divide(ring.from_int(a), n)
+                elif len(solutions) == 1:
+                    assert ring.divide(ring.from_int(a), n) == ring.from_int(solutions[0])
+                else:
+                    with pytest.raises(Unsupported, match=f"has {len(solutions)} values mod {m}$"):
+                        ring.divide(ring.from_int(a), n)
+
+
+def test_laurent_projection_only_onto_its_own_quotients():
+    # F_5[beta^±1] maps onto its own quotients, not onto a quotient of another
+    # Laurent ring, nor onto a Laurent ring over itself in a new variable
+    v = F5B.from_int(3) * F5B.var(2)
+    own = QuotientByPrincipal(F5B, F5B.var() - 1)
+    assert project(v, own) == own.from_int(3)
+    for target in (QuotientByPrincipal(QB, QB.var() - 1), LaurentExtension(F5B, "gamma", 1)):
+        with pytest.raises(Unsupported):
+            project(v, target)
