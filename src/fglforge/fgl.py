@@ -318,15 +318,18 @@ def _require_axioms(fgl: FormalGroupLaw, what: str | None = None) -> None:
         raise AxiomsFailed(f"{what or repr(fgl)} fails its axioms: {failed}")
 
 
+def _plus_c_xy(ring, c, precision: int) -> TruncatedSeries2:
+    """The body x + y + c xy."""
+    one = ring.one()
+    return TruncatedSeries2.from_entries(ring, [(1, 0, one), (0, 1, one), (1, 1, c)], precision)
+
+
 def named_fgl(name: str, ring, precision: int) -> FormalGroupLaw:
     """One of the built-in laws: additive, multiplicative, universal_rational,
     honda_h1.  The universal law builds its own coefficient ring; for it the
     ring argument is ignored and may be None."""
     if name == "additive":
-        body = TruncatedSeries2.from_entries(
-            ring, [(1, 0, ring.one()), (0, 1, ring.one())], precision
-        )
-        fgl = FormalGroupLaw(body, name="additive")
+        fgl = FormalGroupLaw(_plus_c_xy(ring, ring.zero(), precision), name="additive")
     elif name == "multiplicative":
         if not isinstance(ring, LaurentExtension):
             raise IncompatibleRing(
@@ -338,24 +341,15 @@ def named_fgl(name: str, ring, precision: int) -> FormalGroupLaw:
                 f"the multiplicative law needs its Bott variable in degree 1, "
                 f"not {ring.degree}"
             )
-        beta = ring.var()
-        body = TruncatedSeries2.from_entries(
-            ring,
-            [(1, 0, ring.one()), (0, 1, ring.one()), (1, 1, -beta)],
-            precision,
-        )
         fgl = FormalGroupLaw(
-            body, grading={ring.variable: ring.degree}, name="multiplicative"
+            _plus_c_xy(ring, -ring.var(), precision),
+            grading={ring.variable: ring.degree},
+            name="multiplicative",
         )
     elif name == "honda_h1":
         if not (isinstance(ring, IntegersMod) and _is_prime(ring.modulus)):
             raise IncompatibleRing("honda_h1 lives over a prime field F_p")
-        body = TruncatedSeries2.from_entries(
-            ring,
-            [(1, 0, ring.one()), (0, 1, ring.one()), (1, 1, ring.one())],
-            precision,
-        )
-        fgl = FormalGroupLaw(body, name="honda_h1")
+        fgl = FormalGroupLaw(_plus_c_xy(ring, ring.one(), precision), name="honda_h1")
     elif name == "universal_rational":
         # hopf imports this module, so a module-level import would be a cycle
         from .hopf import universal_fgl_rational

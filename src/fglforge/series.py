@@ -12,15 +12,16 @@ A series stores the canonical payloads of its coefficients, and its
 arithmetic runs on the ring's payload hooks: _add, _neg and _mul, and the
 multiply-accumulate hooks _operand, _mul_add and _settle for sums of
 products.  Sums, scaling, products, composition and substitution all run
-through the loops of one payload shape per kind of series: dense lists,
-sparse maps, and the i <= j half of a symmetric two-variable map, with no
-branch on the ring.  The public constructors unbox the ring elements they
-are given; coefficient() and the coeffs view box what they read.
+through the loops of one payload shape per kind of series, dense lists or
+sparse maps, with no branch on the ring.  Both series classes share one body
+(_Series) that reads the class's shape, so composition and substitution
+take the shape and the origin from the series with no branch on its class.
+The public constructors unbox the ring elements they are given;
+coefficient() and the coeffs view box what they read.
 """
 
 from __future__ import annotations
 
-import bisect
 import operator
 from fractions import Fraction
 
@@ -80,6 +81,10 @@ class _Dense:
         add = ring._add
         return [add(p, q) for p, q in zip(a, b)]
 
+    def neg(self, ring, a):
+        neg = ring._neg
+        return [neg(p) for p in a]
+
     def scale(self, ring, a, c):
         mul = ring._mul
         return [mul(c, p) for p in a]
@@ -87,6 +92,13 @@ class _Dense:
     def settle(self, ring, accs):
         settle, zero = ring._settle, ring.zero().payload
         return [zero if p is None else settle(p) for p in accs]
+
+    def cut(self, a, n):
+        """The payloads of c_0..c_n."""
+        return a[: n + 1]
+
+    def box(self, ring, a):
+        return tuple([RingElement(ring, p) for p in a])
 
 
 class _Sparse:
@@ -100,21 +112,16 @@ class _Sparse:
         operand = ring._operand
         return [(k, sum(k), operand(q)) for k, q in b.items()]
 
-    def pairs(self, a, right):
-        """Each term of a with the prepared right terms it is multiplied by."""
-        for k1, p in a.items():
-            yield k1, p, right
-
     def product(self, ring, out, a, right, n):
         """Add the products of the terms of a and b of total degree at most n
         into out; b is walked in its own order, which fixes the order of new
         keys."""
         mul_add, is_zero = ring._mul_add, ring._is_zero
-        for k1, p, terms in self.pairs(a, right):
+        for k1, p in a.items():
             room = n - sum(k1)
             if room < 0:
                 continue
-            for k2, d2, q in terms:
+            for k2, d2, q in right:
                 if d2 > room:
                     continue
                 k = tuple(map(operator.add, k1, k2))
@@ -126,6 +133,10 @@ class _Sparse:
         return out
 
     add = staticmethod(sparse_add)
+
+    def neg(self, ring, a):
+        neg = ring._neg
+        return {k: neg(p) for k, p in a.items()}
 
     def scale(self, ring, a, c):
         mul, is_zero = ring._mul, ring._is_zero
@@ -140,45 +151,93 @@ class _Sparse:
         settle = ring._settle
         return {k: settle(acc) for k, acc in out.items()}
 
+    def cut(self, a, n):
+        """The nonzero payloads of total degree at most n."""
+        return {k: p for k, p in a.items() if sum(k) <= n}
 
-class _Symmetric(_Sparse):
-    """Two-variable maps that hold only the x^i y^j coefficients with i <= j
-    of a series symmetric in x <-> y, multiplied by a symmetric series.
-
-    Over a commutative ring the product is symmetric too, so only its i <= j
-    half is formed.  The left operand is the half with its mirror after it;
-    the right terms are sorted by their skew i2 - j2, and a left term
-    (i1, j1) lands on a key i <= j exactly with the right terms of skew at
-    most j1 - i1, a prefix of that order.
-    """
-
-    def prepare(self, ring, b):
-        right = sorted(super().prepare(ring, b), key=lambda t: t[0][0] - t[0][1])
-        return right, [k[0] - k[1] for k, _, _ in right]
-
-    def pairs(self, a, right):
-        right, skews = right
-        half = list(a.items())
-        for (i, j), p in half + [((j, i), p) for (i, j), p in half if i != j]:
-            yield (i, j), p, right[: bisect.bisect_right(skews, j - i)]
-
-    @staticmethod
-    def whole(half):
-        """The full map, x^j y^i sharing the value of x^i y^j."""
-        out = {}
-        for (i, j), v in half.items():
-            out[(i, j)] = out[(j, i)] = v
-        return out
+    def box(self, ring, a):
+        return {k: RingElement(ring, p) for k, p in a.items()}
 
 
-_DENSE, _SPARSE, _SYMMETRIC = _Dense(), _Sparse(), _Symmetric()
+_DENSE, _SPARSE = _Dense(), _Sparse()
 
 
-class TruncatedSeries1:
+class _Series:
+    """What both series classes share, run by the class's payload shape
+    (_shape): every result has the ring and variables of self and is built by
+    _like(payloads, precision); _origin is the key of the constant term."""
+
+    __slots__ = ("ring", "precision", "payloads")
+
+    @property
+    def coeffs(self):
+        """The coefficients as ring elements, in the shape of payloads."""
+        return self._shape.box(self.ring, self.payloads)
+
+    def truncate(self, precision):
+        if not 0 <= precision <= self.precision:
+            raise ValueError(f"cannot truncate precision {self.precision} to {precision}")
+        return self._like(self._payloads(precision), precision)
+
+    def constant_term(self):
+        return self.coefficient(self._origin)
+
+    def _check(self, other):
+        if other.ring != self.ring or other._origin != self._origin:
+            raise RingMismatch("series are not over the same ring and variables")
+        return min(self.precision, other.precision)
+
+    def _payloads(self, n):
+        """The payloads of the terms of degree at most n."""
+        return self._shape.cut(self.payloads, n)
+
+    # -- arithmetic ------------------------------------------------------
+    # on payloads, through the ring's hooks and the class's shape
+    def __add__(self, other):
+        n = self._check(other)
+        return self._like(self._shape.add(self.ring, self._payloads(n), other._payloads(n)), n)
+
+    def __sub__(self, other):
+        n = self._check(other)
+        shape, ring = self._shape, self.ring
+        return self._like(shape.add(ring, self._payloads(n), shape.neg(ring, other._payloads(n))), n)
+
+    def __neg__(self):
+        return self._like(self._shape.neg(self.ring, self.payloads), self.precision)
+
+    def __mul__(self, other):
+        if isinstance(other, _Series):
+            n = self._check(other)
+            shape, ring = self._shape, self.ring
+            right = shape.prepare(ring, other._payloads(n))
+            out = shape.product(ring, shape.accumulators(n), self._payloads(n), right, n)
+            return self._like(shape.settle(ring, out), n)
+        return self.scale(other)
+
+    def scale(self, c):
+        x = _coerce_scalar(self.ring, c).payload
+        return self._like(self._shape.scale(self.ring, self.payloads, x), self.precision)
+
+    def __eq__(self, other):
+        if not isinstance(other, _Series):
+            return NotImplemented
+        return (
+            self.ring == other.ring
+            and self._origin == other._origin
+            and self.precision == other.precision
+            and self.payloads == other.payloads
+        )
+
+    def __hash__(self):
+        return hash((self.ring, self._origin, self.precision, len(self.payloads)))
+
+
+class TruncatedSeries1(_Series):
     """A power series in one variable, exact modulo x^{N+1}: payloads holds
     the canonical payloads of c_0..c_N."""
 
-    __slots__ = ("ring", "precision", "payloads")
+    __slots__ = ()
+    _shape, _origin = _DENSE, 0
 
     def __init__(self, ring, coeffs, precision=None):
         if precision is None:
@@ -212,33 +271,6 @@ class TruncatedSeries1:
     def from_fractions(cls, ring, values, precision=None):
         return cls(ring, [Fraction(v) for v in values], precision)
 
-    # -- basic access -----------------------------------------------------
-    @property
-    def coeffs(self) -> tuple:
-        """c_0..c_N as ring elements."""
-        return tuple([RingElement(self.ring, p) for p in self.payloads])
-
-    def coefficient(self, n: int):
-        if not 0 <= n <= self.precision:
-            raise IndexError(f"coefficient {n} outside 0..{self.precision}")
-        return RingElement(self.ring, self.payloads[n])
-
-    def truncate(self, precision: int) -> "TruncatedSeries1":
-        if not 0 <= precision <= self.precision:
-            raise ValueError(f"cannot truncate precision {self.precision} to {precision}")
-        return self._from_payloads(self.ring, self.payloads[: precision + 1], precision)
-
-    def is_zero(self) -> bool:
-        return all(map(self.ring._is_zero, self.payloads))
-
-    def constant_term(self):
-        return self.coefficient(0)
-
-    def _check(self, other):
-        if other.ring != self.ring:
-            raise RingMismatch(f"{self.ring} vs {other.ring}")
-        return min(self.precision, other.precision)
-
     @classmethod
     def _from_payloads(cls, ring, payloads, precision):
         """The series with these canonical payloads as coefficients c_0..c_N."""
@@ -248,54 +280,20 @@ class TruncatedSeries1:
         out.payloads = tuple(payloads)
         return out
 
-    def _payloads(self, n):
-        """The payloads of c_0..c_n."""
-        return self.payloads[: n + 1]
+    def _like(self, payloads, precision):
+        return self._from_payloads(self.ring, payloads, precision)
 
-    # -- arithmetic ------------------------------------------------------
-    # on payloads, through the ring's hooks and the dense shape
-    def __add__(self, other):
-        n = self._check(other)
-        out = _DENSE.add(self.ring, self._payloads(n), other._payloads(n))
-        return self._from_payloads(self.ring, out, n)
+    # -- basic access -----------------------------------------------------
+    def coefficient(self, n: int):
+        if not 0 <= n <= self.precision:
+            raise IndexError(f"coefficient {n} outside 0..{self.precision}")
+        return RingElement(self.ring, self.payloads[n])
 
-    def __sub__(self, other):
-        n = self._check(other)
-        neg = self.ring._neg
-        out = _DENSE.add(self.ring, self._payloads(n), [neg(q) for q in other._payloads(n)])
-        return self._from_payloads(self.ring, out, n)
+    def is_zero(self) -> bool:
+        return all(map(self.ring._is_zero, self.payloads))
 
-    def __neg__(self):
-        neg = self.ring._neg
-        return self._from_payloads(self.ring, [neg(p) for p in self.payloads], self.precision)
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries1):
-            n = self._check(other)
-            ring = self.ring
-            right = _DENSE.prepare(ring, other._payloads(n))
-            accs = _DENSE.product(ring, _DENSE.accumulators(n), self._payloads(n), right, n)
-            return self._from_payloads(ring, _DENSE.settle(ring, accs), n)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def scale(self, c):
-        x = _coerce_scalar(self.ring, c).payload
-        out = _DENSE.scale(self.ring, self._payloads(self.precision), x)
-        return self._from_payloads(self.ring, out, self.precision)
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries1):
-            return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.precision == other.precision
-            and self.payloads == other.payloads
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.precision))
+    # bound in each class's own namespace, where perfbench's tracer finds them
+    __mul__ = __rmul__ = _Series.__mul__
 
     # -- calculus ----------------------------------------------------------
     def derive(self) -> "TruncatedSeries1":
@@ -306,7 +304,7 @@ class TruncatedSeries1:
             )
         ring = self.ring
         out = [ring._mul(p, ring.from_int(n).payload) for n, p in enumerate(self.payloads) if n]
-        return self._from_payloads(ring, out, self.precision - 1)
+        return self._like(out, self.precision - 1)
 
     def integrate(self) -> "TruncatedSeries1":
         """Antiderivative with zero constant term, at precision N+1; raises
@@ -315,7 +313,7 @@ class TruncatedSeries1:
         out = [self.ring.zero().payload]
         for n, c in enumerate(self.coeffs):
             out.append(divide(c, n + 1).payload)
-        return self._from_payloads(self.ring, out, self.precision + 1)
+        return self._like(out, self.precision + 1)
 
     # -- composition and friends ---------------------------------------
     def compose(self, inner) -> "TruncatedSeries1":
@@ -347,7 +345,7 @@ class TruncatedSeries1:
             p = zero if acc is None else neg(mul(c0i, settle(acc)))
             out.append(p)
             ops.append(None if is_zero(p) else operand(p))
-        return self._from_payloads(ring, out, self.precision)
+        return self._like(out, self.precision)
 
     def revert(self) -> "TruncatedSeries1":
         """Compositional inverse g with f(g(x)) = x = g(f(x)).
@@ -394,7 +392,7 @@ class TruncatedSeries1:
             p = zero if err is None else neg(mul(f1_inv, settle(err)))
             g.append(p)
             powers[1].append(None if is_zero(p) else operand(p))
-        return self._from_payloads(ring, g, n)
+        return self._like(g, n)
 
     def __repr__(self):
         # iojson imports this module, so a module-level import would be a cycle
@@ -403,11 +401,12 @@ class TruncatedSeries1:
         return f"<series {series1_to_text(self, 'x')} + O(x^{self.precision + 1})>"
 
 
-class TruncatedSeriesN:
+class TruncatedSeriesN(_Series):
     """A sparse series in several variables, exact modulo total degree > N:
     payloads maps exponent tuples to the nonzero canonical payloads."""
 
-    __slots__ = ("ring", "nvars", "precision", "payloads")
+    __slots__ = ("nvars",)
+    _shape = _SPARSE
 
     def __init__(self, ring, nvars, coeffs, precision):
         self.ring = ring
@@ -427,33 +426,6 @@ class TruncatedSeriesN:
         key = tuple(1 if i == index else 0 for i in range(nvars))
         return cls(ring, nvars, {key: ring.one()}, precision)
 
-    @property
-    def coeffs(self) -> dict:
-        """The nonzero coefficients as ring elements, keyed by exponent tuples."""
-        return {k: RingElement(self.ring, p) for k, p in self.payloads.items()}
-
-    def coefficient(self, key):
-        key = tuple(key)
-        if min(key, default=0) < 0 or sum(key) > self.precision:
-            raise IndexError(f"{key} is not a monomial of degree 0..{self.precision}")
-        return RingElement(self.ring, self.payloads.get(key, self.ring.zero().payload))
-
-    def truncate(self, precision):
-        if precision > self.precision:
-            raise ValueError("cannot raise precision")
-        return self._from_payloads(self.ring, self.nvars, self._payloads(precision), precision)
-
-    def is_zero(self):
-        return not self.payloads
-
-    def constant_term(self):
-        return self.coefficient((0,) * self.nvars)
-
-    def _check(self, other):
-        if other.ring != self.ring or other.nvars != self.nvars:
-            raise RingMismatch("series are not over the same ring and variables")
-        return min(self.precision, other.precision)
-
     @classmethod
     def _from_payloads(cls, ring, nvars, payloads, precision):
         """The series with these nonzero canonical payloads, keyed by exponent
@@ -465,52 +437,23 @@ class TruncatedSeriesN:
         out.payloads = payloads
         return out
 
-    def _payloads(self, n):
-        """The nonzero payloads of total degree at most n."""
-        return {k: p for k, p in self.payloads.items() if sum(k) <= n}
+    def _like(self, payloads, precision):
+        return self._from_payloads(self.ring, self.nvars, payloads, precision)
 
-    # -- arithmetic, on payloads through the sparse shape ------------------
-    def __add__(self, other):
-        n = self._check(other)
-        out = _SPARSE.add(self.ring, self._payloads(n), other._payloads(n))
-        return self._from_payloads(self.ring, self.nvars, out, n)
+    @property
+    def _origin(self):
+        return (0,) * self.nvars
 
-    def __sub__(self, other):
-        return self + (-other)
+    def coefficient(self, key):
+        key = tuple(key)
+        if min(key, default=0) < 0 or sum(key) > self.precision:
+            raise IndexError(f"{key} is not a monomial of degree 0..{self.precision}")
+        return RingElement(self.ring, self.payloads.get(key, self.ring.zero().payload))
 
-    def __neg__(self):
-        neg = self.ring._neg
-        out = {k: neg(p) for k, p in self.payloads.items()}
-        return self._from_payloads(self.ring, self.nvars, out, self.precision)
+    def is_zero(self):
+        return not self.payloads
 
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeriesN):
-            n = self._check(other)
-            ring = self.ring
-            right = _SPARSE.prepare(ring, other._payloads(n))
-            out = _SPARSE.product(ring, _SPARSE.accumulators(n), self._payloads(n), right, n)
-            return self._from_payloads(ring, self.nvars, _SPARSE.settle(ring, out), n)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def scale(self, c):
-        x = _coerce_scalar(self.ring, c).payload
-        out = _SPARSE.scale(self.ring, self._payloads(self.precision), x)
-        return self._from_payloads(self.ring, self.nvars, out, self.precision)
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeriesN):
-            return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.nvars == other.nvars
-            and self.precision == other.precision
-            and self.payloads == other.payloads
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.nvars, self.precision, len(self.payloads)))
+    __mul__ = __rmul__ = _Series.__mul__
 
     def __repr__(self):
         terms = len(self.payloads)
@@ -564,64 +507,48 @@ def compose_series(outer: TruncatedSeries1, inner):
     Every inner shape runs in one loop on payloads, through the product loop
     of its shape: the inner's terms are prepared once, each step's products
     are summed through the ring's _mul_add and settled once, and c_k goes in
-    at the origin.  When the inner series has two variables and is symmetric
-    in x <-> y, so is every accumulator (a polynomial in a symmetric series
-    over a commutative ring): the symmetric shape forms only its x^i y^j
-    coefficients with i <= j, and the result shares each payload with
-    x^j y^i.
+    at the origin.  The result has the class and variables of the inner.
     """
     if outer.ring != inner.ring:
         raise RingMismatch(f"{outer.ring} vs {inner.ring}")
     if not inner.constant_term().is_zero():
         raise NonzeroConstantTerm("inner series must vanish at the origin")
     n = min(outer.precision, inner.precision)
-    ring = inner.ring
-    if isinstance(inner, TruncatedSeries1):
-        shape, origin, terms = _DENSE, 0, inner._payloads(n)
-    else:
-        shape, origin = _SPARSE, (0,) * inner.nvars
-        terms = inner.payloads
-        # decided here, not taken from the caller: the associativity check
-        # also runs on a law that has failed its symmetry axiom
-        if inner.nvars == 2 and all(terms.get((j, i)) == p for (i, j), p in terms.items()):
-            shape = _SYMMETRIC
-    right = shape.prepare(ring, terms)
+    ring, shape, origin = inner.ring, inner._shape, inner._origin
+    right = shape.prepare(ring, inner._payloads(n))
     acc = shape.accumulators(-1)  # empty: the series of precision -1
     for k in range(n, -1, -1):
         acc = shape.settle(ring, shape.product(ring, shape.accumulators(n - k), acc, right, n - k))
         c = outer.payloads[k]
         if not ring._is_zero(c):
             acc[origin] = c
-    if shape is _DENSE:
-        return TruncatedSeries1._from_payloads(ring, acc, n)
-    if shape is _SYMMETRIC:
-        acc = shape.whole(acc)
-    return type(inner)._from_payloads(ring, inner.nvars, acc, n)
+    return inner._like(acc, n)
 
 
-def _substitution(body: TruncatedSeries2, n: int, nvars: int = 0):
+def _substitution(body: TruncatedSeries2, n: int, origin=0):
     """The function (u, v) -> body(u, v) modulo degree n + 1, on payloads.
 
-    u and v are payload lists c_0..c_n (nvars = 0) or maps in nvars variables
-    truncated at n, and vanish at the origin; so does the result, unless the
-    body has a constant term.  The body's terms c x^i y^j within degree n are
-    read once.  Each call caches the powers of u and v from the first power
-    up.  Every term with i, j >= 1 adds the product (c u^i) v^j into one set
-    of accumulators, through the shape's product loop, scaling u^i first
-    only when c is not 1; the sum is settled once.  The terms in one
-    variable, and the constant term, are then added as payloads: c times
-    that power (or 1), with no product by c when c is 1.  So x + y - beta xy
-    costs one product, and x + y none.
+    u and v are payload lists c_0..c_n (origin 0, the key of their constant
+    term) or maps keyed by exponent tuples (origin the zero tuple), truncated
+    at n, and vanish at the origin; so does the result, unless the body has a
+    constant term.  The body's terms c x^i y^j within degree n are read once.
+    Each call caches the powers of u and v from the first power up.  Every
+    term with i, j >= 1 adds the product (c u^i) v^j into one set of
+    accumulators, through the shape's product loop, scaling u^i first only
+    when c is not 1; the sum is settled once.  The terms in one variable, and
+    the constant term, are then added as payloads: c times that power (or 1),
+    with no product by c when c is 1.  So x + y - beta xy costs one product,
+    and x + y none.
     """
     ring = body.ring
-    shape = _SPARSE if nvars else _DENSE
+    shape = _DENSE if origin == 0 else _SPARSE
     terms = [(i, j, c) for (i, j), c in sorted(body.payloads.items()) if i + j <= n]
     one = ring.one().payload
     # the constant series 1, for a constant term of the body
-    if not nvars:
+    if shape is _DENSE:
         unit = [one] + [ring.zero().payload] * n
     else:
-        unit = {} if ring._is_zero(one) else {(0,) * nvars: one}
+        unit = {} if ring._is_zero(one) else {origin: one}
     # the highest power of u and of v a term reads, and the powers of v that
     # are right factors of a product
     u_top = max((i for i, _, _ in terms), default=0)
@@ -668,17 +595,13 @@ def substitute_pair(body: TruncatedSeries2, u, v):
     ring = body.ring
     if u.ring != ring or v.ring != ring:
         raise RingMismatch(f"{ring} vs {u.ring} and {v.ring}")
-    dense = isinstance(u, TruncatedSeries1)
-    if dense != isinstance(v, TruncatedSeries1) or not (dense or u.nvars == v.nvars):
+    if u._origin != v._origin:
         raise RingMismatch("substituted series must be in the same variables")
     if not (u.constant_term().is_zero() and v.constant_term().is_zero()):
         raise NonzeroConstantTerm("substituted series must vanish at the origin")
     n = min(body.precision, u.precision, v.precision)
-    if dense:
-        out = _substitution(body, n)(u._payloads(n), v._payloads(n))
-        return TruncatedSeries1._from_payloads(ring, out, n)
-    out = _substitution(body, n, u.nvars)(u._payloads(n), v._payloads(n))
-    return type(u)._from_payloads(ring, u.nvars, out, n)
+    out = _substitution(body, n, u._origin)(u._payloads(n), v._payloads(n))
+    return u._like(out, n)
 
 
 def embed2(body: TruncatedSeries2, nvars: int, positions) -> TruncatedSeriesN:

@@ -645,6 +645,31 @@ def test_nilpotents_of_z_mod_m_match_brute_force():
             assert ring.is_nilpotent(ring.from_int(a)) == (pow(a, m, m) == 0), (m, a)
 
 
+def _prime_powers_by_trial_division(m):
+    """The prime powers exactly dividing m, by increasing prime."""
+    out, d = [], 2
+    while m > 1:
+        q = 1
+        while m % d == 0:
+            m, q = m // d, q * d
+        if q > 1:
+            out.append(q)
+        d += 1
+    return out
+
+
+def test_z_mod_m_is_a_domain_mod_nilpotents_as_brute_force_decides():
+    # Z/m modulo its nilpotents is a domain iff it is not the zero ring (1 is
+    # not nilpotent) and ab nilpotent implies a or b nilpotent; and m is the
+    # product of the pairwise coprime prime powers _prime_power_factors finds
+    for m in range(1, 200):
+        nilpotent = {a for a in range(m) if pow(a, m, m) == 0}
+        rest = [a for a in range(m) if a not in nilpotent]
+        domain = bool(rest) and all(a * b % m not in nilpotent for a in rest for b in rest)
+        assert IntegersMod(m).is_domain_mod_nilpotents() == domain, m
+        assert rings._prime_power_factors(m) == _prime_powers_by_trial_division(m), m
+
+
 def test_division_in_z_mod_m_matches_brute_force():
     # n x = a in Z/m: no solution raises Inconsistent, one is returned, and
     # several raise Unsupported naming how many there are
