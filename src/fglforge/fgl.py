@@ -243,7 +243,7 @@ def _law_of_logarithm(log: TruncatedSeries1, n: int) -> TruncatedSeries2:
                     acc = mul_add(acc, a, c)
             if acc is None or is_zero(acc := settle(acc)):
                 continue
-            value = ring.divide(RingElement(ring, acc), j + 1).payload
+            value = ring.divide(acc, j + 1)
             h[j + 1][i], h[i][j + 1] = acc, mul(value, ring.from_int(i).payload)
             f[(i, j + 1)] = f[(j + 1, i)] = value
     return TruncatedSeries2._from_payloads(ring, 2, f, n)
@@ -604,7 +604,7 @@ def grade_check(fgl: FormalGroupLaw, degrees: dict) -> bool:
     """True iff every coefficient a_ij is homogeneous of degree i+j-1
     (x and y carrying degree -1)."""
     for (i, j), p in fgl.body.payloads.items():
-        present = fgl.ring.element_degrees(RingElement(fgl.ring, p), degrees)
+        present = fgl.ring.element_degrees(p, degrees)
         if present and present != {i + j - 1}:
             return False
     return True

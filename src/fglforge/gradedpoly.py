@@ -216,20 +216,20 @@ class GradedPolynomialRing(CoefficientRing):
         return _join_terms(terms)
 
     # -- structure ----------------------------------------------------------
-    def is_unit(self, elt):
+    def is_unit(self, a):
         # positive-degree generators are nilpotent below the truncation cut
-        return bool(elt.payload.get(0))
+        return bool(a.get(0))
 
-    def invert(self, elt):
-        c0 = elt.payload.get(0)
+    def invert(self, a):
+        c0 = a.get(0)
         if not c0:
             raise Unsupported("element has zero constant term; not a unit")
         c0_inv = Fraction(1, 1) / c0
-        scaled = RingElement(self, self._canonical({k: c * c0_inv for k, c in elt.payload.items()}))
-        return _geometric_inverse(scaled) * self.from_fraction(c0_inv)
+        scaled = self._canonical({k: c * c0_inv for k, c in a.items()})
+        return self._mul(_geometric_inverse(self, scaled), self.from_fraction(c0_inv).payload)
 
-    def is_nilpotent(self, elt):
-        return 0 not in elt.payload
+    def is_nilpotent(self, a):
+        return 0 not in a
 
     def is_q_algebra(self):
         return True
@@ -243,10 +243,10 @@ class GradedPolynomialRing(CoefficientRing):
     def generator_degrees(self):
         return {name: d for name, d in self.gens}
 
-    def element_degrees(self, elt, degrees):
+    def element_degrees(self, a, degrees):
         weights = tuple(degrees.get(name, d) for name, d in self.gens)
         memo = self._deg_memo if weights == self.degrees else _DegreeMemo(weights)
-        return {memo[key] for key in elt.payload}
+        return {memo[key] for key in a}
 
     def to_json(self):
         return {

@@ -147,13 +147,13 @@ class FunctionRing(CoefficientRing):
         # a display-only list, outside the expression grammar
         return "[" + ", ".join(str(v) for v in payload) + "]"
 
-    def is_unit(self, elt):
-        return all(x != 0 for x in elt.payload)
+    def is_unit(self, a):
+        return all(x != 0 for x in a)
 
-    def invert(self, elt):
-        if not self.is_unit(elt):
+    def invert(self, a):
+        if not self.is_unit(a):
             raise Unsupported("a component vanishes; not a unit")
-        return RingElement(self, tuple(1 / x for x in elt.payload))
+        return tuple(1 / x for x in a)
 
     def is_q_algebra(self):
         return True

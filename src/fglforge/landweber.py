@@ -259,7 +259,7 @@ def v_sequence_report(fgl: FormalGroupLaw, p: int, max_height: int):
         degree = p**n - 1
         homogeneous = None
         if fgl.grading is not None:
-            present = v.ring.element_degrees(v, fgl.grading)
+            present = v.ring.element_degrees(v.payload, fgl.grading)
             homogeneous = not present or present == {degree}
         rows.append(VRow(n, v, degree, homogeneous))
     return rows

@@ -208,10 +208,10 @@ class RingElement:
         return self.ring._is_zero(self.payload)
 
     def is_unit(self) -> bool:
-        return self.ring.is_unit(self)
+        return self.ring.is_unit(self.payload)
 
     def inverse(self) -> "RingElement":
-        return self.ring.invert(self)
+        return RingElement(self.ring, self.ring.invert(self.payload))
 
     def __repr__(self):
         return self.ring.to_expr(self.payload)
@@ -298,27 +298,29 @@ class CoefficientRing:
         return str(payload)
 
     # -- structural predicates -----------------------------------------
-    def is_unit(self, elt: RingElement) -> bool:
+    # Decisions take and return payloads of this ring; RingElement.is_unit
+    # and .inverse, and the module functions below, box at the public edge.
+    def is_unit(self, a) -> bool:
         raise NotImplementedError
 
-    def invert(self, elt: RingElement) -> RingElement:
+    def invert(self, a):
         raise NotImplementedError
 
-    def divide(self, elt: RingElement, n: int) -> RingElement:
-        """The x with n*x = elt for a positive integer n; raises Inconsistent
+    def divide(self, a, n: int):
+        """The x with n*x = a for a positive integer n; raises Inconsistent
         when there is none and Unsupported when there may be several."""
         if self.is_q_algebra():
-            return elt * self.from_fraction(Fraction(1, n))
-        d = self.from_int(n)
-        if d.is_unit():
-            return elt * d.inverse()
-        if d.is_zero() and not elt.is_zero():
-            raise Inconsistent(f"{n} is zero in {self} and {elt!r} is not")
+            return self._mul(a, self.from_fraction(Fraction(1, n)).payload)
+        d = self.from_int(n).payload
+        if self.is_unit(d):
+            return self._mul(a, self.invert(d))
+        if self._is_zero(d) and not self._is_zero(a):
+            raise Inconsistent(f"{n} is zero in {self} and {self.to_expr(a)} is not")
         raise Unsupported(f"no unique quotient by {n} in {self}")
 
-    def is_nilpotent(self, elt: RingElement) -> bool:
+    def is_nilpotent(self, a) -> bool:
         """Only sound within the decidable family."""
-        return elt.is_zero()
+        return self._is_zero(a)
 
     def is_q_algebra(self) -> bool:
         return False
@@ -341,13 +343,13 @@ class CoefficientRing:
         """Default grading of the named generators (may be overridden per use)."""
         return {}
 
-    def element_degrees(self, elt: RingElement, degrees: dict) -> set:
-        """The set of weighted degrees of the monomials of elt.
+    def element_degrees(self, a, degrees: dict) -> set:
+        """The set of weighted degrees of the monomials of a.
 
         Empty for zero; {0} for nonzero constants.  Supports the closed ring
         family and graded polynomial rings.
         """
-        return set() if elt.is_zero() else {0}
+        return set() if self._is_zero(a) else {0}
 
     # -- family decisions ----------------------------------------------
     # The module functions of the same names run the checks every family
@@ -356,16 +358,16 @@ class CoefficientRing:
     def is_zero_ring(self) -> bool:
         return False
 
-    def zero_divisor_witness(self, r: RingElement):
+    def zero_divisor_witness(self, r):
         """r is nonzero and not a unit; the ring is nonzero, not a domain."""
         raise Undecidable(f"no zero-divisor routine for {self}")
 
-    def quotient_by_element(self, r: RingElement) -> "CoefficientRing":
+    def quotient_by_element(self, r) -> "CoefficientRing":
         """r is nonzero and not a unit; the ring is nonzero."""
         raise Unsupported(f"no quotient normal form for {self}")
 
-    def project(self, elt: RingElement, target: "CoefficientRing") -> RingElement:
-        """elt lives in this ring; target is another, nonzero ring."""
+    def project(self, a, target: "CoefficientRing"):
+        """a is a payload of this ring; target is another, nonzero ring."""
         raise Unsupported(f"no canonical map {self} -> {target}")
 
     def to_json(self) -> dict:
@@ -384,6 +386,11 @@ class _NumberRing(CoefficientRing):
     def is_domain(self):
         return True
 
+    def invert(self, a):
+        if not self.is_unit(a):
+            raise Unsupported(f"{a} is not a unit in {self}")
+        return 1 / a
+
     def to_json(self):
         return {"kind": self.kind}
 
@@ -397,27 +404,27 @@ class Integers(_NumberRing):
     def _canonical(self, payload):
         return int(payload)
 
-    def is_unit(self, elt):
-        return elt.payload in (1, -1)
+    def is_unit(self, a):
+        return a in (1, -1)
 
-    def invert(self, elt):
-        if not self.is_unit(elt):
-            raise Unsupported(f"{elt.payload} is not a unit in Z")
-        return elt
+    def invert(self, a):
+        if not self.is_unit(a):
+            raise Unsupported(f"{a} is not a unit in Z")
+        return a
 
-    def divide(self, elt, n):
-        q, r = divmod(elt.payload, n)
+    def divide(self, a, n):
+        q, r = divmod(a, n)
         if r:
-            raise Inconsistent(f"{elt.payload} is not divisible by {n} in Z")
-        return RingElement(self, q)
+            raise Inconsistent(f"{a} is not divisible by {n} in Z")
+        return q
 
     def quotient_by_element(self, r):
-        return IntegersMod(abs(r.payload))
+        return IntegersMod(abs(r))
 
-    def project(self, elt, target):
+    def project(self, a, target):
         if isinstance(target, IntegersMod):
-            return target.from_int(elt.payload)
-        return super().project(elt, target)
+            return target._canonical(a)
+        return super().project(a, target)
 
     def __repr__(self):
         return "Z"
@@ -435,13 +442,8 @@ class Rationals(_NumberRing):
     def _canonical(self, payload):
         return Fraction(payload)
 
-    def is_unit(self, elt):
-        return elt.payload != 0
-
-    def invert(self, elt):
-        if elt.payload == 0:
-            raise Unsupported("0 is not a unit in Q")
-        return RingElement(self, 1 / elt.payload)
+    def is_unit(self, a):
+        return a != 0
 
     def is_q_algebra(self):
         return True
@@ -482,32 +484,28 @@ class IntegersMod(CoefficientRing):
     def _is_zero(self, a):
         return a == 0
 
-    def is_unit(self, elt):
-        if self.modulus == 1:
-            return True
-        return math.gcd(elt.payload, self.modulus) == 1
+    def is_unit(self, a):
+        return math.gcd(a, self.modulus) == 1
 
-    def invert(self, elt):
-        if not self.is_unit(elt):
-            raise Unsupported(f"{elt.payload} is not a unit mod {self.modulus}")
-        if self.modulus == 1:
-            return elt
-        return RingElement(self, pow(elt.payload, -1, self.modulus))
+    def invert(self, a):
+        if not self.is_unit(a):
+            raise Unsupported(f"{a} is not a unit mod {self.modulus}")
+        return pow(a, -1, self.modulus)
 
-    def divide(self, elt, n):
+    def divide(self, a, n):
         # n*x = a mod m has gcd(n, m) solutions when the gcd divides a, else none
         g = math.gcd(n, self.modulus)
-        if elt.payload % g:
-            raise Inconsistent(f"{elt.payload} is not divisible by {n} mod {self.modulus}")
+        if a % g:
+            raise Inconsistent(f"{a} is not divisible by {n} mod {self.modulus}")
         if g > 1:
-            raise Unsupported(f"{elt.payload}/{n} has {g} values mod {self.modulus}")
-        return super().divide(elt, n)
+            raise Unsupported(f"{a}/{n} has {g} values mod {self.modulus}")
+        return super().divide(a, n)
 
-    def is_nilpotent(self, elt):
+    def is_nilpotent(self, a):
         # a is nilpotent mod m iff every prime factor of m divides a
-        if elt.payload == 0:
+        if a == 0:
             return True
-        return pow(elt.payload, self.modulus.bit_length(), self.modulus) == 0
+        return pow(a, self.modulus.bit_length(), self.modulus) == 0
 
     def is_field(self):
         return _is_prime(self.modulus)
@@ -522,15 +520,15 @@ class IntegersMod(CoefficientRing):
         return self.modulus == 1
 
     def zero_divisor_witness(self, r):
-        return self.from_int(self.modulus // math.gcd(r.payload, self.modulus))
+        return self.modulus // math.gcd(r, self.modulus)
 
     def quotient_by_element(self, r):
-        return IntegersMod(math.gcd(self.modulus, r.payload))
+        return IntegersMod(math.gcd(self.modulus, r))
 
-    def project(self, elt, target):
+    def project(self, a, target):
         if isinstance(target, IntegersMod) and self.modulus % target.modulus == 0:
-            return target.from_int(elt.payload)
-        return super().project(elt, target)
+            return target._canonical(a)
+        return super().project(a, target)
 
     def to_json(self):
         return {"kind": self.kind, "modulus": self.modulus}
@@ -565,27 +563,21 @@ class PLocalIntegers(_NumberRing):
             raise ValueError(f"{q} is not {self.p}-local")
         return q
 
-    def is_unit(self, elt):
-        return elt.payload != 0 and elt.payload.numerator % self.p != 0
+    def is_unit(self, a):
+        return a != 0 and a.numerator % self.p != 0
 
-    def invert(self, elt):
-        if not self.is_unit(elt):
-            raise Unsupported(f"{elt.payload} is not a unit in Z_({self.p})")
-        return RingElement(self, 1 / elt.payload)
-
-    def divide(self, elt, n):
-        q = elt.payload / n
+    def divide(self, a, n):
+        q = a / n
         if q.denominator % self.p == 0:
-            raise Inconsistent(f"{elt.payload} is not divisible by {n} in {self}")
-        return RingElement(self, q)
+            raise Inconsistent(f"{a} is not divisible by {n} in {self}")
+        return q
 
-    def valuation(self, elt) -> int:
+    def valuation(self, a) -> int:
         """p-adic valuation of a nonzero element."""
-        q = elt.payload
-        if q == 0:
+        if a == 0:
             raise ValueError("valuation of zero")
         v = 0
-        n = q.numerator
+        n = a.numerator
         while n % self.p == 0:
             n //= self.p
             v += 1
@@ -594,15 +586,14 @@ class PLocalIntegers(_NumberRing):
     def quotient_by_element(self, r):
         return IntegersMod(self.p ** self.valuation(r))
 
-    def project(self, elt, target):
+    def project(self, a, target):
         # a ring map Z_(p) -> Z/m exists only when m is a power of p, that is
         # when p^bit_length(m) = 0 mod m; then every denominator is a unit
         if isinstance(target, IntegersMod) and not pow(
             self.p, target.modulus.bit_length(), target.modulus
         ):
-            num, den = elt.payload.numerator, elt.payload.denominator
-            return target.from_int(num * pow(den, -1, target.modulus))
-        return super().project(elt, target)
+            return target._canonical(a.numerator * pow(a.denominator, -1, target.modulus))
+        return super().project(a, target)
 
     def to_json(self):
         return {"kind": self.kind, "prime": self.p}
@@ -611,16 +602,16 @@ class PLocalIntegers(_NumberRing):
         return f"Z_({self.p})"
 
 
-def _geometric_inverse(u: RingElement) -> RingElement:
-    """Inverse of u = 1 + n with n nilpotent: 1 - n + n^2 - ..."""
-    one = u.ring.one()
-    minus_n = -(u - one)
+def _geometric_inverse(ring: CoefficientRing, u):
+    """Inverse of the payload u = 1 + n with n nilpotent: 1 - n + n^2 - ..."""
+    one = ring.one().payload
+    minus_n = ring._neg(ring._add(u, ring._neg(one)))
     inv = power = one
     while True:
-        power = power * minus_n
-        if power.is_zero():
+        power = ring._mul(power, minus_n)
+        if ring._is_zero(power):
             return inv
-        inv = inv + power
+        inv = ring._add(inv, power)
 
 
 def _prime_power_factors(m: int) -> list:
@@ -721,12 +712,6 @@ class LaurentExtension(CoefficientRing):
             terms.append(c if e == 0 else _coeff_times(c, _power_str(self.variable, e)))
         return _join_terms(terms)
 
-    def _coefficients(self, elt: RingElement) -> dict:
-        """The coefficients of elt boxed over the base, for the decisions the
-        base makes on them."""
-        base = self.base
-        return {e: RingElement(base, c) for e, c in elt.payload.items()}
-
     def _components(self):
         """When the innermost coefficient ring is Z/m and m is not a prime
         power: (e, ring) for each prime power q exactly dividing m, where ring
@@ -748,19 +733,19 @@ class LaurentExtension(CoefficientRing):
         base = self.base._over(inner) if isinstance(self.base, LaurentExtension) else inner
         return LaurentExtension(base, self.variable, self.degree)
 
-    def _unit_term(self, terms: dict):
+    def _unit_term(self, a: dict):
         """The exponent of the one unit coefficient when all the others are
         nilpotent, which makes the element a unit; else None."""
-        units = [e for e, c in terms.items() if c.is_unit()]
-        if len(units) == 1 and all(self.base.is_nilpotent(c) for e, c in terms.items() if e != units[0]):
+        base = self.base
+        units = [e for e, c in a.items() if base.is_unit(c)]
+        if len(units) == 1 and all(base.is_nilpotent(c) for e, c in a.items() if e != units[0]):
             return units[0]
         return None
 
-    def is_unit(self, elt):
-        terms = self._coefficients(elt)
-        if not terms:
-            return self.base.is_unit(self.base.zero())  # zero ring case
-        if self._unit_term(terms) is not None:
+    def is_unit(self, a):
+        if not a:
+            return self.is_zero_ring()
+        if self._unit_term(a) is not None:
             return True
         # That test is also necessary when the base modulo its nilpotents is a
         # domain, whose Laurent units are unit monomials.  Z/m is the product
@@ -771,35 +756,32 @@ class LaurentExtension(CoefficientRing):
         components = self._components()
         if not components:
             raise Undecidable(f"no unit test for {self} beyond unit monomials")
-        return all(ring.is_unit(project(elt, ring)) for _, ring in components)
+        return all(ring.is_unit(self.project(a, ring)) for _, ring in components)
 
-    def invert(self, elt):
-        if not self.is_unit(elt):
+    def invert(self, a):
+        if not self.is_unit(a):
             raise Unsupported("element is not a unit in the Laurent ring")
-        terms = self._coefficients(elt)
-        if not terms:  # zero ring
-            return elt
-        e0 = self._unit_term(terms)
+        e0 = self._unit_term(a)
         if e0 is None:
             # a unit over every Z/q: add up e * (the inverse over Z/q), whose
-            # residues in [0, q) are already payloads over Z/m
-            total = self.zero()
+            # residues in [0, q) are payloads over Z/m (none over Z/1: 0 = 1)
+            total = {}
             for e, ring in self._components():
-                inv = ring.invert(project(elt, ring))
-                total = total + self.from_int(e) * RingElement(self, inv.payload)
+                inv = ring.invert(self.project(a, ring))
+                total = self._add(total, self._mul(self.from_int(e).payload, inv))
             return total
-        lead = RingElement(self, {-e0: terms[e0].inverse().payload})
-        if len(terms) == 1:
+        lead = {-e0: self.base.invert(a[e0])}
+        if len(a) == 1:
             return lead
-        # elt = u*v^e0 * (1 + n) with n nilpotent
-        return lead * _geometric_inverse(lead * elt)
+        # a = u*v^e0 * (1 + n) with n nilpotent
+        return self._mul(lead, _geometric_inverse(self, self._mul(lead, a)))
 
-    def divide(self, elt, n):
+    def divide(self, a, n):
         divide = self.base.divide
-        return RingElement(self, {e: divide(c, n).payload for e, c in self._coefficients(elt).items()})
+        return {e: divide(c, n) for e, c in a.items()}
 
-    def is_nilpotent(self, elt):
-        return all(self.base.is_nilpotent(c) for c in self._coefficients(elt).values())
+    def is_nilpotent(self, a):
+        return all(map(self.base.is_nilpotent, a.values()))
 
     def is_q_algebra(self):
         return self.base.is_q_algebra()
@@ -821,12 +803,10 @@ class LaurentExtension(CoefficientRing):
         degs.update(self.base.generator_degrees())
         return degs
 
-    def element_degrees(self, elt, degrees):
+    def element_degrees(self, a, degrees):
         d_var = {**self.generator_degrees(), **degrees}[self.variable]
         return {
-            dc + e * d_var
-            for e, c in self._coefficients(elt).items()
-            for dc in self.base.element_degrees(c, degrees)
+            dc + e * d_var for e, c in a.items() for dc in self.base.element_degrees(c, degrees)
         }
 
     def is_zero_ring(self):
@@ -838,28 +818,28 @@ class LaurentExtension(CoefficientRing):
         # McCoy: a polynomial over Z/m is a zero divisor iff a single nonzero
         # constant annihilates it; Laurent shifts do not change coefficients.
         m = self.base.modulus
-        need = math.lcm(*(m // math.gcd(c, m) for c in r.payload.values()))
-        return None if need >= m else self.from_int(need)
+        need = math.lcm(*(m // math.gcd(c, m) for c in r.values()))
+        return None if need >= m else {0: need}
 
     def quotient_by_element(self, r):
-        if len(r.payload) == 1:
-            # (c * v^k) = (c) since v is invertible
-            (c,) = self._coefficients(r).values()
-            return LaurentExtension(quotient_by_element(self.base, c), self.variable, self.degree)
+        if len(r) == 1:
+            # (c * v^k) = (c) since v is invertible; c is no unit of a nonzero base
+            (c,) = r.values()
+            return LaurentExtension(self.base.quotient_by_element(c), self.variable, self.degree)
         if self.base.is_field():
-            return QuotientByPrincipal(self, r)
+            return QuotientByPrincipal(self, RingElement(self, r))
         raise Unsupported(
             "multi-term generators are only supported over a field "
             f"(got base {self.base})"
         )
 
-    def project(self, elt, target):
+    def project(self, a, target):
         if isinstance(target, LaurentExtension) and target.variable == self.variable:
-            terms = self._coefficients(elt).items()
-            return target.element({e: project(c, target.base).payload for e, c in terms})
+            base, onto = self.base, target.base
+            return target._canonical({e: _project(base, c, onto) for e, c in a.items()})
         if isinstance(target, QuotientByPrincipal) and target.base == self:
-            return target.from_base(elt)
-        return super().project(elt, target)
+            return target._reduce(a)
+        return super().project(a, target)
 
     def to_json(self):
         return {
@@ -881,7 +861,7 @@ def _poly_degree(a: dict) -> int:
 
 
 def _poly_monic(field: CoefficientRing, a: dict) -> dict:
-    lead_inv = RingElement(field, a[_poly_degree(a)]).inverse().payload
+    lead_inv = field.invert(a[_poly_degree(a)])
     return {e: field._mul(x, lead_inv) for e, x in a.items()}
 
 
@@ -920,7 +900,7 @@ class QuotientByPrincipal(CoefficientRing):
         self._frozen_modulus = base._freeze(poly)
         self._deg = _poly_degree(poly)
         # v^-1 = -f(0)^-1 * (f - f(0))/v, reduced
-        c0inv = RingElement(field, poly[0]).inverse().payload
+        c0inv = field.invert(poly[0])
         self._var_inv = {e - 1: field._neg(field._mul(c, c0inv)) for e, c in poly.items() if e >= 1}
 
     def _reduce(self, payload: dict) -> dict:
@@ -965,15 +945,14 @@ class QuotientByPrincipal(CoefficientRing):
     def to_expr(self, payload):
         return self.base.to_expr(payload)
 
-    def is_unit(self, elt):
-        if not elt.payload:
-            return False
-        return _poly_degree(_poly_gcd(self.base.base, elt.payload, self.modulus)) == 0
+    def is_unit(self, a):
+        # gcd(0, f) = f has degree >= 1
+        return _poly_degree(_poly_gcd(self.base.base, a, self.modulus)) == 0
 
-    def invert(self, elt):
+    def invert(self, a):
         # extended Euclid over the coefficient field
         laurent, field = self.base, self.base.base
-        r0, r1 = self.modulus, elt.payload
+        r0, r1 = self.modulus, a
         s0, s1 = {}, {0: field.one().payload}
         while r1:
             q, r = _poly_divmod(field, r0, r1)
@@ -981,8 +960,8 @@ class QuotientByPrincipal(CoefficientRing):
             s0, s1 = s1, laurent._add(s0, laurent._neg(laurent._mul(q, s1)))
         if _poly_degree(r0) != 0:
             raise Unsupported("element is not a unit in the quotient ring")
-        lead_inv = RingElement(field, r0[0]).inverse().payload
-        return RingElement(self, self._reduce({e: field._mul(x, lead_inv) for e, x in s0.items()}))
+        lead_inv = field.invert(r0[0])
+        return self._reduce({e: field._mul(x, lead_inv) for e, x in s0.items()})
 
     def is_q_algebra(self):
         return self.base.base.is_q_algebra()
@@ -993,25 +972,25 @@ class QuotientByPrincipal(CoefficientRing):
     def generator_degrees(self):
         return self.base.generator_degrees()
 
-    def element_degrees(self, elt, degrees):
-        return self.base.element_degrees(RingElement(self.base, elt.payload), degrees)
+    def element_degrees(self, a, degrees):
+        return self.base.element_degrees(a, degrees)
 
     def zero_divisor_witness(self, r):
         field = self.base.base
-        g = _poly_gcd(field, r.payload, self.modulus)
+        g = _poly_gcd(field, r, self.modulus)
         cofactor, rem = _poly_divmod(field, self.modulus, g)
         if rem:
             raise Inconsistent("the gcd with the modulus does not divide the modulus")
-        return RingElement(self, self._reduce(cofactor))
+        return self._reduce(cofactor)
 
     def quotient_by_element(self, r):
-        g = _poly_gcd(self.base.base, r.payload, self.modulus)
+        g = _poly_gcd(self.base.base, r, self.modulus)
         return QuotientByPrincipal(self.base, RingElement(self.base, g))
 
-    def project(self, elt, target):
+    def project(self, a, target):
         if isinstance(target, QuotientByPrincipal) and target.base == self.base:
-            return RingElement(target, target._reduce(elt.payload))
-        return super().project(elt, target)
+            return target._reduce(a)
+        return super().project(a, target)
 
     def to_json(self):
         generator = self.base.to_expr(self.modulus)
@@ -1023,7 +1002,7 @@ class QuotientByPrincipal(CoefficientRing):
 
 def _poly_divmod(field: CoefficientRing, a: dict, b: dict):
     """Quotient and remainder over a field (b nonzero)."""
-    lead_inv, mul = RingElement(field, b[_poly_degree(b)]).inverse().payload, field._mul
+    lead_inv, mul = field.invert(b[_poly_degree(b)]), field._mul
     q, r = _poly_divmod_monic(field, a, {e: mul(x, lead_inv) for e, x in b.items()})
     return {e: mul(x, lead_inv) for e, x in q.items()}, r
 
@@ -1075,7 +1054,8 @@ def zero_divisor_witness(r: RingElement):
         return ring.one()
     if ring.is_domain() or r.is_unit():
         return None
-    return ring.zero_divisor_witness(r)
+    witness = ring.zero_divisor_witness(r.payload)
+    return None if witness is None else RingElement(ring, witness)
 
 
 def quotient_by_element(ring: CoefficientRing, r: RingElement) -> CoefficientRing:
@@ -1091,7 +1071,7 @@ def quotient_by_element(ring: CoefficientRing, r: RingElement) -> CoefficientRin
         raise ValueError("generator must be nonzero")
     if r.is_unit():
         return ZERO_RING
-    return ring.quotient_by_element(r)
+    return ring.quotient_by_element(r.payload)
 
 
 def project(elt: RingElement, target: CoefficientRing) -> RingElement:
@@ -1099,8 +1079,13 @@ def project(elt: RingElement, target: CoefficientRing) -> RingElement:
 
     Supports exactly the reduction maps produced by quotient_by_element.
     """
-    if elt.ring == target:
-        return elt
-    if is_zero_ring(target):
-        return target.zero()
-    return elt.ring.project(elt, target)
+    return RingElement(target, _project(elt.ring, elt.payload, target))
+
+
+def _project(ring: CoefficientRing, a, target: CoefficientRing):
+    """project on a payload a of ring, with the checks every family shares."""
+    if ring == target:
+        return a
+    if target.is_zero_ring():
+        return target.zero().payload
+    return ring.project(a, target)

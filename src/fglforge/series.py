@@ -311,8 +311,8 @@ class TruncatedSeries1(_Series):
         when a coefficient has no unique quotient by its new exponent."""
         divide = self.ring.divide
         out = [self.ring.zero().payload]
-        for n, c in enumerate(self.coeffs):
-            out.append(divide(c, n + 1).payload)
+        for n, c in enumerate(self.payloads):
+            out.append(divide(c, n + 1))
         return self._like(out, self.precision + 1)
 
     # -- composition and friends ---------------------------------------
@@ -322,14 +322,13 @@ class TruncatedSeries1(_Series):
 
     def inverse(self) -> "TruncatedSeries1":
         """Multiplicative inverse 1/f for f with unit constant term."""
-        c0 = self.coefficient(0)
-        if not c0.is_unit():
-            raise NonUnitLinearCoefficient("constant term is not a unit")
         ring = self.ring
+        if not ring.is_unit(self.payloads[0]):
+            raise NonUnitLinearCoefficient("constant term is not a unit")
         mul_add, settle, is_zero = ring._mul_add, ring._settle, ring._is_zero
         operand, mul, neg = ring._operand, ring._mul, ring._neg
         f = [(k, p) for k, p in enumerate(self.payloads) if k and not is_zero(p)]
-        c0i = c0.inverse().payload
+        c0i = ring.invert(self.payloads[0])
         zero = ring.zero().payload
         out = [c0i]
         # the right factors out[m] prepared once, None when zero
@@ -363,9 +362,9 @@ class TruncatedSeries1(_Series):
         f = self.payloads
         if not is_zero(f[0]):
             raise NonzeroConstantTerm("reversion needs f(0) = 0")
-        if self.precision < 1 or not self.coefficient(1).is_unit():
+        if self.precision < 1 or not ring.is_unit(f[1]):
             raise NonUnitLinearCoefficient("reversion needs f'(0) to be a unit")
-        f1_inv = self.coefficient(1).inverse().payload
+        f1_inv = ring.invert(f[1])
         n = self.precision
         zero = ring.zero().payload
         g = [zero, f1_inv]
@@ -482,7 +481,7 @@ class TruncatedSeries2(TruncatedSeriesN):
     def partial_y_at_zero(self) -> TruncatedSeries1:
         """(dF/dy)(x, 0), at precision N-1."""
         if self.precision < 1:
-            raise ValueError("precision must be nonnegative")
+            raise InsufficientPrecision("(dF/dy)(x, 0) needs precision >= 1")
         out = [self.ring.zero().payload] * self.precision
         for (i, j), p in self.payloads.items():
             if j == 1 and i <= self.precision - 1:

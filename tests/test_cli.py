@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import fglforge
+from fglforge import cli, hopf
 from fglforge.cli import (
     EXIT_BROKEN_PIPE,
+    MAX_GRADED_PRECISION,
     MAX_K,
     fgl_from_spec,
     ring_from_spec,
@@ -402,6 +404,34 @@ def test_k_is_capped_before_anything_is_built(capsys, monkeypatch):
             code, out, err = run(capsys, *argv)
             assert code == 2 and f"|k| is capped at {MAX_K}" in err and not out, argv
             assert built == [], argv
+
+
+def test_graded_precision_is_capped_before_anything_is_built(capsys, tmp_path, monkeypatch):
+    # the universal law and a law file over graded polynomials run at the cap;
+    # one past it exits 2 before the law is built or the file is read as a law
+    graded = lazard_base_ring(4).to_json()
+    rings = {"graded": graded, "laurent": {"kind": "laurent", "base": graded}}
+
+    def commands(precision):
+        argv = [["fgl", "pseries", "--fgl", "universal_rational", "--k", "2", "--precision", str(precision)]]
+        for name, ring in rings.items():
+            path = tmp_path / f"{name}-{precision}.json"
+            path.write_text(json.dumps({"ring": ring, "precision": precision, "coefficients": []}))
+            argv.append(["fgl", "axioms", "--fgl", str(path)])
+        return argv
+
+    for argv in commands(MAX_GRADED_PRECISION):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out and not err, argv
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built past the cap")
+
+    monkeypatch.setattr(hopf, "universal_fgl_rational", refuse)
+    monkeypatch.setattr(cli, "fgl_from_json", refuse)
+    for argv in commands(MAX_GRADED_PRECISION + 1):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and f"capped at {MAX_GRADED_PRECISION}" in err and not out, argv
 
 
 def test_ops_iso_refuses_an_empty_window(capsys, tmp_path):

@@ -642,7 +642,7 @@ def test_nilpotents_of_z_mod_m_match_brute_force():
     for m in range(1, 200):
         ring = IntegersMod(m)
         for a in range(m):
-            assert ring.is_nilpotent(ring.from_int(a)) == (pow(a, m, m) == 0), (m, a)
+            assert ring.is_nilpotent(a) == (pow(a, m, m) == 0), (m, a)
 
 
 def _prime_powers_by_trial_division(m):
@@ -680,12 +680,49 @@ def test_division_in_z_mod_m_matches_brute_force():
                 solutions = [x for x in range(m) if (n * x - a) % m == 0]
                 if not solutions:
                     with pytest.raises(Inconsistent):
-                        ring.divide(ring.from_int(a), n)
+                        ring.divide(a, n)
                 elif len(solutions) == 1:
-                    assert ring.divide(ring.from_int(a), n) == ring.from_int(solutions[0])
+                    assert ring.divide(a, n) == solutions[0]
                 else:
                     with pytest.raises(Unsupported, match=f"has {len(solutions)} values mod {m}$"):
-                        ring.divide(ring.from_int(a), n)
+                        ring.divide(a, n)
+
+
+def test_z_mod_m_laurent_decisions_match_independent_answers():
+    # Z/m[beta^±1] for m = 2..40, random elements of 1-3 terms with exponents
+    # in [-2, 2].  x is a unit iff its image over every F_p, p | m, is a
+    # single term; it is a zero divisor iff a nonzero constant kills it
+    # (McCoy); it is nilpotent iff x^(terms * bit_length(m)) = 0, since every
+    # term of that power repeats some coefficient bit_length(m) times; and it
+    # projects to Z/q[beta^±1] by reducing its coefficients mod q.  A unit
+    # with no unit coefficient is decided only through CRT (31 of the draws)
+    crt_units = 0
+    for m in range(2, 41):
+        rng = random.Random(zlib.crc32(f"Z/{m}[beta] decisions".encode()))
+        ring = LaurentExtension(IntegersMod(m), "beta", 1)
+        primes = [p for p in range(2, m + 1) if m % p == 0 and rings._is_prime(p)]
+        targets = [LaurentExtension(IntegersMod(q), "beta", 1) for q in range(1, m + 1) if m % q == 0]
+        for _ in range(40):
+            terms = {e: rng.randrange(1, m) for e in rng.sample(range(-2, 3), rng.randint(1, 3))}
+            x = ring.element(terms)
+            unit = all(sum(c % p != 0 for c in terms.values()) == 1 for p in primes)
+            assert x.is_unit() == unit, (m, terms)
+            if unit:
+                assert x * x.inverse() == ring.one(), (m, terms)
+                crt_units += not any(math.gcd(c, m) == 1 for c in terms.values())
+            killers = [a for a in range(1, m) if (x * a).is_zero()]
+            witness = zero_divisor_witness(x)
+            assert (witness is not None) == bool(killers), (m, terms)
+            if witness is not None:
+                assert witness and (x * witness).is_zero(), (m, terms)
+            power = x ** (len(terms) * m.bit_length())
+            assert ring.is_nilpotent(x.payload) == power.is_zero(), (m, terms)
+            for target in targets:
+                q = target.base.modulus
+                image = project(x, target)
+                assert image.ring == target, (m, terms, q)
+                assert image.payload == {e: c % q for e, c in terms.items() if c % q}, (m, terms, q)
+    assert crt_units > 0
 
 
 def test_laurent_projection_only_onto_its_own_quotients():

@@ -8,6 +8,7 @@ import pytest
 
 from fglforge.errors import (
     Inconsistent,
+    InsufficientPrecision,
     NonUnitLinearCoefficient,
     NonzeroConstantTerm,
     RingMismatch,
@@ -96,6 +97,14 @@ def test_truncate_refuses_a_precision_outside_its_own():
                 f.truncate(precision)
         low = f.truncate(0)
         assert type(low) is type(f) and low.precision == 0 and low.constant_term() == f.constant_term()
+
+
+def test_partial_y_at_zero_needs_precision_one():
+    # (dF/dy)(x, 0) of a precision-0 body has no coefficient to read: the
+    # precision is nonnegative, it is too low
+    with pytest.raises(InsufficientPrecision, match="precision >= 1"):
+        TruncatedSeries2.zero(Integers(), 2, 0).partial_y_at_zero()
+    assert TruncatedSeries2.zero(Integers(), 2, 1).partial_y_at_zero() == s(Z, [0], 0)
 
 
 def test_compose_examples():
