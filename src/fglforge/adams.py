@@ -15,11 +15,12 @@ between the models carrying sigma to omega; the k-th Adams operation is the
 tower (k^-n (1-x)^-k)_n, equivalently the sequence (k^n)_n.
 
 The composition product is evaluated through the transform in integers: the
-operands' numerators go through the forward and inverse integer tables, with
-one divmod by m! per coefficient.  When both factors are integral that
-remainder is checked to be zero (closure of Z[[x]] under o is a theorem being
-monitored, not assumed).  The forward transform, omega and the tower relation
-run on numerators too, so towers and omega live over Z, Q and Z_(p).
+operands' integer views (their rings' _as_integers, numerators over one
+denominator d) go through the forward and inverse tables, and coefficient m
+comes back through _from_integer over m! d, which over Z checks the division
+is exact (closure of Z[[x]] under o is a theorem being monitored, not
+assumed).  The forward transform, omega and the tower relation use the same
+view, so towers and omega live over Z, Q and Z_(p).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import (
     RingMismatch,
     WindowMiss,
 )
-from .rings import Integers, Rationals, _NumberRing
+from .rings import Integers, Rationals
 from .series import TruncatedSeries1
 
 _Z = Integers()
@@ -58,12 +59,11 @@ def geometric_power(k: int, precision: int, ring=_Z) -> TruncatedSeries1:
 
 def omega(f: TruncatedSeries1) -> TruncatedSeries1:
     """(1-x) * df/dx at precision N-1, over Z, Q or Z_(p): coefficient m is
-    (m+1) c_(m+1) - m c_m on the numerators of f, each boxed once."""
+    (m+1) c_(m+1) - m c_m on the integer view of f."""
     if f.precision == 0:
         raise InsufficientPrecision("omega of a precision-0 series carries no information")
-    c, d = _numerators(f, f.precision)
-    box = f.ring._canonical
-    payloads = [box(s if d == 1 else Fraction(s, d)) for s in _omega_numerators(c)]
+    c, d = f.ring._as_integers(f.payloads)
+    payloads = [f.ring._from_integer(s, d) for s in _omega_numerators(c)]
     return TruncatedSeries1._from_payloads(f.ring, payloads, f.precision - 1)
 
 
@@ -207,7 +207,7 @@ def adams_transform(f: TruncatedSeries1) -> AdamsSequence:
     """
     if f.ring not in (_Z, _Q):
         raise RingMismatch("composition series live over Z or Q")
-    a, d = _numerators(f, f.precision)
+    a, d = f.ring._as_integers(f.payloads)
     sums = _forward_sums(a, f.precision)
     return AdamsSequence(0, sums if d == 1 else [Fraction(s, d) for s in sums])
 
@@ -224,17 +224,6 @@ def adams_transform_inv(seq: AdamsSequence) -> TruncatedSeries1:
     return TruncatedSeries1.from_fractions(_Q, coeffs, precision)
 
 
-def _numerators(f: TruncatedSeries1, n: int):
-    """c_0..c_n of f as integers over d, the lcm of their denominators."""
-    if not isinstance(f.ring, _NumberRing):
-        raise RingMismatch("omega and towers live over Z, Q or Z_(p)")
-    payloads = f.payloads[: n + 1]
-    if f.ring == _Z:
-        return payloads, 1
-    d = math.lcm(*(q.denominator for q in payloads))
-    return [q.numerator * (d // q.denominator) for q in payloads], d
-
-
 def _forward_sums(a, n: int):
     """sum_k fwd[m][k] a_k for m = 0..n: the forward transform, times d."""
     return [sum(map(operator.mul, row, a)) for row in _forward_matrix(n)]
@@ -243,31 +232,22 @@ def _forward_sums(a, n: int):
 def circ_compose(f: TruncatedSeries1, g: TruncatedSeries1) -> TruncatedSeries1:
     """The composition product, through the Adams transform in integers.
 
-    The operands' numerators over their common denominators go through both
-    tables; coefficient m is the inverse sum over m! and the denominators.
-    Integral inputs must give integral output: a nonzero remainder of the
-    divmod by m! signals an implementation bug, not a property of the inputs.
+    The integer views of both operands go through both tables; coefficient m
+    is the inverse sum over m! and the two denominators.  Integral inputs must
+    give integral output: over Z an inexact division signals an
+    implementation bug, not a property of the inputs.
     """
     if f.ring not in (_Z, _Q) or g.ring not in (_Z, _Q):
         raise RingMismatch("composition series live over Z or Q")
     n = min(f.precision, g.precision)
-    a, d_f = _numerators(f, n)
-    b, d_g = _numerators(g, n)
+    a, d_f = f.ring._as_integers(f.payloads[: n + 1])
+    b, d_g = g.ring._as_integers(g.payloads[: n + 1])
     product = list(map(operator.mul, _forward_sums(a, n), _forward_sums(b, n)))
     sums = [sum(map(operator.mul, row, product)) for row in _inverse_matrix(n)]
-    if f.ring == _Z and g.ring == _Z:
-        coeffs = []
-        for m, s in enumerate(sums):
-            c, remainder = divmod(s, math.factorial(m))
-            if remainder:
-                raise IntegralityViolation(
-                    "integral composition series produced a non-integral coefficient"
-                )
-            coeffs.append(c)
-        return TruncatedSeries1._from_payloads(_Z, coeffs, n)
+    ring = _Z if f.ring == g.ring == _Z else _Q
     d = d_f * d_g
-    coeffs = [Fraction(s, math.factorial(m) * d) for m, s in enumerate(sums)]
-    return TruncatedSeries1._from_payloads(_Q, coeffs, n)
+    coeffs = [ring._from_integer(s, math.factorial(m) * d) for m, s in enumerate(sums)]
+    return TruncatedSeries1._from_payloads(ring, coeffs, n)
 
 
 # -- towers ---------------------------------------------------------------------
@@ -289,7 +269,7 @@ class OmegaTower:
             raise ValueError("a tower needs at least one level")
         precision = min(f.precision for f in levels)
         levels = [f.truncate(precision) for f in levels]
-        numerators = [_numerators(f, precision) for f in levels]
+        numerators = [f.ring._as_integers(f.payloads) for f in levels]
         if precision >= 1:  # at precision 0 the relation carries no content
             for j, ((t, d_f), (s, d_g)) in enumerate(zip(numerators, numerators[1:])):
                 if levels[j].ring != levels[j + 1].ring or any(

@@ -28,7 +28,10 @@ from .iojson import (
     canonical_json,
     element_to_expr,
     fgl_from_json,
+    json_field,
+    json_list,
     ring_from_json,
+    sequence_window,
     series1_from_json,
     series1_to_json,
     series1_to_text,
@@ -122,7 +125,7 @@ def _load_within_precision(path: str) -> dict:
     """A law or series file, its precision checked before anything is built."""
     with open(path) as handle:
         data = json.load(handle)
-    _check_precision(int(data["precision"]))
+    _check_precision(json_field(data, "precision", int))
     return data
 
 
@@ -138,11 +141,11 @@ def fgl_from_spec(spec: str, precision: int):
     """A law: either a JSON file path or name[-over-RING]."""
     if os.path.exists(spec):
         data = _load_within_precision(spec)
-        ring = data["ring"]
-        while ring.get("kind") == "laurent":
-            ring = ring["base"]
-        if ring.get("kind") == "graded_polynomial":
-            _check_graded_precision(int(data["precision"]))
+        ring = json_field(data, "ring", dict)
+        while json_field(ring, "kind", str) == "laurent":
+            ring = json_field(ring, "base", dict)
+        if ring["kind"] == "graded_polynomial":
+            _check_graded_precision(data["precision"])
         fgl = fgl_from_json(data)
         _require_axioms(fgl, f"law in {spec}")
         return fgl
@@ -395,7 +398,7 @@ def _cmd_ops(args) -> int:
         with open(args.input) as handle:
             data = json.load(handle)
         expected = "tower" if args.direction == "mult2add" else "sequence"
-        if data["model"] != expected:
+        if json_field(data, "model", str) != expected:
             raise ValueError(
                 f"direction {args.direction} expects a {expected}-model input"
             )
@@ -403,12 +406,13 @@ def _cmd_ops(args) -> int:
         # a tower keeps its depth (its number of levels, less one) and
         # precision; a sequence on [lo, hi] becomes a tower of precision hi
         # and depth -lo unless --depth is given
-        for entry in data["terms"]:
+        for entry in json_list(data, "terms", dict):
             if expected == "tower":
-                _check_depth(len(entry["tower"]["levels"]) - 1)
-                _check_precision(int(entry["tower"]["precision"]))
+                tower = json_field(entry, "tower", dict)
+                _check_depth(len(json_field(tower, "levels", list)) - 1)
+                _check_precision(json_field(tower, "precision", int))
             else:
-                lo, hi = (int(v) for v in entry["sequence"]["window"])
+                lo, hi = sequence_window(json_field(entry, "sequence", dict))
                 _check_depth(max(-lo, 0) if args.depth is None else args.depth)
                 _check_precision(hi)
         element = twisted_from_json(data)

@@ -8,9 +8,14 @@ Grammar (EBNF):
     atom   := int | int '/' int | ident | '(' expr ')' | '-' atom
 
 Exponents are integer literals (possibly negative); anything else after '^'
-is rejected as NonIntegerExponent.  Printing is canonical: parse-print-parse
-is idempotent and printed forms always re-parse to an equal element.  Each
-ring class prints its own payloads (CoefficientRing.to_expr) in this grammar.
+is rejected as NonIntegerExponent.  The parser bounds the work of evaluating
+an expression by its weight: 0 for a literal, 1 for a variable, the maximum
+over a sum, the sum over a product and |e| max(1, w) for a power; a tree of
+weight above MAX_WEIGHT is refused before anything is evaluated.
+
+Printing is canonical: parse-print-parse is idempotent and printed forms
+always re-parse to an equal element.  Each ring class prints its own
+payloads (CoefficientRing.to_expr) in this grammar.
 """
 
 from __future__ import annotations
@@ -21,6 +26,9 @@ from .errors import ExpressionSyntaxError, NonIntegerExponent, UnknownVariable
 from .rings import RingElement
 
 _SYMBOLS = "+-*^()/"
+# the canonical forms printed within the CLI's caps raise variables to at
+# most the 63rd power, while (1+2*beta)^4000 would run for half a minute
+MAX_WEIGHT = 64
 
 
 def _tokenize(src: str):
@@ -78,38 +86,41 @@ class _Parser:
         return tok
 
     def parse(self):
-        node = self.expr()
+        node, _ = self.expr()
         tok = self.peek()
         if tok[0] != "end":
             raise ExpressionSyntaxError(f"unexpected {tok[1]!r}", column=tok[2])
         return node
 
+    # expr, term, factor and atom return a node and its weight
     def expr(self):
-        node = self.term()
+        node, weight = self.term()
         while self.peek()[0] in ("+", "-"):
             op = self.advance()[0]
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
+            rhs, w = self.term()
+            node, weight = ("add" if op == "+" else "sub", node, rhs), max(weight, w)
+        return node, weight
 
     def term(self):
-        node = self.factor()
+        node, weight = self.factor()
         while self.peek()[0] == "*":
-            self.advance()
-            node = ("mul", node, self.factor())
-        return node
+            column = self.advance()[2]
+            rhs, w = self.factor()
+            node, weight = ("mul", node, rhs), _bounded(weight + w, column)
+        return node, weight
 
     def factor(self):
-        node = self.atom()
+        node, weight = self.atom()
         if self.peek()[0] == "^":
-            self.advance()
-            node = ("pow", node, self.exponent())
+            column = self.advance()[2]
+            e = self.exponent()
+            node, weight = ("pow", node, e), _bounded(abs(e) * max(1, weight), column)
             if self.peek()[0] == "/":
                 tok = self.peek()
                 raise NonIntegerExponent(
                     "exponents must be integer literals", column=tok[2]
                 )
-        return node
+        return node, weight
 
     def exponent(self) -> int:
         tok = self.peek()
@@ -137,17 +148,27 @@ class _Parser:
                 den = self.expect("int")
                 if den[1] == 0:
                     raise ExpressionSyntaxError("division by zero", column=den[2])
-                return ("rat", tok[1], den[1])
-            return ("int", tok[1])
+                return ("rat", tok[1], den[1]), 0
+            return ("int", tok[1]), 0
         if tok[0] == "ident":
-            return ("var", tok[1], tok[2])
+            return ("var", tok[1], tok[2]), 1
         if tok[0] == "(":
             node = self.expr()
             self.expect(")")
             return node
         if tok[0] == "-":
-            return ("neg", self.atom())
+            node, weight = self.atom()
+            return ("neg", node), weight
         raise ExpressionSyntaxError(f"unexpected {tok[1]!r}", column=tok[2])
+
+
+def _bounded(weight: int, column: int) -> int:
+    if weight > MAX_WEIGHT:
+        raise ExpressionSyntaxError(
+            f"expression too large to evaluate: weight {weight} above {MAX_WEIGHT}",
+            column=column,
+        )
+    return weight
 
 
 def parse_tree(src: str):

@@ -41,7 +41,7 @@ from .gradedpoly import (
     lazard_base_ring,
     split_payload,
 )
-from .rings import CoefficientRing, RingElement
+from .rings import CoefficientRing, Rationals, RingElement
 from .series import TruncatedSeries1, TruncatedSeries2
 
 
@@ -661,18 +661,13 @@ def _rank(matrix) -> int:
     """Exact rank of a matrix of ints and Fractions, by fraction-free
     elimination (Bareiss, Math. Comp. 22 (1968)).
 
-    Each row is scaled by the lcm of its denominators to integers.  Each
-    pivot row then clears its column from the rows left with integer row
-    operations, and every new row is divided by the gcd of its entries (in
-    place of Bareiss's exact division by the previous pivot), so the
-    entries stay small and no Fraction is formed.
+    Each row is scaled to integers by the lcm of its denominators (the
+    integer view of Q).  Each pivot row then clears its column from the rows
+    left with integer row operations, and every new row is divided by the
+    gcd of its entries (in place of Bareiss's exact division by the previous
+    pivot), so the entries stay small and no Fraction is formed.
     """
-    rows = []
-    for row in matrix:
-        den = math.lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (den // x.denominator) for x in row]
-        if any(ints):
-            rows.append(ints)
+    rows = [ints for ints, _ in map(Rationals()._as_integers, matrix) if any(ints)]
     rank = 0
     col = 0
     while rows:

@@ -14,7 +14,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .errors import Inconsistent, RingMismatch, Undecidable, Unsupported
+from .errors import Inconsistent, IntegralityViolation, RingMismatch, Undecidable, Unsupported
 
 
 # The first 13 primes.  As Miller-Rabin bases they decide primality exactly
@@ -292,6 +292,12 @@ class CoefficientRing:
         """Hashable canonical image of a payload."""
         return a
 
+    # the integer view of Z, Q and Z_(p), as FLINT's fmpq_poly: payloads as
+    # integers over their lcm denominator d, and back one at a time by
+    # _from_integer(s, d), the canonical payload of s/d
+    def _as_integers(self, payloads):
+        raise RingMismatch(f"integer vectors live over Z, Q or Z_(p), not {self}")
+
     def to_expr(self, payload) -> str:
         """Canonical expression string of a payload; it re-parses to an equal
         element (expressions.element_to_expr is the public entry)."""
@@ -391,6 +397,13 @@ class _NumberRing(CoefficientRing):
             raise Unsupported(f"{a} is not a unit in {self}")
         return 1 / a
 
+    def _as_integers(self, payloads):
+        d = math.lcm(*(q.denominator for q in payloads))
+        return [q.numerator * (d // q.denominator) for q in payloads], d
+
+    def _from_integer(self, s, d):
+        return self._canonical(Fraction(s, d))
+
     def to_json(self):
         return {"kind": self.kind}
 
@@ -418,6 +431,15 @@ class Integers(_NumberRing):
             raise Inconsistent(f"{a} is not divisible by {n} in Z")
         return q
 
+    def _as_integers(self, payloads):
+        return payloads, 1
+
+    def _from_integer(self, s, d):
+        q, r = divmod(s, d)
+        if r:
+            raise IntegralityViolation(f"{s}/{d} is not an integer")
+        return q
+
     def quotient_by_element(self, r):
         return IntegersMod(abs(r))
 
@@ -441,6 +463,8 @@ class Rationals(_NumberRing):
 
     def _canonical(self, payload):
         return Fraction(payload)
+
+    _from_integer = staticmethod(Fraction)
 
     def is_unit(self, a):
         return a != 0

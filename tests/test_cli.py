@@ -264,6 +264,11 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert code == 2 and "repeated prime" in err and not out
     code, out, err = run(capsys, "lazard", "hopf", "--degree", "11")
     assert code == 2 and "error:" in err and not out
+    # an expression is refused by its weight before it is evaluated
+    code, out, err = run(
+        capsys, "landweber", "check", "--fgl", "multiplicative", "--module", "(1+2*beta)^4000", "--primes", "2"
+    )
+    assert code == 2 and "weight 4000 above 64" in err and not out
     # files obey the precision and depth caps of the flags
     files = {
         "law.json": {"ring": {"kind": "integers"}, "precision": 70, "coefficients": []},
@@ -274,6 +279,14 @@ def test_input_errors_exit_2(capsys, tmp_path):
         "sequence.json": {"model": "sequence", "terms": [{"beta": 0, "sequence": {
             "window": [-20, 8], "values": ["1"] * 29,
         }}]},
+        # JSON values of the wrong type are input errors, not tracebacks or misreadings
+        "law-ring-string.json": {"ring": "Z", "precision": 4, "coefficients": []},
+        "law-coefficients-object.json": {
+            "ring": {"kind": "integers"}, "precision": 4, "coefficients": {"i": 1},
+        },
+        "law-list.json": [1, 2],
+        "tower-string.json": {"model": "tower", "terms": [{"beta": 0, "tower": "x"}]},
+        "series-coeffs-string.json": {"ring": {"kind": "integers"}, "precision": 4, "coeffs": "12"},
     }
     # the multiplicative law needs its Bott variable in degree 1
     ring = {"kind": "laurent", "base": {"kind": "integers"}, "variable": "beta", "degree": 2}
@@ -284,12 +297,15 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert code == 2 and "degree 1, not 2" in err and "axioms" not in err and not out
     for name, data in files.items():
         (tmp_path / name).write_text(json.dumps(data))
-    law, series, tower, sequence = (str(tmp_path / name) for name in files)
+    law, series, tower, sequence, *mistyped = (str(tmp_path / name) for name in files)
     for argv in (
         ["fgl", "axioms", "--fgl", law],
         ["ops", "compose", "--lhs", series, "--rhs", series],
         ["ops", "iso", "--input", tower, "--direction", "mult2add"],
         ["ops", "iso", "--input", sequence, "--direction", "add2mult", "--depth", "20"],
+        *(["fgl", "axioms", "--fgl", path] for path in mistyped[:3]),
+        ["ops", "iso", "--input", mistyped[3], "--direction", "mult2add"],
+        ["ops", "compose", "--lhs", mistyped[4], "--rhs", mistyped[4]],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and "error:" in err and not out, argv

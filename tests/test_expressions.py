@@ -74,6 +74,31 @@ def test_rational_literals():
     assert parse_expression("3/4", zp) == zp.from_fraction(Fraction(3, 4))
 
 
+def test_expression_weight_is_bounded_before_evaluation(monkeypatch):
+    # weight: 0 a literal, 1 a variable, max over a sum, sum over a product,
+    # |e| max(1, w) for a power; above 64 the tree is refused at the operator
+    # that crosses the bound, before any ring product is formed
+    def refuse(*args):
+        raise AssertionError("a ring product was formed")
+
+    witnesses = [
+        ("3^10000000", Z, 1, 10000000),
+        ("(1+2*beta)^4000", ZB, 10, 4000),
+        ("*".join(["(1+2*beta)^64"] * 40), ZB, 13, 128),
+        ("(3^64)^64", Z, 6, 4096),
+    ]
+    with monkeypatch.context() as patch:
+        for src, ring, column, weight in witnesses:
+            patch.setattr(ring, "_mul", refuse)
+            with pytest.raises(ExpressionSyntaxError, match=f"weight {weight} above 64") as err:
+                parse_expression(src, ring)
+            assert err.value.column == column
+    # weight 64 itself is allowed
+    assert parse_expression("3^64", Z) == Z.from_int(3**64)
+    assert parse_expression("-beta^63*beta + 2", ZB) == 2 - ZB.var(64)
+    assert parse_expression("(beta^2)^32", ZB) == ZB.var(64)
+
+
 def test_parse_tree_shape():
     tree = parse_tree("1 + 2*x")
     assert tree[0] == "add"

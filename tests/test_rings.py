@@ -8,7 +8,13 @@ from fractions import Fraction
 import pytest
 
 from fglforge import rings
-from fglforge.errors import Inconsistent, RingMismatch, Undecidable, Unsupported
+from fglforge.errors import (
+    Inconsistent,
+    IntegralityViolation,
+    RingMismatch,
+    Undecidable,
+    Unsupported,
+)
 from fglforge.gradedpoly import GradedPolynomialRing
 from fglforge.hopf import FunctionRing
 from fglforge.rings import (
@@ -734,3 +740,33 @@ def test_laurent_projection_only_onto_its_own_quotients():
     for target in (QuotientByPrincipal(QB, QB.var() - 1), LaurentExtension(F5B, "gamma", 1)):
         with pytest.raises(Unsupported):
             project(v, target)
+
+
+@pytest.mark.parametrize("ring", [Z, Q, PLocalIntegers(5)], ids=repr)
+def test_integer_view_round_trips(ring):
+    # payloads as integers over their lcm denominator, and back one at a time
+    rng = random.Random(zlib.crc32(f"integer view {ring}".encode()))
+    dens = [d for d in range(1, 40) if ring == Q or d % 5]
+    for n in [0, 1, 65] + [rng.randint(0, 65) for _ in range(30)]:
+        if ring == Z:
+            payloads = [rng.randint(-(10**12), 10**12) for _ in range(n)]
+        else:
+            payloads = [Fraction(rng.randint(-999, 999), rng.choice(dens)) for _ in range(n)]
+        ints, d = ring._as_integers(payloads)
+        assert d == math.lcm(*(Fraction(c).denominator for c in payloads))
+        assert all(type(s) is int for s in ints)
+        back = [ring._from_integer(s, d) for s in ints]
+        assert back == payloads
+        assert all(type(c) is (int if ring == Z else Fraction) for c in back)
+
+
+def test_integer_view_is_refused_outside_the_number_rings():
+    graded = GradedPolynomialRing([("m1", 1), ("m2", 2)], 4)
+    for ring in (IntegersMod(5), ZB, graded):
+        with pytest.raises(RingMismatch, match="Z, Q or Z_\\(p\\)"):
+            ring._as_integers([ring.one().payload])
+    with pytest.raises(IntegralityViolation):
+        Z._from_integer(3, 2)
+    assert Z._from_integer(-6, 2) == -3
+    with pytest.raises(ValueError, match="5-local"):
+        PLocalIntegers(5)._from_integer(1, 10)
