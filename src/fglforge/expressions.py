@@ -11,7 +11,9 @@ Exponents are integer literals (possibly negative); anything else after '^'
 is rejected as NonIntegerExponent.  The parser bounds the work of evaluating
 an expression by its weight: 0 for a literal, 1 for a variable, the maximum
 over a sum, the sum over a product and |e| max(1, w) for a power; a tree of
-weight above MAX_WEIGHT is refused before anything is evaluated.
+weight above MAX_WEIGHT is refused before anything is evaluated.  Parentheses
+and unary minus may nest at most MAX_NESTING deep; a chain of sums or
+products may be of any length, as it is evaluated in a loop.
 
 Printing is canonical: parse-print-parse is idempotent and printed forms
 always re-parse to an equal element.  Each ring class prints its own
@@ -20,6 +22,7 @@ payloads (CoefficientRing.to_expr) in this grammar.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .errors import ExpressionSyntaxError, NonIntegerExponent, UnknownVariable
@@ -29,6 +32,9 @@ _SYMBOLS = "+-*^()/"
 # the canonical forms printed within the CLI's caps raise variables to at
 # most the 63rd power, while (1+2*beta)^4000 would run for half a minute
 MAX_WEIGHT = 64
+# the parser recurses once per parenthesis or unary minus, and so does the
+# evaluation of what they enclose
+MAX_NESTING = 64
 
 
 def _tokenize(src: str):
@@ -68,6 +74,7 @@ class _Parser:
         self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -152,14 +159,22 @@ class _Parser:
             return ("int", tok[1]), 0
         if tok[0] == "ident":
             return ("var", tok[1], tok[2]), 1
+        if tok[0] not in ("(", "-"):
+            raise ExpressionSyntaxError(f"unexpected {tok[1]!r}", column=tok[2])
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExpressionSyntaxError(
+                f"parentheses and unary minus nested deeper than {MAX_NESTING}",
+                column=tok[2],
+            )
         if tok[0] == "(":
-            node = self.expr()
+            node, weight = self.expr()
             self.expect(")")
-            return node
-        if tok[0] == "-":
+        else:
             node, weight = self.atom()
-            return ("neg", node), weight
-        raise ExpressionSyntaxError(f"unexpected {tok[1]!r}", column=tok[2])
+            node = ("neg", node)
+        self.depth -= 1
+        return node, weight
 
 
 def _bounded(weight: int, column: int) -> int:
@@ -175,6 +190,9 @@ def parse_tree(src: str):
     return _Parser(src).parse()
 
 
+_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+
+
 def _eval_tree(node, ring, gens):
     op = node[0]
     if op == "int":
@@ -188,12 +206,17 @@ def _eval_tree(node, ring, gens):
         return gens[name]
     if op == "neg":
         return -_eval_tree(node[1], ring, gens)
-    if op == "add":
-        return _eval_tree(node[1], ring, gens) + _eval_tree(node[2], ring, gens)
-    if op == "sub":
-        return _eval_tree(node[1], ring, gens) - _eval_tree(node[2], ring, gens)
-    if op == "mul":
-        return _eval_tree(node[1], ring, gens) * _eval_tree(node[2], ring, gens)
+    if op in _BINARY:
+        # a chain a + b - c ... nests to the left: walk its spine in a loop,
+        # and apply the operators from the innermost, left to right
+        spine = []
+        while node[0] in _BINARY:
+            spine.append(node)
+            node = node[1]
+        value = _eval_tree(node, ring, gens)
+        for kind, _, rhs in reversed(spine):
+            value = _BINARY[kind](value, _eval_tree(rhs, ring, gens))
+        return value
     if op == "pow":
         return _eval_tree(node[1], ring, gens) ** node[2]
     raise AssertionError(f"unknown node {op}")

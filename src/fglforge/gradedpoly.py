@@ -8,7 +8,11 @@ ideal, so the result is an honest ring and all arithmetic stays exact below
 the cut.
 
 Monomials are packed exponent vectors (one fixed-width field per generator),
-so monomial products are single integer additions.
+so monomial products are single integer additions.  Coefficients are ints
+wherever they are integral and Fractions elsewhere: a product by a constant
+{0: c} is a scaling and a division by an integer n a divmod per coefficient,
+so the integral coefficients of the universal law and of Delta never pass
+through a Fraction.
 """
 
 from __future__ import annotations
@@ -165,6 +169,12 @@ class GradedPolynomialRing(CoefficientRing):
         return {k: -c for k, c in a.items()}
 
     def _mul(self, a, b):
+        # a constant operand {0: c} scales the other in its own key order, as
+        # the general product would; it meets no truncation
+        if len(b) == 1 and 0 in b:
+            return self._settle({k: x * b[0] for k, x in a.items()})
+        if len(a) == 1 and 0 in a:
+            return self._settle({k: a[0] * x for k, x in b.items()})
         return self._settle(self._mul_add(None, a, self._operand(b)))
 
     def _operand(self, b):
@@ -227,6 +237,20 @@ class GradedPolynomialRing(CoefficientRing):
         c0_inv = Fraction(1, 1) / c0
         scaled = self._canonical({k: c * c0_inv for k, c in a.items()})
         return self._mul(_geometric_inverse(self, scaled), self.from_fraction(c0_inv).payload)
+
+    def divide(self, a, n):
+        # a * Fraction(1, n) in ints: a Fraction only where the quotient is
+        # not whole
+        if not n:
+            raise ZeroDivisionError(f"Fraction(1, {n})")
+        out = {}
+        for k, c in a.items():
+            if type(c) is int:
+                q, r = divmod(c, n)
+                out[k] = Fraction(c, n) if r else q
+            else:
+                out[k] = _norm_coeff(c / n)
+        return out
 
     def is_nilpotent(self, a):
         return 0 not in a

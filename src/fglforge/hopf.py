@@ -212,23 +212,9 @@ class LazardAlgebroid(HopfAlgebroidTrunc):
         self._basis = [
             key for d in range(n + 1) for key in self.bring.monomial_keys_of_degree(d)
         ]
-        self._build_generator_tables()
-
-    def _build_generator_tables(self):
-        n = self.truncation
-        # Delta on b-generators: composition of universal coordinate changes.
-        pair_ring = GradedPolynomialRing(
-            [(f"{p}{i}", i) for p in "cd" for i in range(1, n + 1)], n
-        )
-        first = _generic_series(pair_ring, "c", n)
-        second = _generic_series(pair_ring, "d", n)
-        # the composite change applies the left-factor arrow first:
-        # c = second o first, so that Delta is compatible with the right unit
-        composite = second.compose(first)
-        self._pair_ring = pair_ring
-        self._delta_gen_payloads = {
-            i: composite.payloads[i + 1] for i in range(1, n + 1)
-        }
+        # Delta's generator table is built on the first delta_basis call:
+        # the idempotence check reads eta_R alone
+        self._delta_gen_payloads = None
         # eta_R on m-generators: the log of the conjugated universal law is
         # log o b^{-1}; unit tests cross-check against the classify route.
         combined = GradedPolynomialRing(
@@ -267,7 +253,25 @@ class LazardAlgebroid(HopfAlgebroidTrunc):
     def basis_label(self, key):
         return self.bring.to_expr({key: 1})
 
+    def _build_delta_table(self):
+        n = self.truncation
+        # Delta on b-generators: composition of universal coordinate changes.
+        pair_ring = GradedPolynomialRing(
+            [(f"{p}{i}", i) for p in "cd" for i in range(1, n + 1)], n
+        )
+        first = _generic_series(pair_ring, "c", n)
+        second = _generic_series(pair_ring, "d", n)
+        # the composite change applies the left-factor arrow first:
+        # c = second o first, so that Delta is compatible with the right unit
+        composite = second.compose(first)
+        self._pair_ring = pair_ring
+        self._delta_gen_payloads = {
+            i: composite.payloads[i + 1] for i in range(1, n + 1)
+        }
+
     def delta_basis(self, key):
+        if self._delta_gen_payloads is None:
+            self._build_delta_table()
         payload = _monomial_image(
             self.bring, key, {0: 1}, self._delta_gen_payloads, self._pair_ring._mul
         )

@@ -311,6 +311,21 @@ def test_input_errors_exit_2(capsys, tmp_path):
         assert code == 2 and "error:" in err and not out, argv
 
 
+def test_deep_expressions_exit_2_and_long_chains_run(capsys):
+    # parentheses and unary minus nest at most 64 deep, and a chain of any
+    # length evaluates
+    for module in ("(" * 2000 + "1" + ")" * 2000, "-" * 3000 + "1"):
+        code, out, err = run(
+            capsys, "landweber", "check", "--fgl", "multiplicative", f"--module={module}", "--primes", "7"
+        )
+        assert code == 2 and "nested deeper than 64" in err and not out
+    for module in ("+".join(["1"] * 3000), "*".join(["1"] * 3000)):
+        code, out, err = run(
+            capsys, "landweber", "check", "--fgl", "multiplicative", "--module", module, "--primes", "7"
+        )
+        assert code == 0 and not err and result_of(out)["exact"]
+
+
 def test_file_caps_are_checked_before_anything_is_built(capsys, tmp_path, monkeypatch):
     # a file past a cap is refused from its parsed JSON: built first, a law,
     # series or tower costs time and memory in proportion to its declared

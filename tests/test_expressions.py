@@ -99,6 +99,33 @@ def test_expression_weight_is_bounded_before_evaluation(monkeypatch):
     assert parse_expression("(beta^2)^32", ZB) == ZB.var(64)
 
 
+def test_long_chains_evaluate_and_deep_nesting_is_refused():
+    # a chain of sums or products evaluates in a loop, whatever its length
+    assert parse_expression("+".join(["1"] * 3000), Z) == Z.from_int(3000)
+    assert parse_expression("*".join(["1"] * 3000), Z) == Z.one()
+    assert parse_expression("-".join(["1"] * 3000), Z) == Z.from_int(-2998)
+    assert parse_expression("*".join(["beta"] * 30 + ["beta^-30"]) + "+1-2", ZB) == ZB.zero()
+    # operands are evaluated left to right: the first unknown name is reported
+    with pytest.raises(UnknownVariable) as err:
+        parse_expression("1 + x*2 + y", Z)
+    assert err.value.column == 4
+    # parentheses and unary minus nest at most 64 deep
+    assert parse_expression("(" * 64 + "1" + ")" * 64, Z) == Z.one()
+    assert parse_expression("-" * 64 + "1", Z) == Z.one()
+    assert parse_expression("-(" * 32 + "2" + ")" * 32, Z) == Z.from_int(2)
+    # the bound counts along one path, not over siblings
+    assert parse_expression("+".join(["(-1)"] * 100), Z) == Z.from_int(-100)
+    for src, column in (
+        ("(" * 65 + "1" + ")" * 65, 64),
+        ("(" * 2000 + "1" + ")" * 2000, 64),
+        ("-" * 3000 + "1", 64),
+        ("-(" * 1000 + "1" + ")" * 1000, 64),
+    ):
+        with pytest.raises(ExpressionSyntaxError, match="nested deeper than 64") as err:
+            parse_expression(src, Z)
+        assert err.value.column == column
+
+
 def test_parse_tree_shape():
     tree = parse_tree("1 + 2*x")
     assert tree[0] == "add"

@@ -125,6 +125,46 @@ def test_graded_cancellation_and_truncation():
     assert type((half * ring.from_int(2)).payload[0]) is int
 
 
+def test_graded_scalar_paths_match_the_general_product():
+    # a constant operand and the division by n take their own paths; each must
+    # give the general product's values, types and key order
+    rng = random.Random(zlib.crc32(b"graded scalar paths"))
+    degrees = (1, 2, 3)
+    ring = GradedPolynomialRing([(f"g{i}", d) for i, d in enumerate(degrees)], 6)
+
+    def general(a, b):
+        return ring._settle(ring._mul_add(None, a, ring._operand(b)))
+
+    def same(got, want):
+        assert got == want
+        assert list(got) == list(want)
+        assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
+
+    def coefficient():
+        if rng.random() < 0.5:
+            return rng.choice((-6, -3, -2, -1, 1, 2, 3, 4, 12, 60))
+        return Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 4, 5, 6, 7)))
+
+    for _ in range(300):
+        keys = [ring.pack(e) for e in _random_terms(degrees, 6, rng, rng.randint(0, 8), (1,))]
+        rng.shuffle(keys)
+        a = ring._canonical({k: coefficient() for k in keys})
+        c = coefficient() or 1
+        c = c.numerator if type(c) is Fraction and c.denominator == 1 else c
+        same(ring._mul(a, {0: c}), general(a, {0: c}))
+        same(ring._mul({0: c}, a), general({0: c}, a))
+        for n in range(1, 13):
+            same(ring.divide(a, n), general(a, ring.from_fraction(Fraction(1, n)).payload))
+        with pytest.raises(ZeroDivisionError):
+            ring.divide(a, 0)
+    with pytest.raises(ZeroDivisionError):
+        ring.divide({}, 0)
+    # an integral Fraction leaves the scalar product as an int
+    half = {ring.pack([1, 0, 0]): Fraction(1, 2), ring.pack([0, 1, 0]): 3}
+    assert [type(c) for c in ring._mul(half, {0: 2}).values()] == [int, int]
+    assert [type(c) for c in ring._mul({0: Fraction(2, 3)}, {0: Fraction(3, 2)}).values()] == [int]
+
+
 def test_monomial_exponents_do_not_overflow():
     ring = GradedPolynomialRing([("a", 1), ("b", 1)], 10)
     # exponents of 64 and more used to spill into the next 6-bit field

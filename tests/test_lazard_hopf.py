@@ -52,6 +52,20 @@ def test_universal_first_coefficients():
         universal_fgl_rational(1)
 
 
+def test_universal_law_and_delta_have_integer_coefficients():
+    # F = l^{-1}(l(x) + l(y)) with l in Z[m][[t]] and l'(0) = 1 lies in
+    # Z[m][[x, y]], and Delta composes two coordinate changes with integer
+    # coefficients: every coefficient is an int, no integral Fraction
+    for n in range(2, 13):
+        for payload in universal_fgl_rational(n).body.payloads.values():
+            assert all(type(c) is int for c in payload.values()), n
+    for n in range(1, 9):
+        H = lb_structure_maps(n)
+        for key in H.gamma_basis():
+            for c in H.delta_basis(key).values():
+                assert all(type(v) is int for v in c.values()), (n, key)
+
+
 def test_universal_specializes_to_additive():
     uni = universal_fgl_rational(6)
     zeros = {f"m{i}": Q.zero() for i in range(1, 6)}
@@ -532,6 +546,26 @@ def test_hq_full_rank_up_to_degree_8():
     assert dims == [1, 2, 3, 5, 7, 11, 15, 22]
     assert report.passed
     assert [d.rank for d in report.degrees] == dims
+
+
+def test_hq_check_builds_no_delta(monkeypatch):
+    # the idempotence check reads eta_R alone; Delta composes coordinate
+    # changes on the pair ring Q[c_*, d_*], on the first delta_basis call
+    composed = []
+    original = TruncatedSeries1.compose
+
+    def recording(self, inner):
+        composed.append(self.ring.names)
+        return original(self, inner)
+
+    monkeypatch.setattr(TruncatedSeries1, "compose", recording)
+    assert hq_idempotence_check(6).passed
+    assert composed and not any("c1" in names for names in composed)
+    H = lb_structure_maps(3)
+    composed.clear()
+    H.delta_basis(0)
+    H.delta_basis(1)
+    assert composed == [("c1", "c2", "c3", "d1", "d2", "d3")]
 
 
 def test_hq_degree_one_entry():
