@@ -161,9 +161,6 @@ class AdamsSequence:
     def __add__(self, other):
         return self._pointwise(other, operator.add)
 
-    def __sub__(self, other):
-        return self._pointwise(other, operator.sub)
-
     def __mul__(self, other):
         if isinstance(other, AdamsSequence):
             return self._pointwise(other, operator.mul)
@@ -174,9 +171,6 @@ class AdamsSequence:
     def scale(self, c) -> "AdamsSequence":
         c = Fraction(c)
         return AdamsSequence(self.lo, [c * v for v in self.values])
-
-    def __neg__(self):
-        return self.scale(-1)
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values)
@@ -382,12 +376,6 @@ class TwistedLaurent:
         for j, a in other.terms.items():
             out[j] = out[j] + a if j in out else a
         return TwistedLaurent(self.model, out)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, TwistedLaurent):

@@ -54,7 +54,8 @@ MAX_DEPTH = 16
 # the Hopf check grows about 2.4x a degree; degree 10 already takes over a second
 MAX_HOPF_DEGREE = 10
 MAX_PRIME = 97
-# |k| of fgl pseries and ops adams: the coefficients grow with k^precision
+# |k| of fgl pseries and ops adams, and |n| of geom(n) in ops compose: the
+# coefficients grow with k^precision
 MAX_K = 2**16
 EXIT_BROKEN_PIPE = 141
 
@@ -167,6 +168,8 @@ def series_from_spec(spec: str, precision: int):
     spec = spec.strip()
     if spec.startswith("geom(") and spec.endswith(")"):
         n = int(spec[5:-1])
+        if abs(n) > MAX_K:
+            raise ValueError(f"|n| of geom(n) is capped at {MAX_K}")
         return geometric_power(-n, precision)
     if os.path.exists(spec):
         return series1_from_json(_load_within_precision(spec))

@@ -56,18 +56,6 @@ class FormalGroupLaw:
     def coefficient(self, i: int, j: int) -> RingElement:
         return self.body.at(i, j)
 
-    def __eq__(self, other):
-        if not isinstance(other, FormalGroupLaw):
-            return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.precision == other.precision
-            and self.body == other.body
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.precision))
-
     def __repr__(self):
         label = self.name or "fgl"
         return f"<{label} over {self.ring} at precision {self.precision}>"
@@ -602,7 +590,8 @@ def change_coordinates(fgl: FormalGroupLaw, b: TruncatedSeries1) -> FormalGroupL
 
 def grade_check(fgl: FormalGroupLaw, degrees: dict) -> bool:
     """True iff every coefficient a_ij is homogeneous of degree i+j-1
-    (x and y carrying degree -1)."""
+    (x and y carrying degree -1); Unsupported over a ring with no grading
+    under degrees."""
     for (i, j), p in fgl.body.payloads.items():
         present = fgl.ring.element_degrees(p, degrees)
         if present and present != {i + j - 1}:

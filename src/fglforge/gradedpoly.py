@@ -264,9 +264,6 @@ class GradedPolynomialRing(CoefficientRing):
     def generators(self):
         return {name: self.generator(name) for name in self.names}
 
-    def generator_degrees(self):
-        return {name: d for name, d in self.gens}
-
     def element_degrees(self, a, degrees):
         weights = tuple(degrees.get(name, d) for name, d in self.gens)
         memo = self._deg_memo if weights == self.degrees else _DegreeMemo(weights)

@@ -345,15 +345,13 @@ class CoefficientRing:
         """Named distinguished elements resolvable in expressions."""
         return {}
 
-    def generator_degrees(self) -> dict:
-        """Default grading of the named generators (may be overridden per use)."""
-        return {}
-
     def element_degrees(self, a, degrees: dict) -> set:
         """The set of weighted degrees of the monomials of a.
 
-        Empty for zero; {0} for nonzero constants.  Supports the closed ring
-        family and graded polynomial rings.
+        degrees maps generator names to degrees; a generator it leaves out
+        keeps the ring's own degree.  Empty for zero; {0} for nonzero
+        constants.  A quotient ring, which has no grading unless its
+        variable has degree 0, raises Unsupported.
         """
         return set() if self._is_zero(a) else {0}
 
@@ -822,13 +820,8 @@ class LaurentExtension(CoefficientRing):
             gens[name] = RingElement(self, {0: g.payload})
         return gens
 
-    def generator_degrees(self):
-        degs = {self.variable: self.degree}
-        degs.update(self.base.generator_degrees())
-        return degs
-
     def element_degrees(self, a, degrees):
-        d_var = {**self.generator_degrees(), **degrees}[self.variable]
+        d_var = degrees.get(self.variable, self.degree)
         return {
             dc + e * d_var for e, c in a.items() for dc in self.base.element_degrees(c, degrees)
         }
@@ -993,11 +986,16 @@ class QuotientByPrincipal(CoefficientRing):
     def generators(self):
         return {name: self.from_base(g) for name, g in self.base.generators().items()}
 
-    def generator_degrees(self):
-        return self.base.generator_degrees()
-
     def element_degrees(self, a, degrees):
-        return self.base.element_degrees(a, degrees)
+        # f has f(0) != 0 and degree >= 1, so the ideal (f) is homogeneous
+        # only when the variable has degree 0
+        var = self.base.variable
+        d = degrees.get(var, self.base.degree)
+        if d != 0:
+            raise Unsupported(
+                f"{self} has no grading with |{var}| = {d}: its modulus is not homogeneous"
+            )
+        return super().element_degrees(a, degrees)
 
     def zero_divisor_witness(self, r):
         field = self.base.base

@@ -449,9 +449,6 @@ class TruncatedSeriesN(_Series):
             raise IndexError(f"{key} is not a monomial of degree 0..{self.precision}")
         return RingElement(self.ring, self.payloads.get(key, self.ring.zero().payload))
 
-    def is_zero(self):
-        return not self.payloads
-
     __mul__ = __rmul__ = _Series.__mul__
 
     def __repr__(self):

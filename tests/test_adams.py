@@ -466,6 +466,29 @@ def test_twisted_laurent_normal_form_and_errors():
     assert total.is_zero()
 
 
+def test_equal_elements_hash_equal_and_print_their_content():
+    # each class defines __eq__, so equal values built two ways must hash
+    # equal; pytest prints the repr of both sides of a failed comparison
+    seq = AdamsSequence(0, [1, 2, Fraction(1, 2)])
+    assert seq == AdamsSequence(1, [1, 2, Fraction(1, 2)]).shift(1)
+    assert hash(seq) == hash(AdamsSequence(1, [1, 2, Fraction(1, 2)]).shift(1))
+    assert repr(seq) == "<sequence [0..2]: 1, 2, 1/2>"
+
+    unit = geometric_power(1, 4)
+    tower = OmegaTower([unit, unit])
+    deeper = OmegaTower([geometric_power(1, 6)] * 3).omega_shift(-1)
+    cut = OmegaTower(level.truncate(4) for level in deeper.levels)
+    assert cut == tower and hash(cut) == hash(tower)
+    assert repr(tower) == "<tower depth 1 precision 4>"
+
+    w = (-2, 2)
+    twisted = beta_power_sequence(1, w) * idempotent_element(0, w)
+    direct = TwistedLaurent("sequence", {1: AdamsSequence(-2, [0, 0, 1, 0, 0]), 3: seq.scale(0)})
+    assert twisted == direct and hash(twisted) == hash(direct)
+    assert repr(twisted) == "<sequence: beta^1*<sequence [-2..2]: 0, 0, 1, 0, 0>>"
+    assert repr(TwistedLaurent("tower", {})) == "<tower: 0>"
+
+
 def test_tower_invariant_validation():
     # constant unit towers satisfy omega(f) = f for f = (1-x)^-1
     good = OmegaTower([geometric_power(1, 8), geometric_power(1, 8)])

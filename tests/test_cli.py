@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import fglforge
-from fglforge import cli, hopf
+from fglforge import adams, cli, hopf
 from fglforge.cli import (
     EXIT_BROKEN_PIPE,
     MAX_GRADED_PRECISION,
@@ -437,6 +437,21 @@ def test_k_is_capped_before_anything_is_built(capsys, monkeypatch):
             assert built == [], argv
 
 
+def test_geom_is_capped_before_the_series_is_built(capsys, monkeypatch):
+    # geom(n) takes the cap of --k: |n| up to it runs, one past it exits 2
+    # before (1 - x)^-n is built; 70 digits used to fail only in printing
+    for n in (MAX_K, -MAX_K):
+        code, out, err = run(capsys, "ops", "compose", "--lhs", f"geom({n})", "--rhs", "geom(-1)")
+        assert code == 0 and not err and result_of(out)["geometric"] == n
+    built = []
+    monkeypatch.setattr(adams, "geometric_power", lambda *args: built.append(args))
+    for n in (MAX_K + 1, -MAX_K - 1, 10**70):
+        for lhs, rhs in ((f"geom({n})", "geom(1)"), ("geom(1)", f"geom({n})")):
+            code, out, err = run(capsys, "ops", "compose", "--lhs", lhs, "--rhs", rhs)
+            assert code == 2 and f"|n| of geom(n) is capped at {MAX_K}" in err and not out
+    assert all(abs(k) <= MAX_K for k, _ in built)
+
+
 def test_graded_precision_is_capped_before_anything_is_built(capsys, tmp_path, monkeypatch):
     # the universal law and a law file over graded polynomials run at the cap;
     # one past it exits 2 before the law is built or the file is read as a law
@@ -673,6 +688,28 @@ def test_fgl_json_rejects_a_grading_of_no_generator(tmp_path, capsys):
     path.write_text(json.dumps(law))
     code, out, _ = run(capsys, "fgl", "axioms", "--fgl", str(path))
     assert code == 0 and result_of(out)["passed"]
+
+
+def test_fgl_axioms_refuses_a_grading_of_a_quotient_ring(tmp_path, capsys):
+    # beta^2 = -1 in F_5[beta^±1]/(beta^2 + 1), so no grading has |beta| = 1;
+    # the check used to pass it
+    f5 = {"kind": "integers_mod", "modulus": 5}
+    laurent = {"kind": "laurent", "base": f5, "variable": "beta", "degree": 1}
+    law = {
+        "ring": {"kind": "quotient", "base": laurent, "generator": "beta^2 + 1"},
+        "precision": 4,
+        "coefficients": [{"i": 1, "j": 1, "value": "-beta"}],
+        "grading": {"beta": 1},
+    }
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps(law))
+    code, out, err = run(capsys, "fgl", "axioms", "--fgl", str(path))
+    assert code == 2 and "no grading with |beta| = 1" in err and not out
+    # with |beta| = 0 every element has degree 0, and -beta not the 1 it needs
+    law["grading"] = {"beta": 0}
+    path.write_text(json.dumps(law))
+    code, out, err = run(capsys, "fgl", "axioms", "--fgl", str(path))
+    assert code == 2 and "fails its axioms: grading" in err and not out
 
 
 def test_fgl_json_rejects_a_coefficient_given_twice(tmp_path, capsys):

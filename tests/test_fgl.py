@@ -16,6 +16,7 @@ from fglforge.errors import (
     IncompatibleRing,
     InsufficientPrecision,
     NotQAlgebra,
+    Unsupported,
 )
 from fglforge.fgl import (
     AxiomCheck,
@@ -31,7 +32,14 @@ from fglforge.fgl import (
     named_fgl,
     v_coefficient,
 )
-from fglforge.rings import Integers, IntegersMod, LaurentExtension, PLocalIntegers, Rationals
+from fglforge.rings import (
+    Integers,
+    IntegersMod,
+    LaurentExtension,
+    PLocalIntegers,
+    QuotientByPrincipal,
+    Rationals,
+)
 from fglforge.series import (
     TruncatedSeries1,
     TruncatedSeries2,
@@ -329,6 +337,59 @@ def test_grade_checks():
     # ring's degree memo as it was
     assert not grade_check(uni, {"m1": 2})
     assert grade_check(uni, uni.grading)
+
+
+# Z[beta^±1][gamma^±1] with |beta| = 1 and |gamma| = 2: a grading that leaves
+# a variable out reads that variable's degree from the ring
+ZBG = LaurentExtension(ZB, "gamma", 2)
+
+
+@pytest.mark.parametrize(
+    "grading, terms, graded",
+    [
+        ({"beta": 1}, [(1, 0, -1)], True),
+        ({"beta": 1}, [(-1, 1, 1)], True),
+        ({"beta": 1}, [(0, 1, 1)], False),
+        ({"beta": 1}, [(1, 0, 1), (0, 1, 1)], False),
+        ({"beta": 3}, [(-1, 2, 1)], True),
+        ({"beta": 3}, [(-1, 1, 1)], False),
+        ({"gamma": 0}, [(1, 5, 1)], True),
+        ({"gamma": 0}, [(0, 1, 1)], False),
+        ({}, [(-1, 1, 1)], True),
+        ({}, [(1, 0, -1)], True),
+        ({}, [(0, 1, 1)], False),
+    ],
+)
+def test_grade_check_reads_left_out_degrees_from_the_ring(grading, terms, graded):
+    # x + y + c xy, with c the sum of the terms n beta^i gamma^j
+    c = sum((ZBG.monomial(n * ZB.var(i), j) for i, j, n in terms), ZBG.zero())
+    body = TruncatedSeries2.from_entries(ZBG, [(1, 0, ZBG.one()), (0, 1, ZBG.one()), (1, 1, c)], 4)
+    law = FormalGroupLaw(body, grading=grading)
+    assert grade_check(law, grading) == graded
+    report = check_axioms(law)
+    assert report.checks[-1] == AxiomCheck("grading", graded, None)
+    assert report.passed == graded
+
+
+def test_quotient_rings_carry_no_grading():
+    # beta^2 = -1 in F_5[beta^±1]/(beta^2 + 1), so no grading has |beta| = 1,
+    # and x + y - beta xy is no graded law there
+    f5b = LaurentExtension(IntegersMod(5), "beta", 1)
+    ring = QuotientByPrincipal(f5b, f5b.var(2) + 1)
+    beta = ring.from_base(f5b.var())
+
+    def law(c, grading):
+        entries = [(1, 0, ring.one()), (0, 1, ring.one()), (1, 1, c)]
+        return FormalGroupLaw(TruncatedSeries2.from_entries(ring, entries, 4), grading=grading)
+
+    with pytest.raises(Unsupported, match=r"no grading with \|beta\| = 1"):
+        check_axioms(law(-beta, {"beta": 1}))
+    with pytest.raises(Unsupported):
+        grade_check(law(-beta, None), {})
+    # with |beta| = 0 every element has degree 0: the additive law is graded,
+    # x + y + xy is not
+    assert check_axioms(law(ring.zero(), {"beta": 0})).passed
+    assert not check_axioms(law(ring.one(), {"beta": 0})).passed
 
 
 def test_grading_invariant_under_graded_changes():

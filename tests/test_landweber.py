@@ -5,11 +5,18 @@ import random
 import pytest
 
 from fglforge import fgl as fgl_module
-from fglforge.errors import AxiomsFailed, InsufficientPrecision
+from fglforge.errors import AxiomsFailed, InsufficientPrecision, Unsupported
 from fglforge.expressions import element_to_expr
 from fglforge.fgl import FormalGroupLaw, change_coordinates, named_fgl, v_coefficient
 from fglforge.landweber import LandweberInput, landweber_check, v_sequence_report
-from fglforge.rings import Integers, IntegersMod, LaurentExtension, PLocalIntegers, Rationals
+from fglforge.rings import (
+    Integers,
+    IntegersMod,
+    LaurentExtension,
+    PLocalIntegers,
+    QuotientByPrincipal,
+    Rationals,
+)
 from fglforge.series import TruncatedSeries1, TruncatedSeries2
 
 Z = Integers()
@@ -152,6 +159,18 @@ def test_v_sequence_report():
     rows = v_sequence_report(h1, 2, 1)
     assert element_to_expr(rows[0].value) == "0"
     assert element_to_expr(rows[1].value) == "1"
+
+
+def test_v_sequence_report_refuses_a_grading_of_a_quotient_ring():
+    # beta^2 = -1 in F_5[beta^±1]/(beta^2 + 1), so v_1 = -beta is of no degree
+    f5b = LaurentExtension(IntegersMod(5), "beta", 1)
+    ring = QuotientByPrincipal(f5b, f5b.var(2) + 1)
+    entries = [(1, 0, ring.one()), (0, 1, ring.one()), (1, 1, -ring.from_base(f5b.var()))]
+    body = TruncatedSeries2.from_entries(ring, entries, 4)
+    with pytest.raises(Unsupported, match="no grading"):
+        v_sequence_report(FormalGroupLaw(body, grading={"beta": 1}), 2, 2)
+    rows = v_sequence_report(FormalGroupLaw(body), 2, 2)
+    assert rows[1].value == -ring.from_base(f5b.var()) and rows[1].homogeneous is None
 
 
 def test_v_degrees_are_homogeneous_for_graded_laws():

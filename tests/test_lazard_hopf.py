@@ -369,6 +369,10 @@ def test_lazard_degree_one_dual_composition():
     b1sq = H.bring.pack([2, 0, 0])
     b2 = H.bring.pack([0, 1, 0])
     assert square.values == {b1sq: H.base.from_int(2), b2: H.base.from_int(2)}
+    # equal functionals built two ways hash equal, and print their values
+    expected = DualFunctional(H, {b2: H.base.from_int(2), b1sq: H.base.from_int(2)})
+    assert square == expected and hash(square) == hash(expected)
+    assert repr(square) == f"<functional {{{b1sq}: 2, {b2}: 2}}>"
     epsilonf = epsilon_functional(H)
     assert dual_compose(epsilonf, b1_dual) == b1_dual
 

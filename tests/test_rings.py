@@ -455,6 +455,36 @@ def test_element_pow_and_hash():
     assert hash(ZB.one() + beta) == hash(ZB.one() + ZB.var())
     with pytest.raises(Unsupported):
         ZB.from_int(2).inverse()
+    # beta^2 = -1 modulo beta^2 + 1, so beta^3 and -beta are one element
+    quotient = QuotientByPrincipal(F5B, F5B.var(2) + 1)
+    x, y = quotient.from_base(F5B.var(3)), quotient.from_base(-F5B.var())
+    assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+
+
+def test_functions_on_points_are_a_q_algebra():
+    # Q^n: element() reads its input into Fractions, and negation, inversion
+    # and division by an integer act pointwise
+    functions = FunctionRing(3)
+    x, y = functions.element([1, 2, -3]), functions.from_values([1, 2, -3])
+    assert x == y and hash(x) == hash(y)
+    assert -x == functions.from_values([-1, -2, 3])
+    assert x.inverse() == functions.from_values([1, Fraction(1, 2), Fraction(-1, 3)])
+    with pytest.raises(Unsupported):
+        functions.from_values([1, 0, 2]).inverse()
+    assert functions.is_q_algebra()
+    assert functions.divide(x.payload, 3) == (Fraction(1, 3), Fraction(2, 3), Fraction(-1))
+
+
+def test_graded_positive_degree_elements_are_nilpotent():
+    # below the truncation every monomial of positive degree is nilpotent, so
+    # beta + m1 beta^2 is a unit of the Laurent ring over the graded ring
+    ring = _graded(4)
+    m1, m2 = ring.generator("m1"), ring.generator("m2")
+    assert ring.is_nilpotent(m1.payload) and ring.is_nilpotent((m1 * m1 + 3 * m2).payload)
+    assert not ring.is_nilpotent((1 + m1).payload) and not ring.is_nilpotent(ring.one().payload)
+    laurent = LaurentExtension(ring, "beta", 1)
+    u = laurent.var() + laurent.monomial(m1, 2)
+    assert u.is_unit() and u * u.inverse() == laurent.one()
 
 
 def test_quotient_units_brute_force_over_f3():

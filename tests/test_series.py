@@ -286,6 +286,18 @@ def test_two_variable_series():
         F.coefficient((3, 2))
 
 
+def test_equal_series_hash_equal_and_print_their_content():
+    # __eq__ compares payloads, so equal series built two ways hash equal;
+    # pytest prints the repr of both sides of a failed comparison
+    f = s(Z, [1, 1], 4) * s(Z, [1, -1], 4)
+    assert f == s(Z, [1, 0, -1], 4) and hash(f) == hash(s(Z, [1, 0, -1], 4))
+    assert repr(f) == "<series 1 - x^2 + O(x^5)>"
+    x_plus_y = TruncatedSeries2.from_entries(Z, [(1, 0, Z.one()), (0, 1, Z.one())], 3)
+    square = TruncatedSeriesN(Z, 2, {(2, 0): Z.one(), (1, 1): Z.from_int(2), (0, 2): Z.one()}, 3)
+    assert x_plus_y * x_plus_y == square and hash(x_plus_y * x_plus_y) == hash(square)
+    assert repr(square) == "<series in 2 vars, 3 terms, prec 3>"
+
+
 def test_substitute_pair_one_variable():
     F = TruncatedSeries2.from_entries(
         Z, [(1, 0, Z.one()), (0, 1, Z.one()), (1, 1, Z.one())], 6
